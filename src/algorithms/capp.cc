@@ -49,19 +49,14 @@ double Capp::DoProcessValue(double x, Rng& rng) {
   return report;
 }
 
-void Capp::DoProcessChunk(std::span<const double> in, std::span<double> out,
-                          Rng& rng) {
-  const std::optional<SwBatchPlan> plan = PlanSwBatch(mechanism_.get());
-  if (!plan) {
-    StreamPerturber::DoProcessChunk(in, out, rng);
-    return;
-  }
+void Capp::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
+                            const double* uniforms, size_t stride) {
   RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = plan->params;
-  const double near_mass = plan->near_mass;
+  const SwParams params = sw_plan_->params;
+  const double near_mass = sw_plan_->near_mass;
   const double width = bounds_.u - bounds_.l;
   internal::ForEachSwSlot(
-      in, out, rng, [&](double raw, double u1, double u2) {
+      in, out, uniforms, stride, [&](double raw, double u1, double u2) {
         const double x = SanitizeUnitValue(raw);
         const double input = Clamp(x + accumulated_deviation_, bounds_.l,
                                    bounds_.u);

@@ -27,6 +27,7 @@
 #include "algorithms/perturber.h"
 #include "algorithms/sw_direct.h"
 #include "mechanisms/mechanism.h"
+#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -61,21 +62,25 @@ class Capp final : public StreamPerturber {
   double accumulated_deviation() const { return accumulated_deviation_; }
   const Mechanism& mechanism() const { return *mechanism_; }
 
+  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
+
  protected:
   double DoProcessValue(double x, Rng& rng) override;
-  /// SW fast path: block-RNG + inline sampling (see square_wave.h);
-  /// non-SW mechanisms fall back to the scalar loop. Bit-identical.
-  void DoProcessChunk(std::span<const double> in, std::span<double> out,
-                      Rng& rng) override;
+  /// SW fast path: inline two-uniform sampling (see square_wave.h);
+  /// non-SW mechanisms take the scalar loop. Bit-identical.
+  void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
+                        const double* uniforms, size_t stride) override;
   void DoReset() override { accumulated_deviation_ = 0.0; }
 
  private:
   Capp(PerturberOptions options, std::unique_ptr<Mechanism> mechanism,
        ClipBounds bounds, std::string name)
       : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        map_(*mechanism_), bounds_(bounds), name_(std::move(name)) {}
+        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+        bounds_(bounds), name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
+  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   ClipBounds bounds_;
   std::string name_;

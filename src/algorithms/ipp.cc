@@ -30,18 +30,13 @@ double Ipp::DoProcessValue(double x, Rng& rng) {
   return report;
 }
 
-void Ipp::DoProcessChunk(std::span<const double> in, std::span<double> out,
-                         Rng& rng) {
-  const std::optional<SwBatchPlan> plan = PlanSwBatch(mechanism_.get());
-  if (!plan) {
-    StreamPerturber::DoProcessChunk(in, out, rng);
-    return;
-  }
+void Ipp::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
+                           const double* uniforms, size_t stride) {
   RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = plan->params;
-  const double near_mass = plan->near_mass;
+  const SwParams params = sw_plan_->params;
+  const double near_mass = sw_plan_->near_mass;
   internal::ForEachSwSlot(
-      in, out, rng, [&](double raw, double u1, double u2) {
+      in, out, uniforms, stride, [&](double raw, double u1, double u2) {
         const double x = SanitizeUnitValue(raw);
         const double input = Clamp(x + last_deviation_, 0.0, 1.0);
         // SW's input domain is [0,1], so DomainMap is exactly the identity

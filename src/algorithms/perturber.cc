@@ -1,6 +1,7 @@
 #include "algorithms/perturber.h"
 
 #include "core/check.h"
+#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -28,7 +29,32 @@ void StreamPerturber::ProcessChunk(std::span<const double> in,
                                    std::span<double> out, Rng& rng) {
   CAPP_CHECK(supports_online());
   CAPP_CHECK(in.size() == out.size());
-  DoProcessChunk(in, out, rng);
+  if (!consumes_sw_uniforms()) {
+    DoProcessChunk(in, out, rng);
+    return;
+  }
+  internal::ForEachSwBlock(
+      in.size(), rng,
+      [&](size_t begin, size_t count, const double* uniforms) {
+        DoProcessSwChunk(in.subspan(begin, count),
+                         out.subspan(begin, count), uniforms, 2);
+      });
+}
+
+void StreamPerturber::ProcessChunkFromUniforms(std::span<const double> in,
+                                               std::span<double> out,
+                                               const double* uniforms,
+                                               size_t stride) {
+  CAPP_CHECK(consumes_sw_uniforms());
+  CAPP_CHECK(in.size() == out.size());
+  CAPP_CHECK(stride >= 2);
+  DoProcessSwChunk(in, out, uniforms, stride);
+}
+
+void StreamPerturber::DoProcessSwChunk(std::span<const double>,
+                                       std::span<double>, const double*,
+                                       size_t) {
+  CAPP_CHECK(false && "consumes_sw_uniforms() without an SW chunk body");
 }
 
 void StreamPerturber::DoProcessChunk(std::span<const double> in,

@@ -76,6 +76,22 @@ class StreamPerturber {
   void ProcessChunk(std::span<const double> in, std::span<double> out,
                     Rng& rng);
 
+  /// True when every slot is the Square Wave two-uniform sampler
+  /// (mechanisms/square_wave.h): each slot consumes exactly two uniforms,
+  /// so a caller may draw them itself and use ProcessChunkFromUniforms.
+  /// Fixed at construction.
+  virtual bool consumes_sw_uniforms() const { return false; }
+
+  /// ProcessChunk from caller-drawn uniforms: slot i consumes
+  /// uniforms[i * stride] (band choice) and uniforms[i * stride + 1]
+  /// (position). Bit-identical to ProcessChunk when those are the pairs it
+  /// would have drawn, which lets a multi-dimensional strategy fill one
+  /// block for all of its dimensions (multidim/budget_split.h). Requires
+  /// consumes_sw_uniforms() and stride >= 2.
+  void ProcessChunkFromUniforms(std::span<const double> in,
+                                std::span<double> out,
+                                const double* uniforms, size_t stride);
+
   /// Perturbs a whole subsequence; returns one report per input value.
   std::vector<double> PerturbSequence(std::span<const double> xs, Rng& rng);
 
@@ -99,12 +115,22 @@ class StreamPerturber {
   /// Per-slot hook implemented by concrete algorithms.
   virtual double DoProcessValue(double x, Rng& rng) = 0;
 
-  /// Chunk hook; inputs arrive unsanitized (apply SanitizeUnitValue per
-  /// element, exactly like the scalar path). The default loops
-  /// DoProcessValue and advances the slot counter per element; overrides
-  /// must preserve that observable behavior bit for bit.
+  /// Chunk hook of algorithms that do not consume SW uniforms; inputs
+  /// arrive unsanitized (apply SanitizeUnitValue per element, exactly like
+  /// the scalar path). The default loops DoProcessValue and advances the
+  /// slot counter per element; overrides must preserve that observable
+  /// behavior bit for bit.
   virtual void DoProcessChunk(std::span<const double> in,
                               std::span<double> out, Rng& rng);
+
+  /// The one SW slot loop of an algorithm whose consumes_sw_uniforms() is
+  /// true, fed a uniform view (see ProcessChunkFromUniforms). ProcessChunk
+  /// draws the blocks and calls it with stride 2. Inputs arrive
+  /// unsanitized; the override records the spend and advances the slot
+  /// counter for the whole chunk.
+  virtual void DoProcessSwChunk(std::span<const double> in,
+                                std::span<double> out,
+                                const double* uniforms, size_t stride);
 
   /// Whole-sequence hook; the default loops over DoProcessValue.
   virtual std::vector<double> DoPerturbSequence(std::span<const double> xs,

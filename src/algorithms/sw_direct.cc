@@ -22,6 +22,24 @@ double MechanismDirect::DoProcessValue(double x, Rng& rng) {
   return map_.FromMechanism(y);
 }
 
+void MechanismDirect::DoProcessSwChunk(std::span<const double> in,
+                                       std::span<double> out,
+                                       const double* uniforms,
+                                       size_t stride) {
+  RecordSpendRun(in.size(), mechanism_->epsilon());
+  const SwParams params = sw_plan_->params;
+  const double near_mass = sw_plan_->near_mass;
+  internal::ForEachSwSlot(
+      in, out, uniforms, stride, [&](double raw, double u1, double u2) {
+        // SanitizeUnitValue lands in [0,1], so the scalar path's clamps
+        // are the identity, and so is DomainMap for SW (see the IPP chunk
+        // loop for the bit-identity argument).
+        return SwSampleFromUniforms(params, near_mass, SanitizeUnitValue(raw),
+                                    u1, u2);
+      });
+  AdvanceSlots(in.size());
+}
+
 void MechanismDirect::DoProcessChunk(std::span<const double> in,
                                      std::span<double> out, Rng& rng) {
   RecordSpendRun(in.size(), mechanism_->epsilon());

@@ -8,12 +8,14 @@
 #define CAPP_ALGORITHMS_SW_DIRECT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "algorithms/perturber.h"
 #include "mechanisms/mechanism.h"
+#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -50,11 +52,16 @@ class MechanismDirect final : public StreamPerturber {
   double epsilon_per_slot() const { return mechanism_->epsilon(); }
   const Mechanism& mechanism() const { return *mechanism_; }
 
+  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
+
  protected:
   double DoProcessValue(double x, Rng& rng) override;
-  /// No cross-slot state, so the whole chunk goes through
-  /// Mechanism::PerturbBatch on a reused scratch buffer. Bit-identical to
-  /// the scalar loop for every mechanism.
+  /// SW fast path: inline two-uniform sampling (see square_wave.h).
+  void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
+                        const double* uniforms, size_t stride) override;
+  /// Every other mechanism: no cross-slot state, so the whole chunk goes
+  /// through Mechanism::PerturbBatch on a reused scratch buffer. Both
+  /// paths are bit-identical to the scalar loop.
   void DoProcessChunk(std::span<const double> in, std::span<double> out,
                       Rng& rng) override;
   void DoReset() override {}
@@ -63,9 +70,11 @@ class MechanismDirect final : public StreamPerturber {
   MechanismDirect(PerturberOptions options,
                   std::unique_ptr<Mechanism> mechanism, std::string name)
       : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        map_(*mechanism_), name_(std::move(name)) {}
+        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+        name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
+  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   std::string name_;
   std::vector<double> chunk_scratch_;  // mapped inputs for PerturbBatch

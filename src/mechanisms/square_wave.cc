@@ -132,14 +132,18 @@ void SquareWave::PerturbBatch(std::span<const double> in,
     Mechanism::PerturbBatch(in, out, rng);
     return;
   }
-  internal::ForEachSwSlot(in, out, rng,
-                          [&](double raw, double u1, double u2) {
-                            // The defensive clamp lives here (off any
-                            // dependency chain); the sampler assumes it.
-                            const double v = Clamp(raw, 0.0, 1.0);
-                            return SwSampleFromUniforms(params_, near_mass,
-                                                        v, u1, u2);
-                          });
+  internal::ForEachSwBlock(
+      in.size(), rng,
+      [&](size_t begin, size_t count, const double* uniforms) {
+        internal::ForEachSwSlot(
+            in.subspan(begin, count), out.subspan(begin, count), uniforms,
+            2, [&](double raw, double u1, double u2) {
+              // The defensive clamp lives here (off any dependency
+              // chain); the sampler assumes it.
+              const double v = Clamp(raw, 0.0, 1.0);
+              return SwSampleFromUniforms(params_, near_mass, v, u1, u2);
+            });
+      });
 }
 
 double SquareWave::MeanSlope() const {

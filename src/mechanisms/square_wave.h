@@ -94,27 +94,38 @@ std::optional<SwBatchPlan> PlanSwBatch(const Mechanism* mechanism);
 
 namespace internal {
 
-/// Block driver shared by every batched SW sampler (SquareWave's own
-/// PerturbBatch and the direct/IPP/APP/CAPP chunk loops): runs
-/// out[i] = sample(in[i], u1, u2) over the chunk with the uniform pairs
-/// pulled from `rng` in blocks, two draws per slot in the exact scalar
-/// order. `sample` is invoked strictly in slot order, so feedback state
-/// may be carried between calls. Living in one place keeps the block size
-/// and draw layout -- which the scalar/batched draw-stream equivalence
-/// depends on -- from ever diverging between callers.
+/// Slots per uniform block: 128 slots -> a 2 KiB block of uniform pairs,
+/// resident in L1 next to the chunk's inputs and outputs.
+inline constexpr size_t kSwBlockSlots = 128;
+
+/// The SW slot loop shared by every batched SW sampler (SquareWave's own
+/// PerturbBatch and the direct/IPP/APP/CAPP chunk bodies): runs
+/// out[i] = sample(in[i], uniforms[i * stride], uniforms[i * stride + 1])
+/// strictly in slot order, so feedback state may be carried between calls.
+/// The uniforms are a caller-drawn view: stride 2 for a block drawn for
+/// this stream alone (ForEachSwBlock), stride 2d when d streams interleave
+/// their pairs in one block (multidim/budget_split.h).
 template <typename Sample>
 void ForEachSwSlot(std::span<const double> in, std::span<double> out,
-                   Rng& rng, Sample&& sample) {
-  // 128 slots -> a 2 KiB uniform block: resident in L1 next to in/out.
-  constexpr size_t kBlockReports = 128;
-  double uniforms[2 * kBlockReports];
-  for (size_t done = 0; done < in.size(); done += kBlockReports) {
-    const size_t count = std::min(in.size() - done, kBlockReports);
+                   const double* uniforms, size_t stride, Sample&& sample) {
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i] = sample(in[i], uniforms[i * stride], uniforms[i * stride + 1]);
+  }
+}
+
+/// Draws the uniform pairs of `slots` consecutive slots from `rng` in
+/// blocks of kSwBlockSlots -- two draws per slot, in the exact scalar
+/// order -- and hands each block to body(begin, count, uniforms) with its
+/// pairs at stride 2. Living in one place keeps the block draw layout,
+/// which the scalar/batched draw-stream equivalence depends on, from ever
+/// diverging between callers.
+template <typename Body>
+void ForEachSwBlock(size_t slots, Rng& rng, Body&& body) {
+  double uniforms[2 * kSwBlockSlots];
+  for (size_t done = 0; done < slots; done += kSwBlockSlots) {
+    const size_t count = std::min(slots - done, kSwBlockSlots);
     rng.FillUniform(std::span<double>(uniforms, 2 * count));
-    for (size_t i = 0; i < count; ++i) {
-      out[done + i] =
-          sample(in[done + i], uniforms[2 * i], uniforms[2 * i + 1]);
-    }
+    body(done, count, static_cast<const double*>(uniforms));
   }
 }
 

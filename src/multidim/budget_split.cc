@@ -1,6 +1,9 @@
 #include "multidim/budget_split.h"
 
+#include <algorithm>
+
 #include "core/check.h"
+#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -32,6 +35,35 @@ std::vector<double> BudgetSplitPerturber::ProcessVector(
     out.push_back(inner_[d]->ProcessValue(x[d], rng));
   }
   return out;
+}
+
+void BudgetSplitPerturber::PerturbStream(std::span<const double> truth,
+                                         size_t slots, std::span<double> out,
+                                         Rng& rng) {
+  const size_t dims = inner_.size();
+  CAPP_CHECK(truth.size() == dims * slots && out.size() == dims * slots);
+  if (!sw_uniforms_) {
+    for (size_t t = 0; t < slots; ++t) {
+      for (size_t k = 0; k < dims; ++k) {
+        out[k * slots + t] = inner_[k]->ProcessValue(truth[k * slots + t], rng);
+      }
+    }
+    return;
+  }
+  // Slot t of dimension k takes pair t*d + k of the block, exactly where
+  // the per-slot loop above would have drawn it.
+  constexpr size_t kBlock = internal::kSwBlockSlots;
+  uniforms_.resize(2 * dims * kBlock);
+  for (size_t done = 0; done < slots; done += kBlock) {
+    const size_t count = std::min(slots - done, kBlock);
+    rng.FillUniform(std::span(uniforms_).first(2 * dims * count));
+    for (size_t k = 0; k < dims; ++k) {
+      inner_[k]->ProcessChunkFromUniforms(
+          truth.subspan(k * slots + done, count),
+          out.subspan(k * slots + done, count), uniforms_.data() + 2 * k,
+          2 * dims);
+    }
+  }
 }
 
 void BudgetSplitPerturber::Reset() {

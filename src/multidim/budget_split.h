@@ -4,10 +4,19 @@
 // composition across dimensions means each per-dimension upload gets budget
 // eps / (d * w). Implemented as d independent inner perturbers, each
 // configured with window budget eps / d.
+//
+// The per-slot reference (ProcessVector) draws slot t's uniform pairs
+// dimension by dimension, so with Square Wave inners slot t of dimension k
+// consumes uniforms 2(t*d + k) and 2(t*d + k) + 1. PerturbStream fills
+// that same sequence in blocks of 128 slots (2*d*128 uniforms) and hands
+// dimension k the view at offset 2k, stride 2d: the whole stream runs
+// dim-major through each inner's SW chunk loop, bit-identical to the
+// per-slot loop.
 #ifndef CAPP_MULTIDIM_BUDGET_SPLIT_H_
 #define CAPP_MULTIDIM_BUDGET_SPLIT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +35,19 @@ class MultiDimPerturber {
   /// SMA window the publication step calls for (delegates to the inner
   /// per-dimension algorithm; see StreamPerturber).
   virtual int publication_smoothing_window() const = 0;
-  /// Perturbs one slot's d-vector (values in [0,1] per dimension).
+  /// Perturbs one slot's d-vector (values in [0,1] per dimension). The
+  /// per-slot reference PerturbStream is pinned against.
   virtual std::vector<double> ProcessVector(const std::vector<double>& x,
                                             Rng& rng) = 0;
+  /// Perturbs the next `slots` slots of a dim-major stream: `truth` and
+  /// `out` hold dims * slots values, dimension k's run at [k * slots,
+  /// (k+1) * slots). Bit-identical to `slots` ProcessVector calls -- same
+  /// reports, RNG draws, ledger and per-stream state. When every inner
+  /// algorithm consumes SW uniforms (decided at Create) the uniforms are
+  /// drawn in blocks and each dimension runs as one chunk; otherwise it is
+  /// the per-slot loop without the per-slot vectors.
+  virtual void PerturbStream(std::span<const double> truth, size_t slots,
+                             std::span<double> out, Rng& rng) = 0;
   /// Clears per-stream state.
   virtual void Reset() = 0;
   /// Optional shared ledger: window sums across *all* dimensions must stay
@@ -51,16 +70,23 @@ class BudgetSplitPerturber final : public MultiDimPerturber {
   }
   std::vector<double> ProcessVector(const std::vector<double>& x,
                                     Rng& rng) override;
+  void PerturbStream(std::span<const double> truth, size_t slots,
+                     std::span<double> out, Rng& rng) override;
   void Reset() override;
   void AttachAccountant(WEventAccountant* accountant) override;
 
  private:
   BudgetSplitPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
                        std::string name)
-      : inner_(std::move(inner)), name_(std::move(name)) {}
+      : inner_(std::move(inner)), name_(std::move(name)),
+        sw_uniforms_(inner_.front()->consumes_sw_uniforms()) {}
 
   std::vector<std::unique_ptr<StreamPerturber>> inner_;
   std::string name_;
+  // The inners are identical (same kind and budget), so one answers for
+  // all: fixed here, at Create.
+  bool sw_uniforms_;
+  std::vector<double> uniforms_;  // one block's 2*d*128 draws, reused
 };
 
 }  // namespace capp

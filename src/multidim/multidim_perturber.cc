@@ -62,12 +62,7 @@ void MultidimPerturber::PerturbStream(std::span<const double> truth,
   const size_t dims = impl_->dimensions();
   CAPP_CHECK(truth.size() == dims * slots);
   out.resize(dims * slots);
-  x_.resize(dims);
-  for (size_t t = 0; t < slots; ++t) {
-    for (size_t k = 0; k < dims; ++k) x_[k] = truth[k * slots + t];
-    const std::vector<double> y = impl_->ProcessVector(x_, rng_);
-    for (size_t k = 0; k < dims; ++k) out[k * slots + t] = y[k];
-  }
+  impl_->PerturbStream(truth, slots, out, rng_);
 }
 
 }  // namespace capp

@@ -2,12 +2,20 @@
 // d-dimensional user stream through one of the multi-dimensional
 // strategies (multidim/budget_split.h, multidim/sample_split.h).
 //
-// The strategies themselves are slot-at-a-time vector perturbers
-// (MultiDimPerturber::ProcessVector); the fleet works in dim-major runs
-// -- all of dimension 0's slots, then dimension 1's, exactly the 0xC6
-// wire layout. This adapter owns the gather/scatter between the two
-// shapes plus the per-user RNG, so a fleet worker's per-user path is
-// ResetForUser + one PerturbStream call, mirroring UserSession's
+// The fleet works in dim-major runs -- all of dimension 0's slots, then
+// dimension 1's, exactly the 0xC6 wire layout -- and so does the
+// strategies' whole-stream path (MultiDimPerturber::PerturbStream). With
+// Square Wave inner algorithms (sw-direct, IPP, APP, CAPP) it draws the
+// per-slot uniform pairs in blocks of 128 slots and gives dimension k the
+// view at offset 2k, stride 2d (budget split; sample split hands each
+// dimension the pairs of the slots it uploads), so each dimension runs
+// as one SW chunk. The draw order is the per-slot ProcessVector loop's,
+// so every report, ledger entry and digest is unchanged. Inner algorithms
+// without an SW batch plan (BA-SW, say) take the per-slot path; that is
+// decided once, at Create.
+//
+// This adapter owns the per-user RNG, so a fleet worker's per-user path
+// is ResetForUser + one PerturbStream call, mirroring UserSession's
 // ResetForUser + ReportChunk on the scalar path. Like UserSession, one
 // adapter is pooled per worker chunk and reseeded per user, so the
 // per-user path is allocation-free after the first user.
@@ -64,8 +72,8 @@ class MultidimPerturber {
 
   /// Perturbs one user's whole stream. `truth` and `out` are dim-major
   /// (dims * slots doubles; dimension k's run at [k * slots, (k+1) *
-  /// slots)); `out` is resized. Internally each slot's d-vector is
-  /// gathered, perturbed via the strategy, and scattered back.
+  /// slots)); `out` is resized. Bit-identical to the strategy's per-slot
+  /// ProcessVector loop (see the header comment).
   void PerturbStream(std::span<const double> truth, size_t slots,
                      std::vector<double>& out);
 
@@ -75,7 +83,6 @@ class MultidimPerturber {
 
   std::unique_ptr<MultiDimPerturber> impl_;
   Rng rng_{0};
-  std::vector<double> x_;  // per-slot gather buffer, reused
 };
 
 }  // namespace capp

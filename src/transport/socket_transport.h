@@ -156,7 +156,7 @@ class SocketCollectorServer {
     /// fingerprint still covers multi-dim configs).
     uint32_t expected_dims = 0;
     int num_consumers = 2;
-    size_t queue_capacity = 256;
+    size_t queue_capacity = 16;  // as TransportOptions::queue_capacity
     size_t max_batch_runs = 64;
     bool shard_affinity = false;
   };

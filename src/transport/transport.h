@@ -39,8 +39,10 @@ Result<TransportKind> ParseTransportKind(std::string_view name);
 struct TransportOptions {
   TransportKind kind = TransportKind::kDirect;
   /// Ring capacity in frames. Small values exercise backpressure; the
-  /// default absorbs scheduling jitter at ~max_batch_runs users per frame.
-  size_t queue_capacity = 256;
+  /// default absorbs scheduling jitter at ~max_batch_runs users per frame
+  /// while bounding the backlog a fast producer can build (16 frames of
+  /// 64 d=4 x 100-slot runs are ~3 MB).
+  size_t queue_capacity = 16;
   /// Consumer threads draining the queue into the collector.
   int num_consumers = 2;
   /// User runs per frame before a producer pushes it.

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 #include <string>
 
 #include "core/check.h"
@@ -35,22 +36,32 @@ constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTable = [] {
 // Varints cap at 10 bytes: ceil(64 / 7).
 constexpr size_t kMaxVarintBytes = 10;
 
-void AppendU64Le(uint64_t bits, std::vector<uint8_t>& out) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out.push_back(static_cast<uint8_t>(bits >> (8 * byte)));
-  }
-}
-
-uint64_t ReadU64Le(const uint8_t* p) {
-  uint64_t bits = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    bits |= static_cast<uint64_t>(p[byte]) << (8 * byte);
-  }
-  return bits;
-}
-
 Status FrameError(const std::string& what) {
   return Status::InvalidArgument("wire frame: " + what);
+}
+
+// Appends one frame: magic, the header varints (dims only on 0xC6), the
+// payload, and the CRC32 trailer. The payload is the values' IEEE-754 bits
+// little-endian, which is the host order (Crc32 static_asserts it), so it
+// goes in with one resize and one copy.
+void AppendFrame(uint8_t magic, uint64_t user_id, uint64_t base_slot,
+                 uint64_t dims, std::span<const double> values,
+                 std::vector<uint8_t>& out) {
+  const size_t start = out.size();
+  out.push_back(magic);
+  AppendVarint(user_id, out);
+  AppendVarint(base_slot, out);
+  if (magic == kWireFrameMagicMultiDim) AppendVarint(dims, out);
+  AppendVarint(values.size(), out);
+  const size_t payload_at = out.size();
+  const size_t payload = values.size() * sizeof(double);
+  out.resize(payload_at + payload + 4);
+  if (payload > 0) {
+    std::memcpy(out.data() + payload_at, values.data(), payload);
+  }
+  const uint32_t crc = Crc32(
+      std::span(out).subspan(start, payload_at + payload - start));
+  std::memcpy(out.data() + payload_at + payload, &crc, 4);
 }
 
 }  // namespace
@@ -120,19 +131,7 @@ void AppendUserRunFrame(uint64_t user_id, uint64_t base_slot,
   // Encode must honor the same bound decode enforces, or a frame could be
   // produced that every consumer rejects as corrupt.
   CAPP_CHECK(values.size() <= kWireMaxRunLength);
-  const size_t start = out.size();
-  out.push_back(kWireFrameMagic);
-  AppendVarint(user_id, out);
-  AppendVarint(base_slot, out);
-  AppendVarint(values.size(), out);
-  for (double v : values) {
-    AppendU64Le(std::bit_cast<uint64_t>(v), out);
-  }
-  const uint32_t crc =
-      Crc32(std::span(out).subspan(start, out.size() - start));
-  for (int byte = 0; byte < 4; ++byte) {
-    out.push_back(static_cast<uint8_t>(crc >> (8 * byte)));
-  }
+  AppendFrame(kWireFrameMagic, user_id, base_slot, 1, values, out);
 }
 
 void AppendMultiDimRunFrame(uint64_t user_id, uint64_t base_slot,
@@ -147,20 +146,7 @@ void AppendMultiDimRunFrame(uint64_t user_id, uint64_t base_slot,
   }
   CAPP_CHECK(values.size() <= kWireMaxRunLength);
   CAPP_CHECK(values.size() % dims == 0);
-  const size_t start = out.size();
-  out.push_back(kWireFrameMagicMultiDim);
-  AppendVarint(user_id, out);
-  AppendVarint(base_slot, out);
-  AppendVarint(dims, out);
-  AppendVarint(values.size(), out);
-  for (double v : values) {
-    AppendU64Le(std::bit_cast<uint64_t>(v), out);
-  }
-  const uint32_t crc =
-      Crc32(std::span(out).subspan(start, out.size() - start));
-  for (int byte = 0; byte < 4; ++byte) {
-    out.push_back(static_cast<uint8_t>(crc >> (8 * byte)));
-  }
+  AppendFrame(kWireFrameMagicMultiDim, user_id, base_slot, dims, values, out);
 }
 
 namespace {
@@ -229,19 +215,13 @@ Result<size_t> DecodeUserRunFrame(std::span<const uint8_t> bytes,
     return FrameError("truncated payload");
   }
   const uint32_t computed = Crc32(bytes.subspan(0, cursor + payload));
-  const uint8_t* trailer = bytes.data() + cursor + payload;
   uint32_t stored = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    stored |= static_cast<uint32_t>(trailer[byte]) << (8 * byte);
-  }
+  std::memcpy(&stored, bytes.data() + cursor + payload, 4);
   if (computed != stored) return FrameError("CRC mismatch");
 
-  values.clear();
-  values.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    values.push_back(
-        std::bit_cast<double>(ReadU64Le(bytes.data() + cursor + 8 * i)));
-  }
+  // Little-endian payload on a little-endian host: one bulk copy.
+  values.resize(count);
+  if (payload > 0) std::memcpy(values.data(), bytes.data() + cursor, payload);
   return cursor + payload + 4;
 }
 

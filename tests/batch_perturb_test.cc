@@ -226,8 +226,8 @@ TEST(ProcessChunkTest, BitIdenticalToProcessValueForEveryAlgorithm) {
 }
 
 TEST(ProcessChunkTest, NonSwMechanismsUseTheScalarFallbackBitIdentically) {
-  // IPP/APP/CAPP over Laplace exercise the non-SW fallback inside
-  // DoProcessChunk.
+  // IPP/APP/CAPP over Laplace have no SW plan, so ProcessChunk takes the
+  // per-slot DoProcessChunk fallback (PerturbBatch for direct).
   for (AlgorithmKind kind :
        {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp, AlgorithmKind::kApp,
         AlgorithmKind::kCapp}) {

@@ -5,10 +5,13 @@
 // strategies, same smoothing) with accuracy inside the fig10 tolerance.
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algorithms/factory.h"
 #include "core/rng.h"
 #include "data/datasets.h"
 #include "engine/engine_config.h"
@@ -124,6 +127,165 @@ TEST(SampleSplitTest, ResetRestartsRoundRobin) {
   (*ss)->AttachAccountant(&ledger);
   (*ss)->ProcessVector(x, rng);
   EXPECT_GT(ledger.SlotSpend(0), 0.0);  // slot counter restarted at 0
+}
+
+// ------------------------------------- whole-stream path vs per-slot ----
+
+std::unique_ptr<MultiDimPerturber> MakeStrategy(MultidimStrategy strategy,
+                                                size_t dims,
+                                                AlgorithmKind inner) {
+  const PerturberOptions options{2.0, 10};
+  if (strategy == MultidimStrategy::kBudgetSplit) {
+    auto created = BudgetSplitPerturber::Create(dims, options, inner);
+    EXPECT_TRUE(created.ok());
+    return std::move(*created);
+  }
+  auto created = SampleSplitPerturber::Create(dims, options, inner);
+  EXPECT_TRUE(created.ok());
+  return std::move(*created);
+}
+
+// A dim-major stream in [-0.2, 1.2] with hostile cells sprinkled in:
+// NaN, +-inf, signed zeros and far out-of-range values.
+std::vector<double> MakeHostileStream(size_t dims, size_t slots,
+                                      uint64_t seed) {
+  const double kSpecials[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              -0.0, 0.0, 1.0, -3.0, 7.5};
+  Rng rng(seed);
+  std::vector<double> values(dims * slots);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 7 == 3 ? kSpecials[(i / 7) % 8] : rng.Uniform(-0.2, 1.2);
+  }
+  return values;
+}
+
+// The per-slot reference: gathers each slot's d-vector, runs it through
+// ProcessVector, and scatters the reports back dim-major.
+std::vector<double> PerSlotReference(MultiDimPerturber& perturber,
+                                     const std::vector<double>& truth,
+                                     size_t slots, Rng& rng) {
+  const size_t dims = perturber.dimensions();
+  std::vector<double> out(dims * slots);
+  std::vector<double> x(dims);
+  for (size_t t = 0; t < slots; ++t) {
+    for (size_t k = 0; k < dims; ++k) x[k] = truth[k * slots + t];
+    const std::vector<double> y = perturber.ProcessVector(x, rng);
+    for (size_t k = 0; k < dims; ++k) out[k * slots + t] = y[k];
+  }
+  return out;
+}
+
+void ExpectBitEqual(const std::vector<double>& actual,
+                    const std::vector<double>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(actual[i]),
+              std::bit_cast<uint64_t>(expected[i]))
+        << "cell " << i;
+  }
+}
+
+TEST(MultidimBulkTest, SwInnersConsumeUniformsAndBaSwFallsBack) {
+  // The bulk path is taken exactly for the SW chunk loops; BA-SW (extra
+  // Laplace draws, SW at a banked budget on publishing slots only) has no
+  // SW plan and keeps the per-slot path, which the bit-identity test below
+  // covers as the fallback.
+  for (AlgorithmKind kind : {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
+                             AlgorithmKind::kApp, AlgorithmKind::kCapp,
+                             AlgorithmKind::kBaSw}) {
+    auto p = CreatePerturber(kind, {2.0, 10});
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ((*p)->consumes_sw_uniforms(), kind != AlgorithmKind::kBaSw)
+        << AlgorithmKindName(kind);
+  }
+  // Over a non-SW mechanism the same algorithms have no SW plan either.
+  for (AlgorithmKind kind : {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
+                             AlgorithmKind::kApp}) {
+    auto laplace = CreatePerturberWithMechanism(kind, {2.0, 10},
+                                                MechanismKind::kLaplace);
+    ASSERT_TRUE(laplace.ok());
+    EXPECT_FALSE((*laplace)->consumes_sw_uniforms())
+        << AlgorithmKindName(kind);
+  }
+}
+
+TEST(MultidimBulkTest, PerturbStreamMatchesPerSlotReferenceBitForBit) {
+  // Slot counts straddle the 128-slot uniform block; every stream is
+  // followed by a 37-slot continuation (sample split then starts mid
+  // round-robin) and a second user after Reset (pooled reuse). Reports,
+  // the RNG's next draw, and the shared ledger must all match.
+  for (MultidimStrategy strategy :
+       {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+    for (AlgorithmKind inner : {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
+                                AlgorithmKind::kApp, AlgorithmKind::kCapp,
+                                AlgorithmKind::kBaSw}) {
+      for (size_t dims : {size_t{2}, size_t{3}, size_t{4}, size_t{10}}) {
+        for (size_t slots : {size_t{1}, size_t{127}, size_t{128},
+                             size_t{129}, size_t{300}}) {
+          SCOPED_TRACE(testing::Message()
+                       << MultidimStrategyName(strategy) << " "
+                       << AlgorithmKindName(inner) << " d=" << dims
+                       << " slots=" << slots);
+          auto bulk = MakeStrategy(strategy, dims, inner);
+          auto reference = MakeStrategy(strategy, dims, inner);
+          WEventAccountant bulk_ledger;
+          WEventAccountant reference_ledger;
+          bulk->AttachAccountant(&bulk_ledger);
+          reference->AttachAccountant(&reference_ledger);
+          Rng bulk_rng(dims * 1000 + slots);
+          Rng reference_rng(dims * 1000 + slots);
+          for (int user = 0; user < 2; ++user) {
+            if (user > 0) {
+              bulk->Reset();
+              reference->Reset();
+            }
+            for (size_t run : {slots, size_t{37}}) {
+              const std::vector<double> truth =
+                  MakeHostileStream(dims, run, 7 * run + user);
+              std::vector<double> out(dims * run);
+              bulk->PerturbStream(truth, run, out, bulk_rng);
+              ExpectBitEqual(out, PerSlotReference(*reference, truth, run,
+                                                   reference_rng));
+              EXPECT_EQ(bulk_rng.NextUint64(), reference_rng.NextUint64());
+            }
+          }
+          ASSERT_EQ(bulk_ledger.num_slots(), reference_ledger.num_slots());
+          for (size_t t = 0; t < bulk_ledger.num_slots(); ++t) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(bulk_ledger.SlotSpend(t)),
+                      std::bit_cast<uint64_t>(reference_ledger.SlotSpend(t)))
+                << "ledger slot " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MultidimBulkTest, PooledAdapterMatchesPerSlotReferenceAcrossUsers) {
+  // The engine adapter reseeds per user; one pooled instance must match a
+  // fresh per-slot reference for every user in turn.
+  const size_t dims = 4;
+  const size_t slots = 100;
+  for (MultidimStrategy strategy :
+       {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+    SCOPED_TRACE(MultidimStrategyName(strategy));
+    auto adapter = MultidimPerturber::Create(dims, strategy, {2.0, 10},
+                                             AlgorithmKind::kCapp);
+    ASSERT_TRUE(adapter.ok());
+    auto reference = MakeStrategy(strategy, dims, AlgorithmKind::kCapp);
+    std::vector<double> out;
+    for (uint64_t user = 0; user < 5; ++user) {
+      const std::vector<double> truth = MakeHostileStream(dims, slots, user);
+      adapter->ResetForUser(9000 + user);
+      adapter->PerturbStream(truth, slots, out);
+      reference->Reset();
+      Rng reference_rng(9000 + user);
+      ExpectBitEqual(out,
+                     PerSlotReference(*reference, truth, slots, reference_rng));
+    }
+  }
 }
 
 // ------------------------------------------- engine adapter + equivalence ----

@@ -311,17 +311,16 @@ TEST(WireFormatTest, PeekParsesHeaderWithoutTouchingPayload) {
 
 // ------------------------------------------------- multi-dim wire frames ----
 
-// Hand-builds a 0xC6 frame with arbitrary header values (so tests can
-// exercise combinations AppendMultiDimRunFrame refuses to emit) and a
-// correct CRC, leaving only the decoder's validation rules to reject it.
-std::vector<uint8_t> BuildRawMultiDimFrame(uint64_t user_id,
-                                           uint64_t base_slot, uint64_t dims,
-                                           std::span<const double> payload) {
+// Hand-builds a frame byte by byte with a correct CRC: the reference the
+// bulk-copy encoder is pinned against. `dims` is written only on 0xC6.
+std::vector<uint8_t> BuildRawFrame(uint8_t magic, uint64_t user_id,
+                                   uint64_t base_slot, uint64_t dims,
+                                   std::span<const double> payload) {
   std::vector<uint8_t> bytes;
-  bytes.push_back(kWireFrameMagicMultiDim);
+  bytes.push_back(magic);
   AppendVarint(user_id, bytes);
   AppendVarint(base_slot, bytes);
-  AppendVarint(dims, bytes);
+  if (magic == kWireFrameMagicMultiDim) AppendVarint(dims, bytes);
   AppendVarint(payload.size(), bytes);
   for (double v : payload) {
     const uint64_t word = std::bit_cast<uint64_t>(v);
@@ -334,6 +333,82 @@ std::vector<uint8_t> BuildRawMultiDimFrame(uint64_t user_id,
     bytes.push_back(static_cast<uint8_t>(crc >> (8 * b)));
   }
   return bytes;
+}
+
+// A 0xC6 frame with arbitrary header values (so tests can exercise
+// combinations AppendMultiDimRunFrame refuses to emit), leaving only the
+// decoder's validation rules to reject it.
+std::vector<uint8_t> BuildRawMultiDimFrame(uint64_t user_id,
+                                           uint64_t base_slot, uint64_t dims,
+                                           std::span<const double> payload) {
+  return BuildRawFrame(kWireFrameMagicMultiDim, user_id, base_slot, dims,
+                       payload);
+}
+
+TEST(WireFormatTest, BulkEncoderMatchesBytewiseReference) {
+  // Payload bits the copy must carry untouched: signed zero, NaNs with
+  // payload bits (quiet and signaling, both signs), subnormals, +-inf.
+  const std::vector<double> values = {
+      -0.0,
+      std::bit_cast<double>(uint64_t{0x7FF8DEADBEEF0001}),
+      std::bit_cast<double>(uint64_t{0xFFF0000000000001}),
+      std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(uint64_t{0x800FFFFFFFFFFFFF}),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.5,
+      -1e300,
+      std::bit_cast<double>(uint64_t{0x000FFFFFFFFFFFFF}),
+      1.0,
+      0.0};
+  const std::vector<uint8_t> prefix = {0xAB, 0xCD, 0xEF};
+  for (const uint64_t dims : {uint64_t{1}, uint64_t{2}, uint64_t{3},
+                              uint64_t{4}}) {
+    SCOPED_TRACE(dims);
+    std::vector<uint8_t> out = prefix;
+    AppendMultiDimRunFrame(300, 70000, dims, values, out);
+    std::vector<uint8_t> expected = prefix;
+    const std::vector<uint8_t> reference =
+        dims == 1 ? BuildRawFrame(kWireFrameMagic, 300, 70000, 1, values)
+                  : BuildRawMultiDimFrame(300, 70000, dims, values);
+    expected.insert(expected.end(), reference.begin(), reference.end());
+    EXPECT_EQ(out, expected);
+
+    // Decoding into a reused vector, larger or smaller than the run,
+    // leaves exactly the frame's values in it.
+    for (const size_t stale : {size_t{50}, size_t{2}}) {
+      std::vector<double> decoded(stale, 9.0);
+      uint64_t user = 0;
+      uint64_t base = 0;
+      uint64_t decoded_dims = 0;
+      auto used = DecodeUserRunFrame(std::span(out).subspan(prefix.size()),
+                                     &user, &base, &decoded_dims, decoded);
+      ASSERT_TRUE(used.ok()) << used.status().ToString();
+      EXPECT_EQ(*used, out.size() - prefix.size());
+      EXPECT_EQ(decoded_dims, dims);
+      ASSERT_EQ(decoded.size(), values.size());
+      for (size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(decoded[i]),
+                  std::bit_cast<uint64_t>(values[i]))
+            << i;
+      }
+    }
+  }
+  // The legacy encoder and an empty run go through the same copy.
+  std::vector<uint8_t> legacy = prefix;
+  AppendUserRunFrame(5, 0, values, legacy);
+  std::vector<uint8_t> expected = prefix;
+  const auto reference = BuildRawFrame(kWireFrameMagic, 5, 0, 1, values);
+  expected.insert(expected.end(), reference.begin(), reference.end());
+  EXPECT_EQ(legacy, expected);
+  std::vector<uint8_t> empty;
+  AppendUserRunFrame(5, 0, {}, empty);
+  EXPECT_EQ(empty, BuildRawFrame(kWireFrameMagic, 5, 0, 1, {}));
+  std::vector<double> decoded(4, 9.0);
+  uint64_t user = 0;
+  uint64_t base = 0;
+  ASSERT_TRUE(DecodeUserRunFrame(empty, &user, &base, decoded).ok());
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(WireFormatTest, MultiDimD1EmitsLegacyFrameByteForByte) {
