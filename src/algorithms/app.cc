@@ -33,8 +33,8 @@ double App::DoProcessValue(double x, Rng& rng) {
 void App::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                            const double* uniforms, size_t stride) {
   RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = sw_plan_->params;
-  const double near_mass = sw_plan_->near_mass;
+  const SwParams params = sw_plan().params;
+  const double near_mass = sw_plan().near_mass;
   internal::ForEachSwSlot(
       in, out, uniforms, stride, [&](double raw, double u1, double u2) {
         const double x = SanitizeUnitValue(raw);

@@ -10,14 +10,12 @@
 #define CAPP_ALGORITHMS_APP_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "algorithms/perturber.h"
 #include "algorithms/sw_direct.h"
 #include "mechanisms/mechanism.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -34,8 +32,6 @@ class App final : public StreamPerturber {
   /// Accumulated deviation D = sum of (x_s - x'_s) over processed slots.
   double accumulated_deviation() const { return accumulated_deviation_; }
 
-  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
-
  protected:
   double DoProcessValue(double x, Rng& rng) override;
   /// SW fast path: inline two-uniform sampling (see square_wave.h);
@@ -47,12 +43,11 @@ class App final : public StreamPerturber {
  private:
   App(PerturberOptions options, std::unique_ptr<Mechanism> mechanism,
       std::string name)
-      : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+      : StreamPerturber(options, PlanSwBatch(mechanism.get())),
+        mechanism_(std::move(mechanism)), map_(*mechanism_),
         name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
-  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   std::string name_;
   double accumulated_deviation_ = 0.0;

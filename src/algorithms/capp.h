@@ -27,7 +27,6 @@
 #include "algorithms/perturber.h"
 #include "algorithms/sw_direct.h"
 #include "mechanisms/mechanism.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -62,8 +61,6 @@ class Capp final : public StreamPerturber {
   double accumulated_deviation() const { return accumulated_deviation_; }
   const Mechanism& mechanism() const { return *mechanism_; }
 
-  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
-
  protected:
   double DoProcessValue(double x, Rng& rng) override;
   /// SW fast path: inline two-uniform sampling (see square_wave.h);
@@ -75,12 +72,11 @@ class Capp final : public StreamPerturber {
  private:
   Capp(PerturberOptions options, std::unique_ptr<Mechanism> mechanism,
        ClipBounds bounds, std::string name)
-      : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+      : StreamPerturber(options, PlanSwBatch(mechanism.get())),
+        mechanism_(std::move(mechanism)), map_(*mechanism_),
         bounds_(bounds), name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
-  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   ClipBounds bounds_;
   std::string name_;

@@ -9,14 +9,12 @@
 #define CAPP_ALGORITHMS_IPP_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "algorithms/perturber.h"
 #include "algorithms/sw_direct.h"
 #include "mechanisms/mechanism.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -33,8 +31,6 @@ class Ipp final : public StreamPerturber {
   /// Deviation of the most recent slot, x_t - x'_t.
   double last_deviation() const { return last_deviation_; }
 
-  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
-
  protected:
   double DoProcessValue(double x, Rng& rng) override;
   /// SW fast path: inline two-uniform sampling (see square_wave.h);
@@ -46,12 +42,11 @@ class Ipp final : public StreamPerturber {
  private:
   Ipp(PerturberOptions options, std::unique_ptr<Mechanism> mechanism,
       std::string name)
-      : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+      : StreamPerturber(options, PlanSwBatch(mechanism.get())),
+        mechanism_(std::move(mechanism)), map_(*mechanism_),
         name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
-  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   std::string name_;
   double last_deviation_ = 0.0;

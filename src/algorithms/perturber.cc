@@ -1,7 +1,8 @@
 #include "algorithms/perturber.h"
 
+#include <algorithm>
+
 #include "core/check.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -33,12 +34,15 @@ void StreamPerturber::ProcessChunk(std::span<const double> in,
     DoProcessChunk(in, out, rng);
     return;
   }
-  internal::ForEachSwBlock(
-      in.size(), rng,
-      [&](size_t begin, size_t count, const double* uniforms) {
-        DoProcessSwChunk(in.subspan(begin, count),
-                         out.subspan(begin, count), uniforms, 2);
-      });
+  // Two draws per slot in the scalar order, one block at a time.
+  constexpr size_t kBlock = internal::kSwBlockSlots;
+  double uniforms[2 * kBlock];
+  for (size_t done = 0; done < in.size(); done += kBlock) {
+    const size_t count = std::min(in.size() - done, kBlock);
+    rng.FillUniform(std::span<double>(uniforms, 2 * count));
+    DoProcessSwChunk(in.subspan(done, count), out.subspan(done, count),
+                     uniforms, 2);
+  }
 }
 
 void StreamPerturber::ProcessChunkFromUniforms(std::span<const double> in,

@@ -12,12 +12,14 @@
 #define CAPP_ALGORITHMS_PERTURBER_H_
 
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/rng.h"
 #include "core/status.h"
+#include "mechanisms/square_wave.h"
 #include "stream/accountant.h"
 
 namespace capp {
@@ -79,8 +81,8 @@ class StreamPerturber {
   /// True when every slot is the Square Wave two-uniform sampler
   /// (mechanisms/square_wave.h): each slot consumes exactly two uniforms,
   /// so a caller may draw them itself and use ProcessChunkFromUniforms.
-  /// Fixed at construction.
-  virtual bool consumes_sw_uniforms() const { return false; }
+  /// Fixed at construction (see the protected constructor).
+  bool consumes_sw_uniforms() const { return sw_plan_.has_value(); }
 
   /// ProcessChunk from caller-drawn uniforms: slot i consumes
   /// uniforms[i * stride] (band choice) and uniforms[i * stride + 1]
@@ -110,7 +112,14 @@ class StreamPerturber {
   size_t slots_processed() const { return slot_; }
 
  protected:
-  explicit StreamPerturber(PerturberOptions options) : options_(options) {}
+  /// `sw_plan` is PlanSwBatch of the algorithm's mechanism when every slot
+  /// is one Square Wave draw; then the algorithm supplies DoProcessSwChunk.
+  explicit StreamPerturber(PerturberOptions options,
+                           std::optional<SwBatchPlan> sw_plan = std::nullopt)
+      : options_(options), sw_plan_(sw_plan) {}
+
+  /// The SW sampler setup; valid only when consumes_sw_uniforms().
+  const SwBatchPlan& sw_plan() const { return *sw_plan_; }
 
   /// Per-slot hook implemented by concrete algorithms.
   virtual double DoProcessValue(double x, Rng& rng) = 0;
@@ -156,6 +165,7 @@ class StreamPerturber {
 
  private:
   PerturberOptions options_;
+  std::optional<SwBatchPlan> sw_plan_;
   WEventAccountant* accountant_ = nullptr;
   size_t slot_ = 0;
 };

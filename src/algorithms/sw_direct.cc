@@ -27,8 +27,8 @@ void MechanismDirect::DoProcessSwChunk(std::span<const double> in,
                                        const double* uniforms,
                                        size_t stride) {
   RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = sw_plan_->params;
-  const double near_mass = sw_plan_->near_mass;
+  const SwParams params = sw_plan().params;
+  const double near_mass = sw_plan().near_mass;
   internal::ForEachSwSlot(
       in, out, uniforms, stride, [&](double raw, double u1, double u2) {
         // SanitizeUnitValue lands in [0,1], so the scalar path's clamps

@@ -8,14 +8,12 @@
 #define CAPP_ALGORITHMS_SW_DIRECT_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "algorithms/perturber.h"
 #include "mechanisms/mechanism.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -52,8 +50,6 @@ class MechanismDirect final : public StreamPerturber {
   double epsilon_per_slot() const { return mechanism_->epsilon(); }
   const Mechanism& mechanism() const { return *mechanism_; }
 
-  bool consumes_sw_uniforms() const override { return sw_plan_.has_value(); }
-
  protected:
   double DoProcessValue(double x, Rng& rng) override;
   /// SW fast path: inline two-uniform sampling (see square_wave.h).
@@ -69,12 +65,11 @@ class MechanismDirect final : public StreamPerturber {
  private:
   MechanismDirect(PerturberOptions options,
                   std::unique_ptr<Mechanism> mechanism, std::string name)
-      : StreamPerturber(options), mechanism_(std::move(mechanism)),
-        sw_plan_(PlanSwBatch(mechanism_.get())), map_(*mechanism_),
+      : StreamPerturber(options, PlanSwBatch(mechanism.get())),
+        mechanism_(std::move(mechanism)), map_(*mechanism_),
         name_(std::move(name)) {}
 
   std::unique_ptr<Mechanism> mechanism_;
-  std::optional<SwBatchPlan> sw_plan_;
   DomainMap map_;
   std::string name_;
   std::vector<double> chunk_scratch_;  // mapped inputs for PerturbBatch

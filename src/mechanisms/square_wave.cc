@@ -122,30 +122,6 @@ double SquareWave::Perturb(double v, Rng& rng) const {
   return v + b + (t - v);
 }
 
-void SquareWave::PerturbBatch(std::span<const double> in,
-                              std::span<double> out, Rng& rng) const {
-  CAPP_CHECK(in.size() == out.size());
-  const double near_mass = SwNearBandMass(params_);
-  if (!SwBatchable(near_mass)) {
-    // Degenerate rounding of the band mass: the scalar Bernoulli would skip
-    // a draw, so the two-uniform block layout no longer applies.
-    Mechanism::PerturbBatch(in, out, rng);
-    return;
-  }
-  internal::ForEachSwBlock(
-      in.size(), rng,
-      [&](size_t begin, size_t count, const double* uniforms) {
-        internal::ForEachSwSlot(
-            in.subspan(begin, count), out.subspan(begin, count), uniforms,
-            2, [&](double raw, double u1, double u2) {
-              // The defensive clamp lives here (off any dependency
-              // chain); the sampler assumes it.
-              const double v = Clamp(raw, 0.0, 1.0);
-              return SwSampleFromUniforms(params_, near_mass, v, u1, u2);
-            });
-      });
-}
-
 double SquareWave::MeanSlope() const {
   return 2.0 * params_.b * (params_.p - params_.q);
 }

@@ -14,9 +14,9 @@
 #ifndef CAPP_MECHANISMS_SQUARE_WAVE_H_
 #define CAPP_MECHANISMS_SQUARE_WAVE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "core/math_utils.h"
@@ -98,34 +98,17 @@ namespace internal {
 /// resident in L1 next to the chunk's inputs and outputs.
 inline constexpr size_t kSwBlockSlots = 128;
 
-/// The SW slot loop shared by every batched SW sampler (SquareWave's own
-/// PerturbBatch and the direct/IPP/APP/CAPP chunk bodies): runs
+/// The SW slot loop shared by the direct/IPP/APP/CAPP chunk bodies: runs
 /// out[i] = sample(in[i], uniforms[i * stride], uniforms[i * stride + 1])
 /// strictly in slot order, so feedback state may be carried between calls.
 /// The uniforms are a caller-drawn view: stride 2 for a block drawn for
-/// this stream alone (ForEachSwBlock), stride 2d when d streams interleave
-/// their pairs in one block (multidim/budget_split.h).
+/// this stream alone (StreamPerturber::ProcessChunk), stride 2d when d
+/// streams interleave their pairs in one block (multidim/budget_split.h).
 template <typename Sample>
 void ForEachSwSlot(std::span<const double> in, std::span<double> out,
                    const double* uniforms, size_t stride, Sample&& sample) {
   for (size_t i = 0; i < in.size(); ++i) {
     out[i] = sample(in[i], uniforms[i * stride], uniforms[i * stride + 1]);
-  }
-}
-
-/// Draws the uniform pairs of `slots` consecutive slots from `rng` in
-/// blocks of kSwBlockSlots -- two draws per slot, in the exact scalar
-/// order -- and hands each block to body(begin, count, uniforms) with its
-/// pairs at stride 2. Living in one place keeps the block draw layout,
-/// which the scalar/batched draw-stream equivalence depends on, from ever
-/// diverging between callers.
-template <typename Body>
-void ForEachSwBlock(size_t slots, Rng& rng, Body&& body) {
-  double uniforms[2 * kSwBlockSlots];
-  for (size_t done = 0; done < slots; done += kSwBlockSlots) {
-    const size_t count = std::min(slots - done, kSwBlockSlots);
-    rng.FillUniform(std::span<double>(uniforms, 2 * count));
-    body(done, count, static_cast<const double*>(uniforms));
   }
 }
 
@@ -154,13 +137,6 @@ class SquareWave final : public Mechanism {
   const SwParams& params() const { return params_; }
 
   double Perturb(double v, Rng& rng) const override;
-
-  /// Batched Perturb: pre-fills a uniform block with Rng::FillUniform (two
-  /// draws per report, exact scalar order) and selects near/far bands
-  /// branch-free via SwSampleFromUniforms. Bit-identical to the scalar
-  /// loop.
-  void PerturbBatch(std::span<const double> in, std::span<double> out,
-                    Rng& rng) const override;
 
   /// Inverts the output-mean line E[y|v] = alpha*v + beta. Degenerates as
   /// eps -> 0 (alpha -> 0); then returns the domain midpoint 0.5.

@@ -26,6 +26,18 @@ Result<std::unique_ptr<BudgetSplitPerturber>> BudgetSplitPerturber::Create(
       new BudgetSplitPerturber(std::move(inners), std::move(name)));
 }
 
+void MultiDimPerturber::PerturbStreamPerSlot(std::span<const double> truth,
+                                             size_t slots,
+                                             std::span<double> out, Rng& rng) {
+  const size_t dims = dimensions();
+  std::vector<double> x(dims);
+  for (size_t t = 0; t < slots; ++t) {
+    for (size_t k = 0; k < dims; ++k) x[k] = truth[k * slots + t];
+    const std::vector<double> y = ProcessVector(x, rng);
+    for (size_t k = 0; k < dims; ++k) out[k * slots + t] = y[k];
+  }
+}
+
 std::vector<double> BudgetSplitPerturber::ProcessVector(
     const std::vector<double>& x, Rng& rng) {
   CAPP_CHECK(x.size() == inner_.size());
@@ -43,11 +55,7 @@ void BudgetSplitPerturber::PerturbStream(std::span<const double> truth,
   const size_t dims = inner_.size();
   CAPP_CHECK(truth.size() == dims * slots && out.size() == dims * slots);
   if (!sw_uniforms_) {
-    for (size_t t = 0; t < slots; ++t) {
-      for (size_t k = 0; k < dims; ++k) {
-        out[k * slots + t] = inner_[k]->ProcessValue(truth[k * slots + t], rng);
-      }
-    }
+    PerturbStreamPerSlot(truth, slots, out, rng);
     return;
   }
   // Slot t of dimension k takes pair t*d + k of the block, exactly where

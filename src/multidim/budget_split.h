@@ -45,7 +45,7 @@ class MultiDimPerturber {
   /// reports, RNG draws, ledger and per-stream state. When every inner
   /// algorithm consumes SW uniforms (decided at Create) the uniforms are
   /// drawn in blocks and each dimension runs as one chunk; otherwise it is
-  /// the per-slot loop without the per-slot vectors.
+  /// PerturbStreamPerSlot.
   virtual void PerturbStream(std::span<const double> truth, size_t slots,
                              std::span<double> out, Rng& rng) = 0;
   /// Clears per-stream state.
@@ -53,6 +53,13 @@ class MultiDimPerturber {
   /// Optional shared ledger: window sums across *all* dimensions must stay
   /// within the total budget.
   virtual void AttachAccountant(WEventAccountant* accountant) = 0;
+
+ protected:
+  /// PerturbStream as the per-slot reference loop: gather slot t's
+  /// d-vector, ProcessVector, scatter. The path of inner algorithms that do
+  /// not consume SW uniforms.
+  void PerturbStreamPerSlot(std::span<const double> truth, size_t slots,
+                            std::span<double> out, Rng& rng);
 };
 
 /// Budget-Split multi-dimensional perturbation.

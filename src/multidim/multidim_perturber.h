@@ -11,13 +11,13 @@
 // dimension the pairs of the slots it uploads), so each dimension runs
 // as one SW chunk. The draw order is the per-slot ProcessVector loop's,
 // so every report, ledger entry and digest is unchanged. Inner algorithms
-// without an SW batch plan (BA-SW, say) take the per-slot path; that is
-// decided once, at Create.
+// without an SW batch plan (BA-SW, say) run the per-slot ProcessVector
+// loop itself; that is decided once, at Create.
 //
 // This adapter owns the per-user RNG, so a fleet worker's per-user path
 // is ResetForUser + one PerturbStream call, mirroring UserSession's
 // ResetForUser + ReportChunk on the scalar path. Like UserSession, one
-// adapter is pooled per worker chunk and reseeded per user, so the
+// adapter is pooled per worker chunk and reseeded per user, so the SW
 // per-user path is allocation-free after the first user.
 #ifndef CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 #define CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_

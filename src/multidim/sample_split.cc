@@ -48,18 +48,12 @@ void SampleSplitPerturber::PerturbStream(std::span<const double> truth,
                                          Rng& rng) {
   const size_t dims = inner_.size();
   CAPP_CHECK(truth.size() == dims * slots && out.size() == dims * slots);
-  // Every slot spends the same eps / w on whichever dimension uploads.
-  if (accountant_ != nullptr) accountant_->RecordRun(slot_, slots, SlotSpend());
   if (!sw_uniforms_) {
-    for (size_t t = 0; t < slots; ++t) {
-      const size_t active = (slot_ + t) % dims;
-      last_report_[active] =
-          inner_[active]->ProcessValue(truth[active * slots + t], rng);
-      for (size_t k = 0; k < dims; ++k) out[k * slots + t] = last_report_[k];
-    }
-    slot_ += slots;
+    PerturbStreamPerSlot(truth, slots, out, rng);
     return;
   }
+  // Every slot spends the same eps / w on whichever dimension uploads.
+  if (accountant_ != nullptr) accountant_->RecordRun(slot_, slots, SlotSpend());
   constexpr size_t kBlock = internal::kSwBlockSlots;
   double uniforms[2 * kBlock];
   active_in_.resize(kBlock);
