@@ -1,6 +1,7 @@
 #include "storage/durable_collector.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "storage/checkpoint.h"
@@ -37,6 +38,16 @@ Result<std::unique_ptr<DurableCollector>> DurableCollector::Create(
       WalWriter writer,
       WalWriter::Create(durable->options_.wal, next_seqno));
   durable->writer_.emplace(std::move(writer));
+  // The buffers are reserved once, here: a batch never holds more than
+  // kLogBatchBytes unless a single run is larger, so swapping them never
+  // reallocates, and the log thread allocates nothing for runs of up to
+  // kFrameReserveBytes. A thread that never allocates never takes a
+  // malloc arena, whose pages glibc would keep resident after it exits.
+  for (LogBatch* batch : {&durable->open_batch_, &durable->log_batch_}) {
+    batch->values.reserve(kLogBatchBytes / sizeof(double));
+  }
+  durable->frame_.reserve(kFrameReserveBytes);
+  durable->log_thread_ = std::thread([d = durable.get()] { d->LogLoop(); });
   return durable;
 }
 
@@ -166,18 +177,13 @@ void DurableCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
       runs_deduped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // WAL before backend: stage the frame once per thread (the encode
-    // buffer is reused) and serialize only the append. dims == 1 stages
-    // the 0xC5 frame byte-for-byte.
-    thread_local std::vector<uint8_t> frame;
-    frame.clear();
-    AppendMultiDimRunFrame(user_id, base_slot, dims, values, frame);
-    {
-      std::lock_guard<std::mutex> lock(wal_mu_);
-      if (wal_status_.ok()) {
-        const Status appended = writer_->Append(frame);
-        if (!appended.ok()) LatchError(appended);
-      }
+    // WAL before backend: queue the run, and under kPerRun wait until
+    // the log thread has appended and synced it.
+    const uint64_t position = QueueRun(user_id, base_slot, dims, values);
+    if (position != 0 &&
+        options_.wal.fsync_policy == WalFsyncPolicy::kPerRun) {
+      std::unique_lock<std::mutex> lock(wal_mu_);
+      done_cv_.wait(lock, [&] { return runs_logged_ >= position; });
     }
     backend_->IngestUserRun(user_id, base_slot, dims, values);
   }
@@ -186,6 +192,120 @@ void DurableCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
           options_.checkpoint_every_runs) {
     MaybeCheckpoint();  // failures latch into wal_status_
   }
+}
+
+uint64_t DurableCollector::QueueRun(uint64_t user_id, size_t base_slot,
+                                    size_t dims,
+                                    std::span<const double> values) {
+  const size_t bytes = sizeof(QueuedRun) + values.size_bytes();
+  std::unique_lock<std::mutex> lock(wal_mu_);
+  const auto can_proceed = [&] {
+    return stopping_ || !wal_status_.ok() || open_batch_.runs.empty() ||
+           open_batch_.bytes + bytes <= kLogBatchBytes;
+  };
+  if (!can_proceed()) {
+    // Backpressure: the log thread is a full batch behind.
+    ++append_stalls_;
+    if (telemetry::Enabled()) {
+      telemetry::metrics::WalAppendStallsTotal().Add(1);
+    }
+    space_cv_.wait(lock, can_proceed);
+  }
+  if (stopping_) {
+    LatchError(Status::FailedPrecondition(
+        "a run was ingested after the WAL was sealed; it is not logged"));
+    return 0;
+  }
+  if (!wal_status_.ok()) return 0;
+  const bool was_empty = open_batch_.runs.empty();
+  open_batch_.runs.push_back({user_id, base_slot, dims, values.size()});
+  open_batch_.values.insert(open_batch_.values.end(), values.begin(),
+                            values.end());
+  open_batch_.bytes += bytes;
+  const uint64_t position = ++runs_queued_;
+  lock.unlock();
+  // The log thread only sleeps on an empty batch, so only the first run
+  // of a batch needs to wake it.
+  if (was_empty) log_cv_.notify_one();
+  return position;
+}
+
+Status DurableCollector::AwaitLog(unsigned ops) {
+  std::unique_lock<std::mutex> lock(wal_mu_);
+  CAPP_RETURN_IF_ERROR(wal_status_);
+  if (stopping_) return Status::FailedPrecondition("the WAL is sealed");
+  pending_ops_ |= ops;
+  const uint64_t ticket = ++requests_made_;
+  log_cv_.notify_one();
+  done_cv_.wait(lock, [&] { return requests_done_ >= ticket; });
+  return wal_status_;
+}
+
+void DurableCollector::LogLoop() {
+  const bool timed = options_.wal.fsync_policy == WalFsyncPolicy::kTimed;
+  const auto interval =
+      std::chrono::milliseconds(options_.wal.fsync_interval_ms);
+  std::unique_lock<std::mutex> lock(wal_mu_);
+  for (;;) {
+    const auto has_work = [this] {
+      return !open_batch_.runs.empty() || pending_ops_ != 0 || stopping_;
+    };
+    // kTimed bounds the time between fdatasyncs even when ingest stops:
+    // a log left with unsynced frames syncs once it has idled that long.
+    bool idle_sync = false;
+    if (timed && wal_status_.ok() && writer_->unsynced_frames() > 0) {
+      idle_sync = !log_cv_.wait_for(lock, interval, has_work);
+    } else {
+      log_cv_.wait(lock, has_work);
+    }
+    std::swap(open_batch_, log_batch_);  // log_batch_ was left empty
+    const unsigned ops = std::exchange(pending_ops_, 0);
+    const uint64_t ticket = requests_made_;
+    const uint64_t queued = runs_queued_;
+    const bool stop = stopping_;
+    Status status = wal_status_;
+    lock.unlock();
+    space_cv_.notify_all();
+
+    // A latched error drops the batch: the log stops at its first failure.
+    if (status.ok()) status = AppendBatch();
+    log_batch_.runs.clear();
+    log_batch_.values.clear();
+    log_batch_.bytes = 0;
+    uint64_t rotated = 0;
+    if (status.ok() && (ops & kRotateLog) != 0) {
+      rotated = writer_->segment_seqno();
+      status = writer_->Rotate();
+    }
+    if (status.ok() && ((ops & kSyncLog) != 0 || idle_sync)) {
+      status = writer_->Sync();
+    }
+    if (stop) {
+      const Status sealed = writer_->Seal();
+      if (status.ok()) status = sealed;
+    }
+
+    lock.lock();
+    if (!status.ok()) LatchError(status);
+    writer_stats_ = writer_->stats();
+    runs_logged_ = queued;
+    requests_done_ = ticket;
+    if (rotated != 0) rotated_segment_ = rotated;
+    done_cv_.notify_all();
+    if (stop) return;
+  }
+}
+
+Status DurableCollector::AppendBatch() {
+  const double* values = log_batch_.values.data();
+  for (const QueuedRun& run : log_batch_.runs) {
+    frame_.clear();
+    AppendMultiDimRunFrame(run.user_id, run.base_slot, run.dims,
+                           {values, run.count}, frame_);
+    values += run.count;
+    CAPP_RETURN_IF_ERROR(writer_->Append(frame_));
+  }
+  return Status::OK();
 }
 
 void DurableCollector::MaybeCheckpoint() {
@@ -211,20 +331,27 @@ Status DurableCollector::Checkpoint() {
 }
 
 Status DurableCollector::CheckpointLocked() {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  CAPP_RETURN_IF_ERROR(wal_status_);
+  CAPP_RETURN_IF_ERROR(CheckHealthy());
   telemetry::ScopedTimer checkpoint_timer;
   if (telemetry::Enabled()) {
     telemetry::metrics::WalCheckpointsTotal().Add(1);
     checkpoint_timer.Arm(&telemetry::metrics::WalCheckpointSeconds());
   }
-  // Rotate first: the snapshot then covers exactly the sealed segments
-  // [.., S] and the new segment S+1 receives everything after it.
-  const uint64_t covers = writer_->segment_seqno();
-  CAPP_RETURN_IF_ERROR(writer_->Rotate());
+  // Rotate first, once the log has caught up: the snapshot then covers
+  // exactly the sealed segments [.., S] and the new segment S+1 receives
+  // everything after it.
+  CAPP_RETURN_IF_ERROR(AwaitLog(kRotateLog));
+  uint64_t covers = 0;
+  {
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    covers = rotated_segment_;
+  }
   CAPP_RETURN_IF_ERROR(WriteCheckpointFile(
       options_.wal.dir, options_.wal.fingerprint, covers, *backend_));
-  ++recovery_stats_.checkpoints;
+  {
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    ++recovery_stats_.checkpoints;
+  }
   // Truncate: every segment and older checkpoint the snapshot covers.
   // Deletion failures are non-fatal for correctness (recovery ignores
   // covered segments) but still reported -- disk that cannot be
@@ -245,12 +372,7 @@ Status DurableCollector::CheckpointLocked() {
   return FsyncDirectory(options_.wal.dir);
 }
 
-Status DurableCollector::Flush() {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  CAPP_RETURN_IF_ERROR(wal_status_);
-  if (writer_.has_value()) return writer_->Sync();
-  return Status::OK();
-}
+Status DurableCollector::Flush() { return AwaitLog(kSyncLog); }
 
 Status DurableCollector::CheckHealthy() const {
   std::lock_guard<std::mutex> lock(wal_mu_);
@@ -258,27 +380,27 @@ Status DurableCollector::CheckHealthy() const {
 }
 
 Status DurableCollector::Seal() {
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  Status status = wal_status_;
-  if (writer_.has_value()) {
-    const Status sealed = writer_->Seal();
-    if (status.ok()) status = sealed;
+  {
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    stopping_ = true;
   }
-  return status;
+  log_cv_.notify_one();
+  // A second caller blocks here until the first has joined.
+  std::call_once(join_once_, [this] {
+    if (log_thread_.joinable()) log_thread_.join();
+  });
+  return CheckHealthy();
 }
 
 WalStats DurableCollector::wal_stats() const {
   std::lock_guard<std::mutex> lock(wal_mu_);
   WalStats stats = recovery_stats_;
-  if (writer_.has_value()) {
-    const WalStats& writer_stats = writer_->stats();
-    stats.frames_appended = writer_stats.frames_appended;
-    stats.bytes_appended = writer_stats.bytes_appended;
-    stats.fsyncs = writer_stats.fsyncs;
-    stats.segments_sealed = writer_stats.segments_sealed;
-  }
-  stats.runs_deduped +=
-      runs_deduped_.load(std::memory_order_relaxed);
+  stats.frames_appended = writer_stats_.frames_appended;
+  stats.bytes_appended = writer_stats_.bytes_appended;
+  stats.fsyncs = writer_stats_.fsyncs;
+  stats.segments_sealed = writer_stats_.segments_sealed;
+  stats.append_stalls = append_stalls_;
+  stats.runs_deduped += runs_deduped_.load(std::memory_order_relaxed);
   return stats;
 }
 

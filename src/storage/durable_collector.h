@@ -17,19 +17,31 @@
 //   (corrupt sealed segment, foreign fingerprint, broken checkpoint)
 //   errors out with the backend untouched, never half-applied.
 //
-// Concurrency: ingests (transport-hub consumers) take a shared lock and
-// serialize only the WAL append among themselves; checkpointing takes
-// the exclusive lock, so a snapshot sees a quiescent backend whose WAL
-// rotation point exactly covers it.
+// Concurrency: one log thread, started by Create after recovery and
+// joined by Seal, is the only code that touches the WalWriter. An ingest
+// (a fleet worker or transport-hub consumer) takes the checkpoint lock
+// shared, copies its run into the open batch under wal_mu_ -- blocking
+// while that batch holds kLogBatchBytes -- and goes on to the backend.
+// The log thread swaps the batch out, then encodes, writes and fdatasyncs
+// it with no lock held, so workers never wait on the disk. Callers that
+// need the disk wait for the log thread: a kPerRun ingest until its own
+// run is appended and synced, Flush until everything queued before it
+// is synced, a checkpoint until the log has caught up and rotated. A
+// checkpoint takes the lock exclusive, so its snapshot sees a quiescent
+// backend whose rotation point exactly covers it.
 #ifndef CAPP_STORAGE_DURABLE_COLLECTOR_H_
 #define CAPP_STORAGE_DURABLE_COLLECTOR_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/status.h"
@@ -60,41 +72,47 @@ class DurableCollector : public CollectorBackend {
   static Result<std::unique_ptr<DurableCollector>> Create(
       CollectorBackend* backend, DurableCollectorOptions options);
 
-  /// WAL-first ingest: the run's wire frame is appended (and synced per
-  /// policy) before the backend sees it, so anything the backend ever
-  /// aggregated is recoverable. A WAL write failure latches and is
-  /// reported by Flush()/CheckHealthy() -- durability errors must fail a
-  /// run loudly, not degrade it to in-RAM-only silently.
+  /// WAL-first ingest: the run is queued for the log thread before the
+  /// backend sees it, and the log thread appends the queued runs in queue
+  /// order. Under kPerRun the call also waits until the run is appended
+  /// and synced, so nothing is visible before it is durable. A WAL write
+  /// failure latches and is reported by Flush()/CheckHealthy(), as is an
+  /// ingest after Seal() -- durability errors must fail a run loudly, not
+  /// degrade it to in-RAM-only silently.
   void IngestUserRun(uint64_t user_id, size_t base_slot,
                      std::span<const double> values) override;
 
   /// The dims-aware variant: the run is logged as one 0xC6 frame
   /// (dim-major, exactly the bytes the transport would carry) and then
-  /// handed to the backend's dims-aware ingest. dims == 1 stages the
-  /// 0xC5 frame byte-for-byte, so d=1 WAL files are unchanged.
+  /// handed to the backend's dims-aware ingest. dims == 1 logs the 0xC5
+  /// frame byte-for-byte, so d=1 WAL files are unchanged.
   void IngestUserRun(uint64_t user_id, size_t base_slot, size_t dims,
                      std::span<const double> values) override;
 
   /// Values per slot of the wrapped backend.
   size_t dims() const override { return backend_->dims(); }
 
-  /// Flushes and fdatasyncs the WAL and reports any latched append
-  /// error. Fleet::Run calls this after the drain so a run's verdict
-  /// includes its durability.
+  /// Waits until every run queued before the call is appended, then
+  /// fdatasyncs the WAL and reports any latched error. Fleet::Run calls
+  /// this after the drain so a run's verdict includes its durability.
   Status Flush();
 
   /// The first WAL append/checkpoint error, if any.
   Status CheckHealthy() const;
 
-  /// Seals the current segment (clean shutdown; after this the log's
-  /// final segment scans as sealed). Called by the destructor too.
+  /// Appends what is queued, seals the current segment and joins the log
+  /// thread (clean shutdown; after this the log's final segment scans as
+  /// sealed). Idempotent and safe to call from several threads; called
+  /// by the destructor too.
   Status Seal();
 
   /// Forces a checkpoint + truncation now (also triggered automatically
   /// every checkpoint_every_runs ingests).
   Status Checkpoint();
 
-  /// Durability counters (appends, fsyncs, dedups, recovery summary).
+  /// Durability counters (appends, fsyncs, stalls, dedups, recovery
+  /// summary). The append-side counters cover what the log thread has
+  /// written so far; after Flush() they cover every run queued before it.
   WalStats wal_stats() const;
 
   // CollectorBackend queries delegate to the wrapped backend.
@@ -137,12 +155,46 @@ class DurableCollector : public CollectorBackend {
   DurableCollector& operator=(const DurableCollector&) = delete;
 
  private:
+  // Appenders block while the open batch holds this many bytes (run
+  // headers plus values). A process kill loses at most the open batch,
+  // the batch being written and the writer's own buffer.
+  static constexpr size_t kLogBatchBytes = 1u << 20;
+  // Encode buffer capacity reserved at Create: a 100-slot frame is ~830 B.
+  static constexpr size_t kFrameReserveBytes = 64u << 10;
+
+  // What the log thread needs to encode one queued run's frame; its
+  // values are the next `count` doubles of the batch.
+  struct QueuedRun {
+    uint64_t user_id;
+    uint64_t base_slot;
+    uint64_t dims;
+    uint64_t count;
+  };
+  struct LogBatch {
+    std::vector<QueuedRun> runs;
+    std::vector<double> values;
+    size_t bytes = 0;
+  };
+  // Requests a caller hands the log thread, run after the runs queued
+  // before them.
+  enum LogOp : unsigned { kSyncLog = 1u, kRotateLog = 2u };
+
   DurableCollector(CollectorBackend* backend,
                    DurableCollectorOptions options);
 
   // Scan-validate-replay of the directory's checkpoint + segments;
   // returns the seqno the writer should start at.
   Result<uint64_t> Recover();
+  // Copies a run into the open batch; returns its queue position, or 0
+  // when the WAL is failed or sealed and the run was not queued.
+  uint64_t QueueRun(uint64_t user_id, size_t base_slot, size_t dims,
+                    std::span<const double> values);
+  // Queues `ops` behind every run queued so far, waits until the log
+  // thread has done them, and returns the latched status.
+  Status AwaitLog(unsigned ops);
+  void LogLoop();
+  // Encodes and appends log_batch_, one frame per run.
+  Status AppendBatch();
   // The auto-trigger path: re-checks the run counter under the
   // exclusive lock so concurrent ingests produce one checkpoint.
   void MaybeCheckpoint();
@@ -153,16 +205,39 @@ class DurableCollector : public CollectorBackend {
   DurableCollectorOptions options_;
 
   // Ingest = shared, checkpoint = exclusive: a snapshot must observe a
-  // backend with no append "in flight" between WAL and RAM.
+  // backend with no run between queue and RAM.
   std::shared_mutex checkpoint_mu_;
 
-  mutable std::mutex wal_mu_;  // serializes appends and stats reads
-  std::optional<WalWriter> writer_;
+  // Guards the members from here through append_stalls_. The condition
+  // variables wake the log thread, appenders waiting on a full batch, and
+  // callers waiting for the log thread to finish a cycle.
+  mutable std::mutex wal_mu_;
+  std::condition_variable log_cv_;
+  std::condition_variable space_cv_;
+  std::condition_variable done_cv_;
+  LogBatch open_batch_;
+  uint64_t runs_queued_ = 0;
+  uint64_t runs_logged_ = 0;  // queue position the log has appended through
+  unsigned pending_ops_ = 0;
+  uint64_t requests_made_ = 0;
+  uint64_t requests_done_ = 0;
+  uint64_t rotated_segment_ = 0;  // segment sealed by the last rotation
+  bool stopping_ = false;         // Seal() was called
   Status wal_status_;  // first append/checkpoint failure, latched
-  WalStats recovery_stats_;  // recovery counters + checkpoint/dedup tallies
+  WalStats recovery_stats_;  // recovery counters + checkpoint tally
+  WalStats writer_stats_;    // the writer's counters after the last cycle
+  uint64_t append_stalls_ = 0;
 
   std::atomic<uint64_t> runs_since_checkpoint_{0};
   std::atomic<uint64_t> runs_deduped_{0};
+
+  // Owned by the log thread once it runs.
+  std::optional<WalWriter> writer_;
+  LogBatch log_batch_;
+  std::vector<uint8_t> frame_;
+
+  std::once_flag join_once_;
+  std::thread log_thread_;  // last: starts once everything above exists
 };
 
 }  // namespace capp

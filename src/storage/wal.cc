@@ -35,11 +35,14 @@ int64_t NowMs() {
       .count();
 }
 
-std::string SegmentPath(const std::string& dir, uint64_t seqno) {
+// Writes the path of segment `seqno` into `path`, reusing its capacity.
+void AssignSegmentPath(const std::string& dir, uint64_t seqno,
+                       std::string& path) {
   char name[32];
-  std::snprintf(name, sizeof(name), "wal-%08llu.log",
+  std::snprintf(name, sizeof(name), "/wal-%08llu.log",
                 static_cast<unsigned long long>(seqno));
-  return dir + "/" + name;
+  path.assign(dir);
+  path += name;
 }
 
 // Parses "wal-NNNNNNNN.log" into a seqno; returns false for other names.
@@ -139,6 +142,7 @@ WalWriter::WalWriter(WalWriter&& other) noexcept
       frames_since_sync_(other.frames_since_sync_),
       last_sync_ms_(other.last_sync_ms_),
       buffer_(std::move(other.buffer_)),
+      path_(std::move(other.path_)),
       sealed_(other.sealed_),
       stats_(other.stats_) {
   other.fd_ = -1;
@@ -154,13 +158,19 @@ Result<WalWriter> WalWriter::Create(WalOptions options,
   CAPP_RETURN_IF_ERROR(ValidateWalOptions(options));
   CAPP_RETURN_IF_ERROR(EnsureDirectory(options.dir));
   WalWriter writer(std::move(options));
+  // Sized once here, so appends and rotations allocate nothing (a frame
+  // larger than the write buffer aside): the thread that appends never
+  // needs a malloc arena of its own.
+  writer.buffer_.reserve(2 * kWriteBufferBytes);
+  writer.path_.reserve(writer.options_.dir.size() + 32);
   CAPP_RETURN_IF_ERROR(writer.OpenSegment(first_seqno));
   writer.last_sync_ms_ = NowMs();
   return writer;
 }
 
 Status WalWriter::OpenSegment(uint64_t seqno) {
-  const std::string path = SegmentPath(options_.dir, seqno);
+  AssignSegmentPath(options_.dir, seqno, path_);
+  const std::string& path = path_;
   // O_EXCL: the writer never appends to an existing segment (recovery is
   // read-only and hands us the next unused seqno); a collision means two
   // writers share the directory, which must fail instead of interleave.

@@ -48,7 +48,8 @@ enum class WalFsyncPolicy {
   kPerRun,    ///< After every appended run: at most one run lost, slowest.
   kPerFrames, ///< Every fsync_every_frames runs: the throughput/loss knob.
   kTimed,     ///< At most fsync_interval_ms between syncs (checked at
-              ///< append; an idle writer syncs on seal/close).
+              ///< append; the DurableCollector's log thread also syncs
+              ///< a log left unsynced for that long).
 };
 
 /// Short display name ("run", "frames", "timer").
@@ -70,8 +71,11 @@ struct WalOptions {
   /// (journal commit + device flush, ~0.5-1 ms on commodity disks)
   /// independent of the bytes it pushes, so small batches are
   /// fsync-dominated; 1024 runs (~0.8 MB at 100 slots) amortizes the
-  /// fixed cost while bounding SIGKILL-plus-power-failure loss to 1024
-  /// runs (a process kill alone loses nothing past the page cache).
+  /// fixed cost while bounding power-failure loss to 1024 runs. A
+  /// process kill loses what has not reached the page cache: the runs in
+  /// the DurableCollector's open batch and in the batch its log thread is
+  /// writing (at most 1 MB each), plus the writer's 256 KB user-space
+  /// buffer. The fleet's resend plus dedup recovers them.
   size_t fsync_every_frames = 1024;
   /// kTimed: max milliseconds between fdatasyncs.
   int fsync_interval_ms = 50;
@@ -83,8 +87,8 @@ struct WalOptions {
 Status ValidateWalOptions(const WalOptions& options);
 
 /// Durability counters, embedded in EngineStats as `wal`. The append-side
-/// counters are written by the owning DurableCollector under its WAL
-/// lock; the recovery-side ones are filled once during Create.
+/// counters are the writer's, copied out by the DurableCollector's log
+/// thread; the recovery-side ones are filled once during Create.
 struct WalStats {
   uint64_t frames_appended = 0;  ///< Runs appended this session.
   uint64_t bytes_appended = 0;   ///< Frame bytes appended this session.
@@ -92,6 +96,8 @@ struct WalStats {
   uint64_t segments_sealed = 0;  ///< Segments sealed (rotation or close).
   uint64_t checkpoints = 0;      ///< Checkpoint files written.
   uint64_t runs_deduped = 0;     ///< Resent runs skipped by user-id dedup.
+  /// Ingests that waited because the log thread was a full batch behind.
+  uint64_t append_stalls = 0;
   /// Recovery summary (what Create found in the directory).
   uint64_t segments_recovered = 0;  ///< Segments replayed (even if empty).
   uint64_t frames_replayed = 0;     ///< Valid frames re-ingested.
@@ -106,7 +112,10 @@ struct WalStats {
 uint64_t WalFingerprint(std::span<const uint64_t> words);
 
 /// Appends wire frames to segment files under WalOptions::dir.
-/// Not thread-safe: the DurableCollector serializes appends.
+/// Not thread-safe. In the collector, one thread owns the writer: the
+/// DurableCollector's log thread, which takes queued runs off the ingest
+/// path, encodes them and appends them here, and runs the Sync, Rotate
+/// and Seal that Flush, Checkpoint and Seal ask it for.
 class WalWriter {
  public:
   /// Opens a fresh segment numbered `first_seqno` (never appends to an
@@ -143,6 +152,9 @@ class WalWriter {
   /// Seqno of the segment currently being written.
   uint64_t segment_seqno() const { return seqno_; }
 
+  /// Frames appended since the last Sync().
+  uint64_t unsynced_frames() const { return frames_since_sync_; }
+
   /// Append-side counters (frames/bytes/fsyncs/segments sealed).
   const WalStats& stats() const { return stats_; }
 
@@ -162,6 +174,7 @@ class WalWriter {
   uint64_t frames_since_sync_ = 0;
   int64_t last_sync_ms_ = 0;  // steady-clock ms at the last fdatasync
   std::vector<uint8_t> buffer_;
+  std::string path_;  // the open segment's path
   bool sealed_ = false;
   WalStats stats_;
 };

@@ -172,6 +172,13 @@ Counter& WalCheckpointsTotal() {
   return c;
 }
 
+Counter& WalAppendStallsTotal() {
+  static Counter& c = C("capp_wal_append_stalls_total",
+                        "Ingests that waited for the WAL log thread to "
+                        "take a full batch");
+  return c;
+}
+
 Histogram& WalAppendSeconds() {
   static Histogram& h = Hs("capp_wal_append_seconds",
                            "WAL append time per frame (sampled)");

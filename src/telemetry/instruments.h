@@ -49,6 +49,7 @@ Counter& WalAppendedBytesTotal();
 Counter& WalFsyncsTotal();
 Counter& WalRotationsTotal();
 Counter& WalCheckpointsTotal();
+Counter& WalAppendStallsTotal();
 Histogram& WalAppendSeconds();
 Histogram& WalFsyncSeconds();
 Histogram& WalRotateSeconds();

@@ -63,10 +63,11 @@ std::string RenderSummary(const RunSummary& summary) {
     const WalStats& w = *summary.wal;
     Appendf(&out,
             "wal: %llu frame(s) appended (%.1f MB), %llu fsync(s), "
-            "%llu checkpoint(s), %llu resent run(s) deduped\n",
+            "%llu checkpoint(s), %llu resent run(s) deduped, "
+            "%llu append stall(s)\n",
             U(w.frames_appended),
             static_cast<double>(w.bytes_appended) / 1048576.0, U(w.fsyncs),
-            U(w.checkpoints), U(w.runs_deduped));
+            U(w.checkpoints), U(w.runs_deduped), U(w.append_stalls));
   }
   return out;
 }

@@ -1,16 +1,21 @@
 // Tests for the durable collector tier (src/storage/): WAL segment
 // round-trips, truncation at every byte boundary, bit-flip fuzzing over
 // header/frames/trailer, fingerprint (duplicate/foreign-log) detection,
-// checkpoint round-trips, and the headline recovery invariant -- replay
+// checkpoint round-trips, the headline recovery invariant -- replay
 // after a simulated crash reproduces the collector's aggregate state
 // bit-identically (pure-WAL and checkpoint+WAL both), or fails loudly
-// with the backend untouched; never a half-applied log.
+// with the backend untouched; never a half-applied log -- and the
+// DurableCollector's log thread: idle kTimed syncs, kPerRun visibility,
+// ingest after Seal, log-thread write errors, and a concurrent hammer.
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -743,6 +748,151 @@ TEST(DurableCollectorTest, CheckpointingRequiresSnapshotSupport) {
       &backend, TestDurableOptions(dir.path(), /*checkpoint_every=*/10));
   ASSERT_FALSE(durable.ok());
   EXPECT_EQ(durable.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// ------------------------------------------------------------ log thread --
+
+// The one segment under `dir`, scanned now.
+WalSegmentScan ScanOnlySegment(const std::string& dir) {
+  auto segments = ListWalSegments(dir);
+  EXPECT_TRUE(segments.ok());
+  EXPECT_EQ(segments->size(), 1u);
+  auto scan = ScanWalSegment(segments->front().path, kFp);
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  return *scan;
+}
+
+// kTimed bounds the time between fdatasyncs even when ingest stops: with
+// no further run, Flush or Seal, an idle log still syncs its tail.
+TEST(DurableLogThreadTest, TimedPolicySyncsAnIdleLog) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  DurableCollectorOptions options = TestDurableOptions(dir.path());
+  options.wal.fsync_policy = WalFsyncPolicy::kTimed;
+  options.wal.fsync_interval_ms = 20;
+  auto durable = DurableCollector::Create(&backend, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  (*durable)->IngestUserRun(7, 0, RunValues(7, 6));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_GE((*durable)->wal_stats().fsyncs, 1u);
+  const WalSegmentScan scan = ScanOnlySegment(dir.path());
+  EXPECT_TRUE(scan.header_ok);
+  EXPECT_EQ(scan.frames, 1u);
+}
+
+// Four ingest threads against one thread that keeps flushing, reading
+// stats and checkpointing: every run is logged or deduped exactly once,
+// and the log recovers to the live state.
+TEST(DurableLogThreadTest, ConcurrentIngestFlushAndCheckpointRecover) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kUsersPerThread = 4000;
+  constexpr uint64_t kResentPerThread = 1000;
+  constexpr size_t kSlots = 8;
+  TempDir dir;
+  uint64_t live_digest = 0;
+  {
+    ShardedCollector backend = MakeCollector();
+    auto durable = DurableCollector::Create(
+        &backend, TestDurableOptions(dir.path(), /*checkpoint_every=*/3000));
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    DurableCollector* const log = durable->get();
+    std::atomic<bool> done{false};
+    std::thread control([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        EXPECT_TRUE(log->Flush().ok());
+        (void)log->wal_stats();
+        EXPECT_TRUE(log->Checkpoint().ok());
+      }
+    });
+    std::vector<std::thread> ingest;
+    for (int t = 0; t < kThreads; ++t) {
+      ingest.emplace_back([&, t] {
+        const uint64_t first = static_cast<uint64_t>(t) * kUsersPerThread;
+        for (uint64_t u = first; u < first + kUsersPerThread; ++u) {
+          log->IngestUserRun(u, 0, RunValues(u, kSlots));
+        }
+        // Resends of runs this thread already ingested: dedup drops them.
+        for (uint64_t u = first; u < first + kResentPerThread; ++u) {
+          log->IngestUserRun(u, 0, RunValues(u, kSlots));
+        }
+      });
+    }
+    for (std::thread& thread : ingest) thread.join();
+    done.store(true, std::memory_order_relaxed);
+    control.join();
+    ASSERT_TRUE(log->Flush().ok());
+    const WalStats stats = log->wal_stats();
+    EXPECT_EQ(stats.frames_appended + stats.runs_deduped,
+              kThreads * (kUsersPerThread + kResentPerThread));
+    EXPECT_EQ(stats.runs_deduped, kThreads * kResentPerThread);
+    EXPECT_GE(stats.checkpoints, 1u);
+    live_digest = CollectorStateDigest(backend);
+    EXPECT_EQ(live_digest, OracleDigest(kThreads * kUsersPerThread, kSlots));
+    ASSERT_TRUE(log->Seal().ok());
+  }
+  ShardedCollector recovered = MakeCollector();
+  auto durable = DurableCollector::Create(
+      &recovered, TestDurableOptions(dir.path(), /*checkpoint_every=*/3000));
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  EXPECT_EQ(CollectorStateDigest(recovered), live_digest);
+}
+
+// kPerRun keeps durable-before-visible: once IngestUserRun returns, its
+// frame is on disk for any reader.
+TEST(DurableLogThreadTest, PerRunIngestReturnsOnlyOnceItsFrameIsOnDisk) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  DurableCollectorOptions options = TestDurableOptions(dir.path());
+  options.wal.fsync_policy = WalFsyncPolicy::kPerRun;
+  auto durable = DurableCollector::Create(&backend, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  for (uint64_t u = 0; u < 20; ++u) {
+    (*durable)->IngestUserRun(u, 0, RunValues(u, 5));
+    EXPECT_EQ(ScanOnlySegment(dir.path()).frames, u + 1);
+  }
+  EXPECT_EQ((*durable)->wal_stats().fsyncs, 20u);
+}
+
+TEST(DurableLogThreadTest, IngestAfterSealLatchesFailedPrecondition) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  auto durable =
+      DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  (*durable)->IngestUserRun(1, 0, RunValues(1, 4));
+  ASSERT_TRUE((*durable)->Seal().ok());
+  (*durable)->IngestUserRun(2, 0, RunValues(2, 4));
+  EXPECT_EQ((*durable)->CheckHealthy().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*durable)->Flush().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*durable)->Seal().code(), StatusCode::kFailedPrecondition);
+  // The sealed log holds the one run ingested before Seal, nothing after.
+  const WalSegmentScan scan = ScanOnlySegment(dir.path());
+  EXPECT_TRUE(scan.sealed);
+  EXPECT_EQ(scan.frames, 1u);
+}
+
+// A write error raised on the log thread -- here the next rotation's
+// open() after the directory vanished -- surfaces from Flush.
+TEST(DurableLogThreadTest, LogThreadWriteErrorSurfacesFromFlush) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  DurableCollectorOptions options = TestDurableOptions(dir.path());
+  options.wal.segment_max_bytes = 512;
+  auto durable = DurableCollector::Create(&backend, options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  for (uint64_t u = 0; u < 10; ++u) {
+    (*durable)->IngestUserRun(u, 0, RunValues(u, 4));
+  }
+  ASSERT_TRUE((*durable)->Flush().ok());
+  std::filesystem::remove_all(dir.path());
+  // ~45-byte frames: a rotation within the next dozen runs.
+  for (uint64_t u = 10; u < 60; ++u) {
+    (*durable)->IngestUserRun(u, 0, RunValues(u, 4));
+  }
+  const Status flushed = (*durable)->Flush();
+  EXPECT_EQ(flushed.code(), StatusCode::kInternal) << flushed.ToString();
+  EXPECT_EQ((*durable)->CheckHealthy().code(), StatusCode::kInternal);
 }
 
 // ------------------------------------------------------ fleet integration --
