@@ -30,24 +30,45 @@ double App::DoProcessValue(double x, Rng& rng) {
   return report;
 }
 
+namespace {
+
+// One APP slot (Algorithm 1 lines 4-7) at V = double (one stream) or
+// internal::SwLanePair (two lanes); `deviation` is the accumulated D.
+// DomainMap is the identity for SW (input domain [0,1]); see the IPP slot
+// for the bit-identity argument.
+template <typename V>
+V AppSlot(const SwBatchPlan& plan, V raw, V& deviation, V u1, V u2) {
+  const V x = SanitizeUnitValue(raw);
+  const V input = Clamp(x + deviation, 0.0, 1.0);
+  const V report =
+      SwSampleFromUniforms(plan.params, plan.near_mass, input, u1, u2);
+  deviation += x - report;
+  return report;
+}
+
+}  // namespace
+
 void App::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                            const double* uniforms, size_t stride) {
-  RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = sw_plan().params;
-  const double near_mass = sw_plan().near_mass;
-  internal::ForEachSwSlot(
-      in, out, uniforms, stride, [&](double raw, double u1, double u2) {
-        const double x = SanitizeUnitValue(raw);
-        const double input =
-            Clamp(x + accumulated_deviation_, 0.0, 1.0);
-        // DomainMap is the identity for SW (input domain [0,1]); see the
-        // IPP chunk loop for the bit-identity argument.
-        const double report =
-            SwSampleFromUniforms(params, near_mass, input, u1, u2);
-        accumulated_deviation_ += x - report;
-        return report;
+  // D lives in a local across the chunk (see Ipp::DoProcessSwChunk).
+  const SwBatchPlan plan = sw_plan();
+  double deviation = accumulated_deviation_;
+  internal::ForEachSwSlot(in, out, uniforms, stride,
+                          [&](double raw, double u1, double u2) {
+                            return AppSlot(plan, raw, deviation, u1, u2);
+                          });
+  accumulated_deviation_ = deviation;
+}
+
+void App::DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
+                           const double* uniforms, size_t count) {
+  const SwBatchPlan plan = sw_plan();
+  ForEachSwLaneSlotWithState(
+      lanes, &App::accumulated_deviation_, in, out, uniforms, count,
+      [&](internal::SwLanePair raw, internal::SwLanePair& deviation,
+          internal::SwLanePair u1, internal::SwLanePair u2) {
+        return AppSlot(plan, raw, deviation, u1, u2);
       });
-  AdvanceSlots(in.size());
 }
 
 }  // namespace capp

@@ -1,5 +1,6 @@
 #include "algorithms/capp.h"
 
+#include "core/check.h"
 #include "core/math_utils.h"
 #include "mechanisms/square_wave.h"
 
@@ -49,27 +50,56 @@ double Capp::DoProcessValue(double x, Rng& rng) {
   return report;
 }
 
+namespace {
+
+// One CAPP slot (Algorithm 2 lines 5-11) at V = double (one stream) or
+// internal::SwLanePair (two lanes); `deviation` is the accumulated D.
+// DomainMap is the identity for SW (input domain [0,1]); see the IPP slot
+// for the bit-identity argument.
+template <typename V>
+V CappSlot(const SwBatchPlan& plan, const ClipBounds& bounds, V raw,
+           V& deviation, V u1, V u2) {
+  const V x = SanitizeUnitValue(raw);
+  const V input = Clamp(x + deviation, bounds.l, bounds.u);
+  const double width = bounds.u - bounds.l;
+  const V normalized = (input - bounds.l) / width;
+  const V y =
+      SwSampleFromUniforms(plan.params, plan.near_mass, normalized, u1, u2);
+  const V report = y * width + bounds.l;
+  deviation += x - report;
+  return report;
+}
+
+}  // namespace
+
 void Capp::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                             const double* uniforms, size_t stride) {
-  RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = sw_plan().params;
-  const double near_mass = sw_plan().near_mass;
-  const double width = bounds_.u - bounds_.l;
+  // D lives in a local across the chunk (see Ipp::DoProcessSwChunk).
+  const SwBatchPlan plan = sw_plan();
+  const ClipBounds bounds = bounds_;
+  double deviation = accumulated_deviation_;
   internal::ForEachSwSlot(
       in, out, uniforms, stride, [&](double raw, double u1, double u2) {
-        const double x = SanitizeUnitValue(raw);
-        const double input = Clamp(x + accumulated_deviation_, bounds_.l,
-                                   bounds_.u);
-        const double normalized = (input - bounds_.l) / width;
-        // DomainMap is the identity for SW (input domain [0,1]); see the
-        // IPP chunk loop for the bit-identity argument.
-        const double y =
-            SwSampleFromUniforms(params, near_mass, normalized, u1, u2);
-        const double report = y * width + bounds_.l;
-        accumulated_deviation_ += x - report;
-        return report;
+        return CappSlot(plan, bounds, raw, deviation, u1, u2);
       });
-  AdvanceSlots(in.size());
+  accumulated_deviation_ = deviation;
+}
+
+void Capp::DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
+                            const double* uniforms, size_t count) {
+  // Equal options fix the Eq.-11 bounds, but an explicit delta may differ.
+  for (StreamPerturber* lane : lanes) {
+    const ClipBounds& lane_bounds = static_cast<const Capp*>(lane)->bounds_;
+    CAPP_CHECK(lane_bounds.l == bounds_.l && lane_bounds.u == bounds_.u);
+  }
+  const SwBatchPlan plan = sw_plan();
+  const ClipBounds bounds = bounds_;
+  ForEachSwLaneSlotWithState(
+      lanes, &Capp::accumulated_deviation_, in, out, uniforms, count,
+      [&](internal::SwLanePair raw, internal::SwLanePair& deviation,
+          internal::SwLanePair u1, internal::SwLanePair u2) {
+        return CappSlot(plan, bounds, raw, deviation, u1, u2);
+      });
 }
 
 }  // namespace capp

@@ -63,10 +63,13 @@ class Capp final : public StreamPerturber {
 
  protected:
   double DoProcessValue(double x, Rng& rng) override;
-  /// SW fast path: inline two-uniform sampling (see square_wave.h);
-  /// non-SW mechanisms take the scalar loop. Bit-identical.
+  /// SW fast path: inline two-uniform sampling (see square_wave.h), one
+  /// stream or kLanes streams in lockstep; non-SW mechanisms take the
+  /// scalar loop. Bit-identical.
   void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                         const double* uniforms, size_t stride) override;
+  void DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
+                        const double* uniforms, size_t count) override;
   void DoReset() override { accumulated_deviation_ = 0.0; }
 
  private:

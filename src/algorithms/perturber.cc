@@ -1,6 +1,7 @@
 #include "algorithms/perturber.h"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "core/check.h"
 
@@ -34,6 +35,7 @@ void StreamPerturber::ProcessChunk(std::span<const double> in,
     DoProcessChunk(in, out, rng);
     return;
   }
+  RecordSpendRun(in.size(), sw_plan().epsilon);
   // Two draws per slot in the scalar order, one block at a time.
   constexpr size_t kBlock = internal::kSwBlockSlots;
   double uniforms[2 * kBlock];
@@ -43,6 +45,7 @@ void StreamPerturber::ProcessChunk(std::span<const double> in,
     DoProcessSwChunk(in.subspan(done, count), out.subspan(done, count),
                      uniforms, 2);
   }
+  AdvanceSlots(in.size());
 }
 
 void StreamPerturber::ProcessChunkFromUniforms(std::span<const double> in,
@@ -52,13 +55,58 @@ void StreamPerturber::ProcessChunkFromUniforms(std::span<const double> in,
   CAPP_CHECK(consumes_sw_uniforms());
   CAPP_CHECK(in.size() == out.size());
   CAPP_CHECK(stride >= 2);
+  RecordSpendRun(in.size(), sw_plan().epsilon);
   DoProcessSwChunk(in, out, uniforms, stride);
+  AdvanceSlots(in.size());
+}
+
+void StreamPerturber::ProcessSwLanes(LaneGroup lanes,
+                                     std::span<Rng* const, kLanes> rngs,
+                                     std::span<const double> in,
+                                     std::span<double> out) {
+  CAPP_CHECK(in.size() == out.size() && in.size() % kLanes == 0);
+  StreamPerturber& first = *lanes[0];
+  CAPP_CHECK(first.supports_online() && first.consumes_sw_uniforms());
+  const SwBatchPlan& plan = first.sw_plan();
+  for (size_t l = 0; l < kLanes; ++l) {
+    const StreamPerturber& lane = *lanes[l];
+    CAPP_CHECK(typeid(lane) == typeid(first));
+    CAPP_CHECK(lane.consumes_sw_uniforms());
+    const SwBatchPlan& lane_plan = lane.sw_plan();
+    CAPP_CHECK(lane_plan.params.b == plan.params.b &&
+               lane_plan.near_mass == plan.near_mass &&
+               lane_plan.epsilon == plan.epsilon);
+    CAPP_CHECK(lane.options_.epsilon == first.options_.epsilon &&
+               lane.options_.window == first.options_.window);
+    for (size_t k = 0; k < l; ++k) CAPP_CHECK(lanes[k] != lanes[l]);
+  }
+  const size_t slots = in.size() / kLanes;
+  for (StreamPerturber* lane : lanes) lane->RecordSpendRun(slots, plan.epsilon);
+  // Lane l's pairs fill row l of the block, drawn from its own generator
+  // exactly as ProcessChunk would draw them.
+  constexpr size_t kBlock = internal::kSwBlockSlots;
+  double uniforms[kLanes * 2 * kBlock];
+  for (size_t done = 0; done < slots; done += kBlock) {
+    const size_t count = std::min(slots - done, kBlock);
+    for (size_t l = 0; l < kLanes; ++l) {
+      rngs[l]->FillUniform(std::span<double>(uniforms + l * 2 * kBlock,
+                                             2 * count));
+    }
+    first.DoProcessSwLanes(lanes, in.data() + done * kLanes,
+                           out.data() + done * kLanes, uniforms, count);
+  }
+  for (StreamPerturber* lane : lanes) lane->AdvanceSlots(slots);
 }
 
 void StreamPerturber::DoProcessSwChunk(std::span<const double>,
                                        std::span<double>, const double*,
                                        size_t) {
   CAPP_CHECK(false && "consumes_sw_uniforms() without an SW chunk body");
+}
+
+void StreamPerturber::DoProcessSwLanes(LaneGroup, const double*, double*,
+                                       const double*, size_t) {
+  CAPP_CHECK(false && "consumes_sw_uniforms() without an SW lanes body");
 }
 
 void StreamPerturber::DoProcessChunk(std::span<const double> in,

@@ -8,6 +8,11 @@
 //
 // The non-virtual interface pattern keeps slot counting and budget
 // accounting in the base class so concrete algorithms cannot get them wrong.
+// The algorithms whose every slot is one Square Wave draw (sw-direct, IPP,
+// APP, CAPP) write that slot once, as a template over the value type: at
+// double it is their chunk loop, at internal::SwLanePair it runs kLanes
+// independent users in lockstep (ProcessSwLanes), bit-identical to the
+// per-user loop by construction.
 #ifndef CAPP_ALGORITHMS_PERTURBER_H_
 #define CAPP_ALGORITHMS_PERTURBER_H_
 
@@ -47,9 +52,23 @@ inline double SanitizeUnitValue(double x) {
   return x;
 }
 
+/// SanitizeUnitValue per element of a lane pair, with the same result bit
+/// for bit: a non-finite element (x - x is NaN, not 0) becomes 0.5, the
+/// rest are clamped.
+inline internal::SwLanePair SanitizeUnitValue(internal::SwLanePair x) {
+  const internal::SwLaneMask finite = x - x == 0.0;
+  return finite ? Clamp(x, 0.0, 1.0)
+                : internal::Splat<internal::SwLanePair>(0.5);
+}
+
 /// Base class for user-side stream perturbation algorithms.
 class StreamPerturber {
  public:
+  /// Streams per lane-interleaved group (ProcessSwLanes).
+  static constexpr size_t kLanes = internal::kSwLanes;
+  /// The kLanes perturbers of one ProcessSwLanes group.
+  using LaneGroup = std::span<StreamPerturber* const, kLanes>;
+
   virtual ~StreamPerturber() = default;
 
   /// Algorithm identifier ("sw-direct", "ipp", "app", "capp", ...).
@@ -94,6 +113,21 @@ class StreamPerturber {
                                 std::span<double> out,
                                 const double* uniforms, size_t stride);
 
+  /// Perturbs the next `in.size() / kLanes` slots of kLanes independent
+  /// streams in lockstep. `in` and `out` are [slot][lane] blocks: in[t *
+  /// kLanes + l] is slot t of lanes[l]'s stream, and out[t * kLanes + l]
+  /// receives exactly what lanes[l]->ProcessChunk would have reported for
+  /// it with rngs[l] -- same RNG draws (each lane draws its own uniforms
+  /// in scalar order), ledger runs and slot counters afterwards. The
+  /// algorithm's one SW slot formula runs two lanes per SwLanePair, with
+  /// no branch on the data. Requires kLanes distinct perturbers of one
+  /// concrete type with equal options and SW plans, all
+  /// consumes_sw_uniforms(); in and out must not overlap.
+  static void ProcessSwLanes(LaneGroup lanes,
+                             std::span<Rng* const, kLanes> rngs,
+                             std::span<const double> in,
+                             std::span<double> out);
+
   /// Perturbs a whole subsequence; returns one report per input value.
   std::vector<double> PerturbSequence(std::span<const double> xs, Rng& rng);
 
@@ -113,7 +147,8 @@ class StreamPerturber {
 
  protected:
   /// `sw_plan` is PlanSwBatch of the algorithm's mechanism when every slot
-  /// is one Square Wave draw; then the algorithm supplies DoProcessSwChunk.
+  /// is one Square Wave draw; then the algorithm supplies DoProcessSwChunk
+  /// and DoProcessSwLanes.
   explicit StreamPerturber(PerturberOptions options,
                            std::optional<SwBatchPlan> sw_plan = std::nullopt)
       : options_(options), sw_plan_(sw_plan) {}
@@ -132,14 +167,50 @@ class StreamPerturber {
   virtual void DoProcessChunk(std::span<const double> in,
                               std::span<double> out, Rng& rng);
 
-  /// The one SW slot loop of an algorithm whose consumes_sw_uniforms() is
+  /// The SW slot loop of an algorithm whose consumes_sw_uniforms() is
   /// true, fed a uniform view (see ProcessChunkFromUniforms). ProcessChunk
   /// draws the blocks and calls it with stride 2. Inputs arrive
-  /// unsanitized; the override records the spend and advances the slot
-  /// counter for the whole chunk.
+  /// unsanitized; the caller records the spend and advances the slot
+  /// counter. The slot formula is a template over the value type, shared
+  /// with DoProcessSwLanes.
   virtual void DoProcessSwChunk(std::span<const double> in,
                                 std::span<double> out,
                                 const double* uniforms, size_t stride);
+
+  /// The lane-interleaved loop of the same algorithm, called on lanes[0]
+  /// with `count` <= internal::kSwBlockSlots slots of [slot][lane] input
+  /// and output, and lane l's uniform pairs at uniforms + l * 2 *
+  /// internal::kSwBlockSlots (see internal::ForEachSwLaneSlot). Loads each
+  /// lane's feedback state, runs the slot formula at SwLanePair, and
+  /// stores the state back; ProcessSwLanes does the rest.
+  virtual void DoProcessSwLanes(LaneGroup lanes, const double* in,
+                                double* out, const double* uniforms,
+                                size_t count);
+
+  /// internal::ForEachSwLaneSlot for an algorithm with one double of
+  /// feedback state: loads `state` of the kLanes perturbers (all of type
+  /// Algo) into lane pairs, runs slot(raw, state_pair, u1, u2) for every
+  /// slot and lane pair, and stores the state back.
+  template <typename Algo, typename Slot>
+  static void ForEachSwLaneSlotWithState(LaneGroup lanes, double Algo::*state,
+                                         const double* in, double* out,
+                                         const double* uniforms, size_t count,
+                                         Slot&& slot) {
+    internal::SwLanePair pairs[kLanes / 2] = {};
+    for (size_t p = 0; p < kLanes / 2; ++p) {
+      pairs[p] = internal::SwLanePair{
+          static_cast<const Algo*>(lanes[2 * p])->*state,
+          static_cast<const Algo*>(lanes[2 * p + 1])->*state};
+    }
+    internal::ForEachSwLaneSlot(
+        in, out, uniforms, count,
+        [&](size_t p, internal::SwLanePair raw, internal::SwLanePair u1,
+            internal::SwLanePair u2) { return slot(raw, pairs[p], u1, u2); });
+    for (size_t p = 0; p < kLanes / 2; ++p) {
+      static_cast<Algo*>(lanes[2 * p])->*state = pairs[p][0];
+      static_cast<Algo*>(lanes[2 * p + 1])->*state = pairs[p][1];
+    }
+  }
 
   /// Whole-sequence hook; the default loops over DoProcessValue.
   virtual std::vector<double> DoPerturbSequence(std::span<const double> xs,

@@ -22,22 +22,39 @@ double MechanismDirect::DoProcessValue(double x, Rng& rng) {
   return map_.FromMechanism(y);
 }
 
+namespace {
+
+// One SW-direct slot at V = double (one stream) or internal::SwLanePair
+// (two lanes). SanitizeUnitValue lands in [0,1], so the scalar path's
+// clamps are the identity, and so is DomainMap for SW (see the IPP slot
+// for the bit-identity argument).
+template <typename V>
+V SwDirectSlot(const SwBatchPlan& plan, V raw, V u1, V u2) {
+  return SwSampleFromUniforms(plan.params, plan.near_mass,
+                              SanitizeUnitValue(raw), u1, u2);
+}
+
+}  // namespace
+
 void MechanismDirect::DoProcessSwChunk(std::span<const double> in,
                                        std::span<double> out,
                                        const double* uniforms,
                                        size_t stride) {
-  RecordSpendRun(in.size(), mechanism_->epsilon());
-  const SwParams params = sw_plan().params;
-  const double near_mass = sw_plan().near_mass;
-  internal::ForEachSwSlot(
-      in, out, uniforms, stride, [&](double raw, double u1, double u2) {
-        // SanitizeUnitValue lands in [0,1], so the scalar path's clamps
-        // are the identity, and so is DomainMap for SW (see the IPP chunk
-        // loop for the bit-identity argument).
-        return SwSampleFromUniforms(params, near_mass, SanitizeUnitValue(raw),
-                                    u1, u2);
-      });
-  AdvanceSlots(in.size());
+  const SwBatchPlan plan = sw_plan();
+  internal::ForEachSwSlot(in, out, uniforms, stride,
+                          [&](double raw, double u1, double u2) {
+                            return SwDirectSlot(plan, raw, u1, u2);
+                          });
+}
+
+void MechanismDirect::DoProcessSwLanes(LaneGroup, const double* in,
+                                       double* out, const double* uniforms,
+                                       size_t count) {
+  const SwBatchPlan plan = sw_plan();
+  internal::ForEachSwLaneSlot(
+      in, out, uniforms, count,
+      [&](size_t, internal::SwLanePair raw, internal::SwLanePair u1,
+          internal::SwLanePair u2) { return SwDirectSlot(plan, raw, u1, u2); });
 }
 
 void MechanismDirect::DoProcessChunk(std::span<const double> in,

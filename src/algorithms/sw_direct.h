@@ -52,9 +52,12 @@ class MechanismDirect final : public StreamPerturber {
 
  protected:
   double DoProcessValue(double x, Rng& rng) override;
-  /// SW fast path: inline two-uniform sampling (see square_wave.h).
+  /// SW fast path: inline two-uniform sampling (see square_wave.h), one
+  /// stream or kLanes streams in lockstep.
   void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                         const double* uniforms, size_t stride) override;
+  void DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
+                        const double* uniforms, size_t count) override;
   /// Every other mechanism: no cross-slot state, so the whole chunk goes
   /// through Mechanism::PerturbBatch on a reused scratch buffer. Both
   /// paths are bit-identical to the scalar loop.

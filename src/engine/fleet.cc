@@ -1,11 +1,13 @@
 #include "engine/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "analysis/streaming_analytics.h"
@@ -321,17 +323,31 @@ Result<EngineStats> Fleet::Run() {
     ChunkSums& sums = chunk_sums[chunk];
     sums.true_sum.assign(cells, 0.0);
     sums.report_sum.assign(cells, 0.0);
-    // Pooled per-worker state, reused across every user in the chunk: one
-    // session (reseeded per user via ResetForUser -- no perturber or
+    // Pooled per-worker state, reused across every user in the chunk:
+    // sessions (reseeded per user via ResetForUser -- no perturber or
     // mechanism construction on the per-user path) and preallocated
     // signal/report/smoothing buffers. The per-report hot path is
-    // allocation-free after the first user. Multi-dimensional runs pool
-    // a MultidimPerturber the same way (reseeded per user), leaving the
-    // scalar session untouched.
-    auto session = UserSession::Create(begin, config_.algorithm,
-                                       {config_.epsilon, config_.window},
-                                       /*seed=*/0);
-    CAPP_CHECK(session.ok());  // Config was validated in Create.
+    // allocation-free after the first group. Multi-dimensional runs pool
+    // a MultidimPerturber the same way (reseeded per user).
+    //
+    // At d = 1, an algorithm whose every slot is one Square Wave draw
+    // perturbs users in groups of kLanes in lockstep (UserSession::
+    // ReportLanes), which overlaps their feedback chains; the chunk's
+    // last users (fewer than kLanes) and every other algorithm take the
+    // per-user ReportChunk path. Both are bit-identical to per-slot
+    // Report, so the grouping is invisible in the results.
+    constexpr size_t kLanes = StreamPerturber::kLanes;
+    std::vector<UserSession> sessions;
+    auto add_session = [&] {
+      auto created = UserSession::Create(begin, config_.algorithm,
+                                         {config_.epsilon, config_.window},
+                                         /*seed=*/0);
+      CAPP_CHECK(created.ok());  // Config was validated in Create.
+      sessions.push_back(std::move(*created));
+    };
+    add_session();
+    const bool lanes = dims == 1 && sessions[0].consumes_sw_uniforms();
+    while (lanes && sessions.size() < kLanes) add_session();
     std::optional<MultidimPerturber> multidim;
     if (dims > 1) {
       auto created = MultidimPerturber::Create(
@@ -340,8 +356,9 @@ Result<EngineStats> Fleet::Run() {
       CAPP_CHECK(created.ok());  // Probed in Create.
       multidim.emplace(std::move(*created));
     }
-    std::vector<double> truth;
-    std::vector<double> report_values(cells);
+    std::vector<std::vector<double>> truths(sessions.size());
+    std::vector<std::vector<double>> reports(sessions.size(),
+                                             std::vector<double>(cells));
     std::vector<double> published;
     std::vector<double> sma_scratch;
     std::vector<double> dim_row;       // d > 1 only: per-dim SMA staging
@@ -349,20 +366,9 @@ Result<EngineStats> Fleet::Run() {
     std::optional<TransportHub::Producer> producer;
     if (hub != nullptr) producer.emplace(hub->MakeProducer());
 
-    for (uint64_t uid = begin; uid < end; ++uid) {
-      Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
-      if (dims == 1) {
-        GenerateUserSignalInto(config_.signal, slots, signal_rng, truth);
-        session->ResetForUser(uid, UserStreamSeed(config_.seed, uid, 1));
-        // All of the user's slots go through the batched perturbation
-        // pipeline in one call (bit-identical to per-slot Report).
-        session->ReportChunk(truth, report_values);
-      } else {
-        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
-                                    truth);
-        multidim->ResetForUser(UserStreamSeed(config_.seed, uid, 1));
-        multidim->PerturbStream(truth, slots, report_values);
-      }
+    // Everything after perturbation, for one user, in uid order.
+    auto finish_user = [&](uint64_t uid, const std::vector<double>& truth,
+                           const std::vector<double>& report_values) {
       // The device's whole stream is delivered as one run: one shard
       // lookup and lock acquisition per user instead of per-report
       // staging through SlotReport buffers. Queued transports stage the
@@ -411,6 +417,41 @@ Result<EngineStats> Fleet::Run() {
         sums.report_sum[t] += report_values[t];
       }
       sums.digest ^= UserStreamDigest(uid, published);
+    };
+
+    uint64_t uid = begin;
+    for (; lanes && end - uid >= kLanes; uid += kLanes) {
+      std::array<std::span<const double>, kLanes> values;
+      std::array<std::span<double>, kLanes> out;
+      for (size_t l = 0; l < kLanes; ++l) {
+        Rng signal_rng(UserStreamSeed(config_.seed, uid + l, 0));
+        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[l]);
+        sessions[l].ResetForUser(uid + l,
+                                 UserStreamSeed(config_.seed, uid + l, 1));
+        values[l] = truths[l];
+        out[l] = reports[l];
+      }
+      UserSession::ReportLanes(std::span<UserSession, kLanes>(sessions),
+                               values, out);
+      for (size_t l = 0; l < kLanes; ++l) {
+        finish_user(uid + l, truths[l], reports[l]);
+      }
+    }
+    for (; uid < end; ++uid) {
+      Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
+      if (dims == 1) {
+        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[0]);
+        sessions[0].ResetForUser(uid, UserStreamSeed(config_.seed, uid, 1));
+        // All of the user's slots go through the batched perturbation
+        // pipeline in one call (bit-identical to per-slot Report).
+        sessions[0].ReportChunk(truths[0], reports[0]);
+      } else {
+        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
+                                    truths[0]);
+        multidim->ResetForUser(UserStreamSeed(config_.seed, uid, 1));
+        multidim->PerturbStream(truths[0], slots, reports[0]);
+      }
+      finish_user(uid, truths[0], reports[0]);
     }
   });
 

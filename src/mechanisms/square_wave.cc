@@ -50,7 +50,7 @@ std::optional<SwBatchPlan> PlanSwBatch(const Mechanism* mechanism) {
   if (sw == nullptr) return std::nullopt;
   const double near_mass = SwNearBandMass(sw->params());
   if (!SwBatchable(near_mass)) return std::nullopt;
-  return SwBatchPlan{sw->params(), near_mass};
+  return SwBatchPlan{sw->params(), near_mass, sw->epsilon()};
 }
 
 Result<SwParams> CachedSwParams(double epsilon) {

@@ -15,9 +15,11 @@
 #define CAPP_MECHANISMS_SQUARE_WAVE_H_
 
 #include <cstddef>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 #include "core/math_utils.h"
 #include "core/piecewise_density.h"
@@ -48,25 +50,82 @@ inline double SwNearBandMass(const SwParams& params) {
   return 2.0 * params.b * params.p;
 }
 
+namespace internal {
+
+/// Two doubles in one vector register (GCC/Clang vector extension; an
+/// SSE2 xmm register on x86-64): the value type of the lane-interleaved
+/// SW loops, one user's stream per element. Arithmetic is elementwise
+/// IEEE double, exactly the scalar operations; a scalar operand is
+/// broadcast to both elements.
+using SwLanePair = double __attribute__((vector_size(16)));
+/// The elementwise comparison result of two SwLanePairs: all-ones or zero.
+using SwLaneMask = decltype(SwLanePair{} < SwLanePair{});
+
+/// x as a V: itself for double, both elements for SwLanePair (no
+/// arithmetic, so -0.0 stays -0.0).
+template <typename V>
+inline V Splat(double x) {
+  if constexpr (std::is_same_v<V, double>) {
+    return x;
+  } else {
+    return V{x, x};
+  }
+}
+
+/// `a < b ? if_true : if_false` per element: a bitwise select on the
+/// comparison's mask (cmpltpd + and/andn/or), so the lanes never branch
+/// on the data.
+inline SwLanePair SelectLess(SwLanePair a, SwLanePair b, SwLanePair if_true,
+                             SwLanePair if_false) {
+  const SwLaneMask mask = a < b;
+  return mask ? if_true : if_false;
+}
+/// The scalar select stays a plain ternary, which GCC 12 compiles to a
+/// jump taken about half the time. A bitwise select (the lane form on
+/// element 0) halved sw-direct's ProcessChunk cost but slowed CAPP's,
+/// which every benchmark workload runs (BM_PerturberChunk ~14.5 -> 16-20
+/// ns/report, budget split d = 4 ~16 -> ~21): a predicted branch keeps
+/// the select off the feedback chain.
+inline double SelectLess(double a, double b, double if_true,
+                         double if_false) {
+  return a < b ? if_true : if_false;
+}
+
+}  // namespace internal
+
+/// Clamp (core/math_utils.h) per element, with its exact semantics: the
+/// bound wins only on a strict comparison, so NaN and a -0.0 against a
+/// 0.0 bound pass through unchanged. No branch.
+inline internal::SwLanePair Clamp(internal::SwLanePair x, double lo,
+                                  double hi) {
+  const auto vlo = internal::Splat<internal::SwLanePair>(lo);
+  const auto vhi = internal::Splat<internal::SwLanePair>(hi);
+  x = x < vlo ? vlo : x;
+  return x > vhi ? vhi : x;
+}
+
 /// Samples one SW output from input v (caller-guaranteed to already lie in
 /// [0, 1], making Perturb's defensive clamp the identity) and two uniform
-/// draws, branch-free. `near_mass` must be SwNearBandMass(params) and must
-/// lie strictly inside (0, 1) -- callers check once per batch (see
-/// SwBatchable). Consumes u1 for the band choice and u2 for the position,
-/// matching SquareWave::Perturb's draw order and arithmetic bit for bit:
-/// both selects compile to conditional moves, no RNG call leaves the
-/// caller's loop, and nothing rides the caller's feedback chain but the
-/// sampler arithmetic itself.
-inline double SwSampleFromUniforms(const SwParams& params, double near_mass,
-                                   double v, double u1, double u2) {
-  const double lo = v - params.b;
-  const double hi = v + params.b;
+/// draws. `near_mass` must be SwNearBandMass(params) and must lie strictly
+/// inside (0, 1) -- callers check once per batch (see SwBatchable).
+/// Consumes u1 for the band choice and u2 for the position, matching
+/// SquareWave::Perturb's draw order and arithmetic bit for bit. V is
+/// double (one stream) or internal::SwLanePair (two streams, one per
+/// element); both instantiations run the same operations in the same
+/// order, and internal::SelectLess picks between the same two values.
+template <typename V>
+inline V SwSampleFromUniforms(const SwParams& params, double near_mass, V v,
+                              V u1, V u2) {
+  const V lo = v - params.b;
+  const V hi = v + params.b;
   // Near band: Uniform(lo, hi) = lo + (hi - lo) * u2.
-  const double near_val = lo + (hi - lo) * u2;
+  const V near_val = lo + (hi - lo) * u2;
   // Far region: left part [-b, v-b) has width v, right part (v+b, 1+b]
   // has width 1-v; total width exactly 1, addressed directly by u2.
-  const double far_val = u2 < v ? -params.b + u2 : hi + (u2 - v);
-  return u1 < near_mass ? near_val : far_val;
+  const V far_val =
+      internal::SelectLess(u2, v, -params.b + u2, hi + (u2 - v));
+  return internal::SelectLess(u1, internal::Splat<V>(near_mass), near_val,
+                              far_val);
 }
 
 /// True when the batched two-uniform sampler is exact for these params:
@@ -79,10 +138,12 @@ inline bool SwBatchable(double near_mass) {
 }
 
 /// The once-per-chunk setup shared by every algorithm with an SW batch
-/// fast path: the sampler parameters and the precomputed near-band mass.
+/// fast path: the sampler parameters, the precomputed near-band mass and
+/// the budget each draw spends (the mechanism's epsilon).
 struct SwBatchPlan {
   SwParams params;
   double near_mass = 0.0;
+  double epsilon = 0.0;
 };
 
 /// Returns the batch plan when `mechanism` is a SquareWave whose
@@ -109,6 +170,34 @@ void ForEachSwSlot(std::span<const double> in, std::span<double> out,
                    const double* uniforms, size_t stride, Sample&& sample) {
   for (size_t i = 0; i < in.size(); ++i) {
     out[i] = sample(in[i], uniforms[i * stride], uniforms[i * stride + 1]);
+  }
+}
+
+/// Streams per lane-interleaved group: four SwLanePairs, so one step runs
+/// four independent feedback chains and they overlap their latency.
+inline constexpr size_t kSwLanes = 8;
+
+/// The lane-interleaved SW slot loop shared by the direct/IPP/APP/CAPP
+/// lane bodies (StreamPerturber::DoProcessSwLanes): `in` and `out` hold
+/// `count` slots of kSwLanes streams laid out [slot][lane], and lane l's
+/// uniform pairs sit at uniforms + l * 2 * kSwBlockSlots. For each slot t
+/// in order and each lane pair p, runs out[t][2p, 2p+1] = step(p,
+/// in[t][2p, 2p+1], u1, u2), with u1 and u2 from pair t of lanes 2p and
+/// 2p+1. The pairs of one slot are independent.
+template <typename Step>
+void ForEachSwLaneSlot(const double* in, double* out, const double* uniforms,
+                       size_t count, Step&& step) {
+  constexpr size_t kLaneUniforms = 2 * kSwBlockSlots;
+  for (size_t t = 0; t < count; ++t) {
+    for (size_t p = 0; p < kSwLanes / 2; ++p) {
+      const double* a = uniforms + 2 * p * kLaneUniforms + 2 * t;
+      const double* b = a + kLaneUniforms;
+      SwLanePair x{};
+      std::memcpy(&x, in + t * kSwLanes + 2 * p, sizeof x);
+      const SwLanePair report =
+          step(p, x, SwLanePair{a[0], b[0]}, SwLanePair{a[1], b[1]});
+      std::memcpy(out + t * kSwLanes + 2 * p, &report, sizeof report);
+    }
   }
 }
 

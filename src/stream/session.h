@@ -15,8 +15,10 @@
 #ifndef CAPP_STREAM_SESSION_H_
 #define CAPP_STREAM_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "algorithms/factory.h"
@@ -80,6 +82,25 @@ class UserSession {
   /// values.size().
   void ReportChunk(std::span<const double> values, std::span<double> out);
 
+  /// ReportChunk for a group of StreamPerturber::kLanes sessions at once:
+  /// group[l] perturbs values[l] into out[l] (all of one length), bit for
+  /// bit as group[l].ReportChunk would, leaving the same RNG, ledger and
+  /// slot-counter state. The group runs in lockstep through
+  /// StreamPerturber::ProcessSwLanes, so every session must run the same
+  /// algorithm with the same options and consumes_sw_uniforms(). group[0]
+  /// holds the [slot][lane] staging block.
+  static void ReportLanes(
+      std::span<UserSession, StreamPerturber::kLanes> group,
+      const std::array<std::span<const double>, StreamPerturber::kLanes>&
+          values,
+      const std::array<std::span<double>, StreamPerturber::kLanes>& out);
+
+  /// True when every slot is one Square Wave draw, which is what
+  /// ReportLanes needs (StreamPerturber::consumes_sw_uniforms).
+  bool consumes_sw_uniforms() const {
+    return perturber_->consumes_sw_uniforms();
+  }
+
   uint64_t user_id() const { return user_id_; }
   size_t slots_processed() const { return perturber_->slots_processed(); }
 
@@ -105,7 +126,8 @@ class UserSession {
   std::unique_ptr<StreamPerturber> perturber_;
   WEventAccountant ledger_;
   Rng rng_;
-  std::vector<double> clamp_scratch_;  // ReportChunk's clamped inputs
+  // ReportChunk's clamped inputs; ReportLanes' staging block in group[0].
+  std::vector<double> clamp_scratch_;
 };
 
 /// Collector-side session: ingest reports, publish streams and statistics.

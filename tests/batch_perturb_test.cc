@@ -6,14 +6,21 @@
 // Fleet's pooled worker loop -- produces results bit-identical to its
 // scalar per-element counterpart, consuming the RNG stream in the same
 // order and leaving identical budget-ledger and slot-counter state.
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algorithms/clip_bounds.h"
 #include "algorithms/factory.h"
+#include "algorithms/perturber.h"
 #include "core/rng.h"
 #include "core/stream_digest.h"
 #include "engine/engine_config.h"
@@ -267,6 +274,181 @@ TEST(ProcessChunkTest, ResetRestoresAFreshStream) {
   ExpectBitEqual(first, second, "Reset");
 }
 
+// --------------------------------------------------------- ProcessSwLanes --
+
+// The lane-pair helpers must reproduce their scalar counterparts element
+// for element on the values where operand order is observable: NaN, both
+// zeros, infinities and values exactly at the bounds. A maxpd-style clamp
+// with its operands swapped returns the bound for NaN and the other zero.
+TEST(SwLanePairTest, HelpersMatchScalarBitForBit) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {kNan, -kInf, kInf, -0.0,  0.0,  -0.125, 0.0625,
+                           0.5,  1.0,   1.25, -0.25, 0.25, 1e-300, 1.0 - 1e-16};
+  const double bounds[][2] = {{0.0, 1.0}, {-0.125, 1.125}, {0.0625, 0.5}};
+  for (double a : values) {
+    for (double b : values) {
+      SCOPED_TRACE(a);
+      SCOPED_TRACE(b);
+      const internal::SwLanePair pair{a, b};
+      const internal::SwLanePair sanitized = SanitizeUnitValue(pair);
+      EXPECT_EQ(std::bit_cast<uint64_t>(sanitized[0]),
+                std::bit_cast<uint64_t>(SanitizeUnitValue(a)));
+      EXPECT_EQ(std::bit_cast<uint64_t>(sanitized[1]),
+                std::bit_cast<uint64_t>(SanitizeUnitValue(b)));
+      for (const auto& [lo, hi] : bounds) {
+        const internal::SwLanePair clamped = Clamp(pair, lo, hi);
+        EXPECT_EQ(std::bit_cast<uint64_t>(clamped[0]),
+                  std::bit_cast<uint64_t>(Clamp(a, lo, hi)));
+        EXPECT_EQ(std::bit_cast<uint64_t>(clamped[1]),
+                  std::bit_cast<uint64_t>(Clamp(b, lo, hi)));
+      }
+      // Each comparison outcome picks its own operand, in both types.
+      const internal::SwLanePair picked = internal::SelectLess(
+          pair, internal::SwLanePair{b, a}, internal::SwLanePair{1.0, 2.0},
+          internal::SwLanePair{3.0, 4.0});
+      EXPECT_EQ(picked[0], a < b ? 1.0 : 3.0);
+      EXPECT_EQ(picked[1], b < a ? 2.0 : 4.0);
+      EXPECT_EQ(internal::SelectLess(a, b, 1.0, 3.0), a < b ? 1.0 : 3.0);
+    }
+  }
+}
+
+// Per-lane inputs for the lane tests: MakeInputs plus the values that
+// stress the lane helpers (-0.0, NaN, infinities, out-of-range) and CAPP's
+// own clip bounds l and u, each at a lane-dependent position.
+std::vector<double> MakeLaneInputs(size_t n, uint64_t seed,
+                                   const ClipBounds& bounds) {
+  std::vector<double> xs = MakeInputs(n, seed, /*include_nonfinite=*/true);
+  const double specials[] = {-0.0,
+                             bounds.l,
+                             bounds.u,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::infinity(),
+                             1e300,
+                             -1e-300};
+  for (size_t k = 0; k < std::size(specials); ++k) {
+    const size_t at = (seed * 7 + k * 13) % std::max<size_t>(n, 1);
+    if (at < n) xs[at] = specials[k];
+  }
+  return xs;
+}
+
+const AlgorithmKind kSwKinds[] = {AlgorithmKind::kSwDirect,
+                                  AlgorithmKind::kIpp, AlgorithmKind::kApp,
+                                  AlgorithmKind::kCapp};
+
+TEST(ProcessSwLanesTest, BitIdenticalToPerStreamProcessChunk) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  const PerturberOptions options{1.0, 10};
+  auto bounds = SelectClipBounds(options.epsilon / options.window);
+  ASSERT_TRUE(bounds.ok());
+  for (AlgorithmKind kind : kSwKinds) {
+    // Straddles the 128-slot uniform block; the second call (5 more
+    // slots) checks that each lane's feedback state was stored back.
+    for (size_t n : {size_t{1}, size_t{127}, size_t{128}, size_t{129},
+                     size_t{300}}) {
+      SCOPED_TRACE(AlgorithmKindName(kind));
+      SCOPED_TRACE(n);
+      const size_t total = n + 5;
+      // Two references per lane: ProcessChunk, which shares the slot
+      // formula with the lanes, and ProcessValue, which goes through
+      // SquareWave::Perturb and so catches a fault in the shared formula.
+      std::unique_ptr<StreamPerturber> per_slot[kLanes];
+      std::unique_ptr<StreamPerturber> scalar[kLanes];
+      std::unique_ptr<StreamPerturber> laned[kLanes];
+      WEventAccountant scalar_ledgers[kLanes];
+      WEventAccountant lane_ledgers[kLanes];
+      std::vector<Rng> scalar_rngs;
+      std::vector<Rng> lane_rngs;
+      std::vector<std::vector<double>> xs;
+      StreamPerturber* lanes[kLanes] = {};
+      Rng* rngs[kLanes] = {};
+      for (size_t l = 0; l < kLanes; ++l) {
+        auto a = CreatePerturber(kind, options);
+        auto b = CreatePerturber(kind, options);
+        auto c = CreatePerturber(kind, options);
+        ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+        ASSERT_TRUE((*a)->consumes_sw_uniforms());
+        scalar[l] = std::move(*a);
+        per_slot[l] = std::move(*c);
+        laned[l] = std::move(*b);
+        scalar[l]->AttachAccountant(&scalar_ledgers[l]);
+        laned[l]->AttachAccountant(&lane_ledgers[l]);
+        scalar_rngs.emplace_back(1000 + 17 * l);
+        lane_rngs.emplace_back(1000 + 17 * l);
+        xs.push_back(MakeLaneInputs(total, 50 + l, *bounds));
+        lanes[l] = laned[l].get();
+      }
+      for (size_t l = 0; l < kLanes; ++l) rngs[l] = &lane_rngs[l];
+
+      std::vector<std::vector<double>> expected(kLanes,
+                                                std::vector<double>(total));
+      for (size_t l = 0; l < kLanes; ++l) {
+        Rng rng(1000 + 17 * l);
+        std::vector<double> reference(total);
+        for (size_t t = 0; t < total; ++t) {
+          reference[t] = per_slot[l]->ProcessValue(xs[l][t], rng);
+        }
+        const std::span<const double> in(xs[l]);
+        const std::span<double> out(expected[l]);
+        scalar[l]->ProcessChunk(in.first(n), out.first(n), scalar_rngs[l]);
+        scalar[l]->ProcessChunk(in.subspan(n), out.subspan(n),
+                                scalar_rngs[l]);
+        ExpectBitEqual(reference, expected[l], "ProcessValue reference");
+      }
+      std::vector<double> lane_out(kLanes * total);
+      for (const auto& [begin, len] :
+           {std::pair<size_t, size_t>{0, n}, {n, total - n}}) {
+        std::vector<double> block_in(kLanes * len);
+        for (size_t t = 0; t < len; ++t) {
+          for (size_t l = 0; l < kLanes; ++l) {
+            block_in[t * kLanes + l] = xs[l][begin + t];
+          }
+        }
+        StreamPerturber::ProcessSwLanes(
+            lanes, rngs, block_in,
+            std::span(lane_out).subspan(begin * kLanes, len * kLanes));
+      }
+
+      for (size_t l = 0; l < kLanes; ++l) {
+        SCOPED_TRACE(l);
+        std::vector<double> got(total);
+        for (size_t t = 0; t < total; ++t) got[t] = lane_out[t * kLanes + l];
+        ExpectBitEqual(expected[l], got, "ProcessSwLanes");
+        EXPECT_EQ(scalar[l]->slots_processed(), laned[l]->slots_processed());
+        EXPECT_EQ(std::bit_cast<uint64_t>(
+                      scalar_ledgers[l].MaxWindowSpend(options.window)),
+                  std::bit_cast<uint64_t>(
+                      lane_ledgers[l].MaxWindowSpend(options.window)));
+        EXPECT_EQ(scalar_ledgers[l].num_slots(), lane_ledgers[l].num_slots());
+        EXPECT_EQ(scalar_rngs[l].NextUint64(), lane_rngs[l].NextUint64());
+      }
+    }
+  }
+}
+
+TEST(ProcessSwLanesDeathTest, RejectsMixedAlgorithms) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  std::vector<std::unique_ptr<StreamPerturber>> owned;
+  StreamPerturber* lanes[kLanes] = {};
+  Rng rng_pool[kLanes] = {Rng(1), Rng(2), Rng(3), Rng(4),
+                          Rng(5), Rng(6), Rng(7), Rng(8)};
+  Rng* rngs[kLanes] = {};
+  for (size_t l = 0; l < kLanes; ++l) {
+    auto p = CreatePerturber(
+        l == 5 ? AlgorithmKind::kApp : AlgorithmKind::kCapp, {1.0, 10});
+    ASSERT_TRUE(p.ok());
+    owned.push_back(std::move(*p));
+    lanes[l] = owned.back().get();
+    rngs[l] = &rng_pool[l];
+  }
+  std::vector<double> in(kLanes, 0.5);
+  std::vector<double> out(kLanes);
+  EXPECT_DEATH(StreamPerturber::ProcessSwLanes(lanes, rngs, in, out),
+               "CAPP_CHECK");
+}
+
 // -------------------------------------------------------- SwParams cache --
 
 TEST(SwParamsCacheTest, CachedMatchesComputeBitForBit) {
@@ -351,6 +533,43 @@ TEST(UserSessionBatchTest, ResetForUserEqualsFreshSession) {
   EXPECT_EQ(pooled->user_id(), 123u);
   ExpectBitEqual(fresh_out, pooled_out, "ResetForUser");
   EXPECT_EQ(fresh->MaxWindowSpend(), pooled->MaxWindowSpend());
+}
+
+TEST(UserSessionBatchTest, ReportLanesMatchesReportChunk) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  for (AlgorithmKind kind : kSwKinds) {
+    SCOPED_TRACE(AlgorithmKindName(kind));
+    std::vector<UserSession> chunked;
+    std::vector<UserSession> grouped;
+    std::vector<std::vector<double>> xs;
+    for (size_t l = 0; l < kLanes; ++l) {
+      auto a = UserSession::Create(l, kind, {1.0, 10}, 300 + l);
+      auto b = UserSession::Create(l, kind, {1.0, 10}, 300 + l);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_TRUE(b->consumes_sw_uniforms());
+      chunked.push_back(std::move(*a));
+      grouped.push_back(std::move(*b));
+      xs.push_back(MakeInputs(100, 60 + l, /*include_nonfinite=*/true));
+    }
+    std::vector<std::vector<double>> expected(kLanes,
+                                              std::vector<double>(100));
+    std::vector<std::vector<double>> got(kLanes, std::vector<double>(100));
+    std::array<std::span<const double>, kLanes> values;
+    std::array<std::span<double>, kLanes> out;
+    for (size_t l = 0; l < kLanes; ++l) {
+      chunked[l].ReportChunk(xs[l], expected[l]);
+      values[l] = xs[l];
+      out[l] = got[l];
+    }
+    UserSession::ReportLanes(std::span<UserSession, kLanes>(grouped), values,
+                             out);
+    for (size_t l = 0; l < kLanes; ++l) {
+      ExpectBitEqual(expected[l], got[l], "ReportLanes");
+      EXPECT_EQ(chunked[l].slots_processed(), grouped[l].slots_processed());
+      EXPECT_EQ(chunked[l].MaxWindowSpend(), grouped[l].MaxWindowSpend());
+      EXPECT_TRUE(grouped[l].AuditBudget().ok());
+    }
+  }
 }
 
 // ---------------------------------------------------------- IngestUserRun --
@@ -453,36 +672,42 @@ uint64_t ScalarOracleDigest(const EngineConfig& config,
 }
 
 TEST(FleetBatchTest, DigestMatchesScalarOracleAndIsThreadInvariant) {
+  // SW algorithms take users in lane groups; 203 users in chunks of 13
+  // leave a 5-user per-user tail in every chunk but the last (8 users).
   for (AlgorithmKind kind :
        {AlgorithmKind::kCapp, AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
-        AlgorithmKind::kBaSw}) {
-    SCOPED_TRACE(AlgorithmKindName(kind));
-    EngineConfig config;
-    config.algorithm = kind;
-    config.epsilon = 1.0;
-    config.window = 10;
-    config.num_users = 200;
-    config.num_slots = 30;
-    config.chunk_size = 32;
-    config.seed = 2025;
-    config.signal = SignalKind::kSinusoid;
-    config.keep_streams = false;
+        AlgorithmKind::kApp, AlgorithmKind::kBaSw}) {
+    for (const auto& [users, chunk_size] :
+         {std::pair<size_t, size_t>{200, 32}, {203, 13}}) {
+      SCOPED_TRACE(AlgorithmKindName(kind));
+      SCOPED_TRACE(users);
+      EngineConfig config;
+      config.algorithm = kind;
+      config.epsilon = 1.0;
+      config.window = 10;
+      config.num_users = users;
+      config.num_slots = 30;
+      config.chunk_size = chunk_size;
+      config.seed = 2025;
+      config.signal = SignalKind::kSinusoid;
+      config.keep_streams = false;
 
-    uint64_t oracle = 0;
-    bool have_oracle = false;
-    for (int threads : {1, 4, 8}) {
-      SCOPED_TRACE(threads);
-      config.num_threads = threads;
-      auto fleet = Fleet::Create(config);
-      ASSERT_TRUE(fleet.ok());
-      if (!have_oracle) {
-        oracle = ScalarOracleDigest(config, fleet->smoothing_window());
-        have_oracle = true;
+      uint64_t oracle = 0;
+      bool have_oracle = false;
+      for (int threads : {1, 4, 8}) {
+        SCOPED_TRACE(threads);
+        config.num_threads = threads;
+        auto fleet = Fleet::Create(config);
+        ASSERT_TRUE(fleet.ok());
+        if (!have_oracle) {
+          oracle = ScalarOracleDigest(config, fleet->smoothing_window());
+          have_oracle = true;
+        }
+        auto stats = fleet->Run();
+        ASSERT_TRUE(stats.ok());
+        EXPECT_EQ(stats->stream_digest, oracle)
+            << "batched fleet diverged from the scalar oracle";
       }
-      auto stats = fleet->Run();
-      ASSERT_TRUE(stats.ok());
-      EXPECT_EQ(stats->stream_digest, oracle)
-          << "batched fleet diverged from the scalar oracle";
     }
   }
 }
