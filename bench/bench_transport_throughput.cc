@@ -1,8 +1,7 @@
 // Transport throughput benchmark: what does the wire cost? Runs the same
 // fleet scenario through every transport -- direct in-process ingest, the
-// MPSC queue of structured run batches (with and without shard-affinity
-// routing), the queue of binary wire frames, and the unix-socket stream
-// of those frames (with and without affinity) -- and reports sustained
+// per-consumer queues of binary wire frames, and the unix-socket stream
+// of those frames (mutex and owned-shard ingest) -- and reports sustained
 // reports/s, frames/s, and backpressure stalls for each.
 //
 //   $ ./bench_transport_throughput                    # 1M users x 100 slots
@@ -12,9 +11,7 @@
 // Every run re-verifies the transport determinism contract: the published
 // -stream digest must be bit-identical across all rows (exit status is
 // non-zero otherwise), and writes BENCH_transport_throughput.json with
-// the scenario, per-transport throughput, and ratios against direct --
-// including queue_affinity_vs_queue, the number the shard-affinity
-// routing exists to move.
+// the scenario, per-transport throughput, and ratios against direct.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -52,19 +49,14 @@ struct TransportBenchFlags {
 struct TransportRow {
   const char* name;  // display + JSON key
   TransportKind kind;
-  bool shard_affinity;
   bool owned_shards;
 };
 
 constexpr TransportRow kRows[] = {
-    {"direct", TransportKind::kDirect, false, false},
-    {"queue", TransportKind::kQueue, false, false},
-    {"queue_affinity", TransportKind::kQueue, true, false},
-    {"queue_owned", TransportKind::kQueue, true, true},
-    {"queue_framed", TransportKind::kQueueFramed, false, false},
-    {"socket", TransportKind::kSocket, false, false},
-    {"socket_affinity", TransportKind::kSocket, true, false},
-    {"socket_owned", TransportKind::kSocket, true, true},
+    {"direct", TransportKind::kDirect, false},
+    {"queue_framed", TransportKind::kQueueFramed, false},
+    {"socket", TransportKind::kSocket, false},
+    {"socket_owned", TransportKind::kSocket, true},
 };
 
 [[noreturn]] void Usage(const char* argv0) {
@@ -143,7 +135,6 @@ EngineStats RunOnce(const TransportBenchFlags& flags,
   config.seed = flags.seed;
   config.keep_streams = false;  // aggregate-only: the scaling configuration
   config.transport.kind = row.kind;
-  config.transport.shard_affinity = row.shard_affinity;
   config.transport.owned_shards = row.owned_shards;
   config.transport.num_consumers = flags.consumers;
   config.transport.queue_capacity = flags.queue_capacity;
@@ -225,36 +216,21 @@ int Run(int argc, char** argv) {
     PrintRun(row, results.back());
   }
   const EngineStats& direct = results[0];
-  const EngineStats& queued = results[1];
-  const EngineStats& queued_affinity = results[2];
-  const EngineStats& queued_owned = results[3];
-  const EngineStats& framed = results[4];
-  const EngineStats& socket = results[5];
+  const EngineStats& framed = results[1];
+  const EngineStats& socket = results[2];
+  const EngineStats& socket_owned = results[3];
 
-  const double queue_ratio =
-      Ratio(queued.reports_per_sec, direct.reports_per_sec);
   const double framed_ratio =
       Ratio(framed.reports_per_sec, direct.reports_per_sec);
-  const double affinity_gain =
-      Ratio(queued_affinity.reports_per_sec, queued.reports_per_sec);
-  const double owned_vs_direct =
-      Ratio(queued_owned.reports_per_sec, direct.reports_per_sec);
-  const double owned_vs_affinity =
-      Ratio(queued_owned.reports_per_sec,
-            queued_affinity.reports_per_sec);
-  std::printf("\nqueue sustains %.0f%% of direct ingest; framed (encode + "
-              "CRC decode) %.0f%%; socket %.0f%%\n",
-              100.0 * queue_ratio, 100.0 * framed_ratio,
-              100.0 * Ratio(socket.reports_per_sec,
-                            direct.reports_per_sec));
-  std::printf("shard affinity moves queue ingest to %.0f%% of the shared-"
-              "queue path\n",
-              100.0 * affinity_gain);
-  std::printf("owned shards (mutex-free ingest) reach %.0f%% of direct "
-              "(%.0f%% of mutex affinity, %llu seqlock retries)\n",
-              100.0 * owned_vs_direct, 100.0 * owned_vs_affinity,
+  std::printf("\nframed queue (encode + CRC decode) sustains %.0f%% of "
+              "direct ingest; socket %.0f%%; socket with owned shards "
+              "%.0f%% (%llu seqlock retries)\n",
+              100.0 * framed_ratio,
+              100.0 * Ratio(socket.reports_per_sec, direct.reports_per_sec),
+              100.0 * Ratio(socket_owned.reports_per_sec,
+                            direct.reports_per_sec),
               static_cast<unsigned long long>(
-                  queued_owned.seqlock_read_retries));
+                  socket_owned.seqlock_read_retries));
 
   if (!flags.json_path.empty()) {
     JsonObjectWriter json;
@@ -271,11 +247,7 @@ int Run(int argc, char** argv) {
     for (size_t i = 0; i < results.size(); ++i) {
       json.AddObject(kRows[i].name, RunJson(results[i]));
     }
-    json.AddNumber("queue_vs_direct", queue_ratio);
     json.AddNumber("framed_vs_direct", framed_ratio);
-    json.AddNumber("queue_affinity_vs_queue", affinity_gain);
-    json.AddNumber("queue_owned_vs_direct", owned_vs_direct);
-    json.AddNumber("queue_owned_vs_queue_affinity", owned_vs_affinity);
     json.AddHex("digest", direct.stream_digest);
     bool match = true;
     for (const EngineStats& stats : results) {

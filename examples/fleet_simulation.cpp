@@ -3,7 +3,7 @@
 //   $ ./fleet_simulation                 # 1,000,000 users, 24 slots
 //   $ ./fleet_simulation 250000 48       # custom population / horizon
 //   $ ./fleet_simulation 250000 48 --transport=framed --consumers=4
-//   $ ./fleet_simulation 250000 48 --transport=socket --affinity
+//   $ ./fleet_simulation 250000 48 --transport=socket --consumers=4
 //   $ ./fleet_simulation 250000 48 --connect=/tmp/capp.sock
 //
 // A million simulated devices each run CAPP under w-event LDP over a noisy
@@ -13,17 +13,17 @@
 // simulator knows. Demonstrates the estimation-error law the engine exists
 // to exploit: per-slot error shrinks as the population grows.
 //
-// --transport=direct|queue|framed|socket selects how reports travel to the
-// collector (in-place call, MPSC ring of run batches, the ring carrying
-// CRC-checked binary wire frames, or those frames streamed through a
-// loopback unix socket); results are bit-identical across all four.
-// --consumers=N sizes the draining thread pool and --affinity routes each
-// run to the consumer owning its shard group. --connect=PATH sends the
-// reports to an external collector process instead (tools/collector_server
-// listening on PATH), and --connect-tcp=HOST:PORT does the same across
-// hosts over TCP; the accuracy table still prints, because the fleet
-// side computes it from its own ground truth, but the collector-side
-// aggregates then live in the server process. --connect-streams=N stripes
+// --transport=direct|framed|socket selects how reports travel to the
+// collector (in-place call, MPSC rings carrying CRC-checked binary wire
+// frames, or those frames streamed through a loopback unix socket);
+// results are bit-identical across all three. --consumers=N sizes the
+// draining thread pool; each consumer ingests the runs of its own shard
+// group. --connect=PATH sends the reports to an external collector
+// process instead (tools/collector_server listening on PATH), and
+// --connect-tcp=HOST:PORT does the same across hosts over TCP; the
+// accuracy table still prints, because the fleet side computes it from
+// its own ground truth, but the collector-side aggregates then live in
+// the server process. --connect-streams=N stripes
 // the upload over N handshaked connections, each an independently
 // resumable sequence-numbered stream: if the collector (or the network)
 // drops one mid-run, the fleet redials up to --reconnect-attempts times
@@ -59,8 +59,8 @@ namespace {
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [users] [slots] "
-               "[--transport=direct|queue|framed|socket]\n"
-               "          [--consumers=N] [--affinity] [--connect=PATH]\n"
+               "[--transport=direct|framed|socket]\n"
+               "          [--consumers=N] [--connect=PATH]\n"
                "          [--connect-tcp=HOST:PORT] [--connect-streams=N]\n"
                "          [--connect-retries=N] [--connect-backoff-ms=N]\n"
                "          [--reconnect-attempts=N]\n"
@@ -169,13 +169,13 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--transport=")) {
       auto kind = capp::ParseTransportKind(arg.substr(12));
       if (!kind.ok()) {
-        std::fprintf(stderr, "%s (want direct|queue|framed|socket)\n",
+        std::fprintf(stderr, "%s (want direct|framed|socket)\n",
                      kind.status().ToString().c_str());
         return 2;
       }
       config.transport.kind = *kind;
       // Last flag wins outright: a --transport after a --connect must not
-      // leave a stale endpoint behind (a kQueue run that claims a remote
+      // leave a stale endpoint behind (a framed run that claims a remote
       // collector would strand the server and hide the results).
       config.transport.socket_path.clear();
       config.transport.tcp_host.clear();
@@ -265,8 +265,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       config.multidim_strategy = *strategy;
-    } else if (arg == "--affinity") {
-      config.transport.shard_affinity = true;
     } else if (arg == "--analytics") {
       config.analytics.enabled = true;
     } else if (arg.starts_with("--metrics-json=")) {
@@ -331,12 +329,11 @@ int main(int argc, char** argv) {
                 ")"
           : "";
   std::printf("Simulating %zu users x %zu slots (CAPP, eps=%.1f, w=%d%s, "
-              "%s transport%s%s)...\n",
+              "%s transport%s)...\n",
               config.num_users, config.num_slots, config.epsilon,
               config.window, dims_note.c_str(),
               std::string(capp::TransportKindName(config.transport.kind))
                   .c_str(),
-              config.transport.shard_affinity ? ", shard affinity" : "",
               remote_collector ? ", remote collector" : "");
 
   auto fleet = capp::Fleet::Create(config);

@@ -118,15 +118,16 @@ struct EngineConfig {
   int smoothing_window = 0;
 
   /// How reports travel from the fleet's workers to the collector:
-  /// kDirect calls ShardedCollector::IngestUserRun in place; kQueue and
-  /// kQueueFramed route every run through the transport hub's bounded
-  /// MPSC ring (and, for kQueueFramed, the binary wire codec) drained by
-  /// transport.num_consumers threads; kSocket streams the wire frames
-  /// through a unix-domain socket to a collector-side acceptor (an
-  /// in-process loopback server, or the external tools/collector_server
-  /// when transport.socket_path is set). transport.shard_affinity routes
-  /// each run to the consumer owning its shard group. Results are
-  /// bit-identical across all kinds, thread mixes, and affinity settings.
+  /// kDirect calls ShardedCollector::IngestUserRun in place; kQueueFramed
+  /// encodes every run as a wire frame onto the transport hub's bounded
+  /// MPSC rings, one per consumer, drained and CRC-checked by
+  /// transport.num_consumers threads; kSocket streams the same frames
+  /// through a socket to a collector-side acceptor (an in-process
+  /// loopback server, or the external tools/collector_server when
+  /// transport.socket_path or tcp_host is set). The queued kinds route
+  /// each run to the consumer owning its shard group, which is what lets
+  /// transport.owned_shards drop the shard mutexes. Results are
+  /// bit-identical across all kinds, thread mixes, and ingest modes.
   TransportOptions transport;
 
   /// Streaming collector-side analytics (per-slot value histograms).

@@ -216,9 +216,10 @@ Result<Fleet> Fleet::Create(EngineConfig config) {
   collector_options.num_shards = config.num_shards;
   collector_options.keep_streams = config.keep_streams;
   collector_options.dims = config.dims;
-  // Validation already pinned the sound combination (affinity routing,
-  // queued kind, aggregate-only), so the transport's ownership claim
-  // translates directly into single-writer collector storage.
+  // Validation already pinned the sound combination (queued kind, whose
+  // shard-group routing gives every shard one writer, and aggregate-only
+  // storage), so the transport's ownership claim translates directly
+  // into single-writer collector storage.
   collector_options.single_writer = config.transport.owned_shards;
   if (config.analytics.enabled) {
     // Histogram geometry follows the fleet's per-slot budget, so a
@@ -375,11 +376,7 @@ Result<EngineStats> Fleet::Run() {
       // run into a pooled frame instead of touching the collector here.
       // A d-dimensional device's run is its full dim-major block.
       if (producer.has_value()) {
-        if (dims == 1) {
-          producer->Publish(uid, /*base_slot=*/0, report_values);
-        } else {
-          producer->Publish(uid, /*base_slot=*/0, dims, report_values);
-        }
+        producer->Publish(uid, /*base_slot=*/0, dims, report_values);
       } else if (dims == 1) {
         ingest->IngestUserRun(uid, /*base_slot=*/0, report_values);
       } else {

@@ -27,12 +27,12 @@
 // the aggregate-only production shape).
 //
 // Single-writer mode (single_writer = true) goes one step further for
-// the shard-affinity transport shape: when the transport routes every
-// shard group to exactly one consumer thread, each shard has exactly
-// one writer, so the per-shard mutex buys nothing on the ingest path.
-// Ingest then skips the mutex entirely and publishes the per-slot
-// aggregates (and histogram bins) through a per-shard seqlock: each
-// aggregate lives as its five Packed words in a flat atomic array, the
+// the queued transport shape: the transport routes every shard group to
+// exactly one consumer thread, so each shard has exactly one writer and
+// the per-shard mutex buys nothing on the ingest path. Ingest then
+// skips the mutex entirely and publishes the per-slot aggregates (and
+// histogram bins) through a per-shard seqlock: each aggregate lives
+// as its five Packed words in a flat atomic array, the
 // owner brackets every run with an odd/even sequence counter, and
 // concurrent aggregate readers copy the words and retry if the
 // sequence was odd or moved (a torn snapshot) instead of ever blocking
@@ -100,11 +100,12 @@ struct ShardedCollectorOptions {
   /// cannot be detected without the raw values).
   bool keep_streams = true;
   /// Single-writer (shard-owned) ingest: the caller guarantees that at
-  /// most one thread ever ingests into any given shard (the transport's
-  /// shard_affinity routing provides exactly this), and in exchange the
-  /// ingest path skips the per-shard mutex entirely, publishing the
-  /// per-slot aggregates and histogram bins through a per-shard seqlock
-  /// for concurrent aggregate readers (see the class comment). Requires
+  /// most one thread ever ingests into any given shard (the queued
+  /// transports' shard-group routing provides exactly this), and in
+  /// exchange the ingest path skips the per-shard mutex entirely,
+  /// publishing the per-slot aggregates and histogram bins through a
+  /// per-shard seqlock for concurrent aggregate readers (see the class
+  /// comment). Requires
   /// keep_streams = false. Per-user queries (Contains / SlotCount) are
   /// then safe only from the shard's owning thread or after ingest has
   /// quiesced -- which covers every existing caller: the durable tier's

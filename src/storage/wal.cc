@@ -380,7 +380,18 @@ Result<WalSegmentScan> ScanWalSegment(const std::string& path,
     const auto consumed = DecodeUserRunFrame(
         {bytes.data() + offset, bytes.size() - offset}, &user_id,
         &base_slot, &dims, scratch);
-    if (!consumed.ok()) break;  // short read or CRC failure: truncate here
+    if (!consumed.ok()) {
+      // A well-formed header whose run ends past the collector's cell
+      // index is not a torn write: it is data no collector can ingest,
+      // and truncating it away would hide that. Refuse the log instead.
+      if (consumed.status().code() == StatusCode::kOutOfRange) {
+        return Status::OutOfRange(
+            "wal segment " + path + " holds a frame at byte " +
+            std::to_string(offset) + " that no collector can ingest (" +
+            consumed.status().message() + "); refusing to replay it");
+      }
+      break;  // short read or CRC failure: truncate here
+    }
     offset += *consumed;
     ++scan.frames;
   }

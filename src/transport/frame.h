@@ -1,10 +1,9 @@
 // The unit carried by the transport queue: one pooled batch of user runs.
 //
 // A frame holds many devices' runs so queue traffic is amortized -- the
-// ring sees one Push per ~max_batch_runs users, not one per report. The
-// same object serves both queue modes: kQueue fills the structured
-// (runs, values) views; kQueueFramed fills `bytes` with concatenated wire
-// frames (transport/wire_format.h). Frames are recycled through the hub's
+// ring sees one Push per ~max_batch_runs users, not one per report. Its
+// payload is concatenated wire frames (transport/wire_format.h), the
+// same bytes a socket carries. Frames are recycled through the hub's
 // pool, so steady-state transport allocates nothing.
 #ifndef CAPP_TRANSPORT_FRAME_H_
 #define CAPP_TRANSPORT_FRAME_H_
@@ -16,29 +15,12 @@ namespace capp {
 
 /// One batch of user runs in flight between producers and consumers.
 struct ReportFrame {
-  /// One device's run of consecutive slots: values[offset, offset+count)
-  /// are the reports for slots base_slot, base_slot+1, ... For a
-  /// d-dimensional run (dims > 1) the same span is dim-major -- all of
-  /// dimension 0's slots, then dimension 1's -- exactly the 0xC6 wire
-  /// payload order, and count stays the total number of doubles.
-  struct RunHeader {
-    uint64_t user_id = 0;
-    uint64_t base_slot = 0;
-    uint32_t offset = 0;
-    uint32_t count = 0;
-    uint32_t dims = 1;
-  };
-
-  std::vector<RunHeader> runs;  ///< Structured runs (kQueue).
-  std::vector<double> values;   ///< Flat backing store for `runs`.
-  std::vector<uint8_t> bytes;   ///< Encoded wire frames (kQueueFramed).
-  uint64_t run_count = 0;       ///< Runs staged, either representation.
-  bool poison = false;          ///< Shutdown sentinel: consumer exits.
+  std::vector<uint8_t> bytes;  ///< Encoded wire frames, back to back.
+  uint64_t run_count = 0;      ///< Runs staged in `bytes`.
+  bool poison = false;         ///< Shutdown sentinel: consumer exits.
 
   /// Resets content, keeping capacity (pool reuse).
   void Clear() {
-    runs.clear();
-    values.clear();
     bytes.clear();
     run_count = 0;
     poison = false;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -21,6 +22,10 @@
 
 namespace capp {
 namespace {
+
+// How long the acceptor waits before retrying an accept that failed for
+// want of descriptors or kernel memory.
+constexpr std::chrono::milliseconds kAcceptRetryBackoff{10};
 
 Status ErrnoStatus(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -259,7 +264,6 @@ Result<std::unique_ptr<SocketCollectorServer>> SocketCollectorServer::Create(
   inner.queue_capacity = options.queue_capacity;
   inner.num_consumers = options.num_consumers;
   inner.max_batch_runs = options.max_batch_runs;
-  inner.shard_affinity = options.shard_affinity;
   CAPP_ASSIGN_OR_RETURN(auto hub, TransportHub::Create(collector, inner));
 
   int listen_fd = -1;
@@ -335,21 +339,30 @@ void SocketCollectorServer::AcceptorMain() {
       // A peer that connected and reset before we got here kills its own
       // connection, not the server.
       if (errno == ECONNABORTED || errno == EPROTO) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-          stopping_.load(std::memory_order_acquire)) {
+      const bool stopping = stopping_.load(std::memory_order_acquire);
+      if ((errno == EAGAIN || errno == EWOULDBLOCK) && stopping) {
         return;  // backlog drained after the stop flag
       }
-      if (!stopping_.load(std::memory_order_acquire)) {
-        // Fatal while serving (fd exhaustion, listener yanked): dying
-        // silently would leave the waiters blocked forever. Record the
-        // reason and wake every waiter instead.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Resource exhaustion passes: the pending connection stays in the
+        // backlog, so back off and retry rather than stop serving for
+        // good. Once stopping, a backlog we cannot accept is abandoned.
+        if (stopping) return;
+        std::this_thread::sleep_for(kAcceptRetryBackoff);
+        continue;
+      }
+      if (!stopping) {
+        // A real listener error (the socket yanked or shut down under
+        // us): dying silently would leave the waiters blocked forever.
+        // Record the reason and wake every waiter instead.
         Status failed = ErrnoStatus("accept");
         std::lock_guard<std::mutex> lock(mu_);
         acceptor_failed_ = true;
         acceptor_status_ = std::move(failed);
         conn_finished_cv_.notify_all();
       }
-      return;  // listener shut down by Finish, or the fatal error above
+      return;  // listener shut down by Finish, or the error above
     }
     size_t slot;
     {

@@ -133,8 +133,8 @@ class SocketClient {
 /// The collector tier of the socket transport: binds a unix socket or a
 /// TCP listener, accepts producer connections, handshakes each one, and
 /// feeds every received frame through an internal kQueueFramed
-/// TransportHub (CRC-checked decode, optional shard-affinity routing, N
-/// consumer threads) into the ShardedCollector. Used in-process by the
+/// TransportHub (CRC-checked decode, shard-group routing, N consumer
+/// threads) into the ShardedCollector. Used in-process by the
 /// loopback kSocket hub and cross-process by tools/collector_server.
 class SocketCollectorServer {
  public:
@@ -158,7 +158,6 @@ class SocketCollectorServer {
     int num_consumers = 2;
     size_t queue_capacity = 16;  // as TransportOptions::queue_capacity
     size_t max_batch_runs = 64;
-    bool shard_affinity = false;
   };
 
   /// Binds, listens, and starts the acceptor + consumer threads.
@@ -266,7 +265,7 @@ class SocketCollectorServer {
   uint64_t reader_decode_failures_ = 0;
   uint64_t chunks_ = 0;
   uint64_t bytes_read_ = 0;
-  bool acceptor_failed_ = false;  // died on a fatal accept error
+  bool acceptor_failed_ = false;  // died on a listener error
   Status acceptor_status_;
 
   bool finished_server_ = false;

@@ -8,8 +8,6 @@ std::string_view TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kDirect:
       return "direct";
-    case TransportKind::kQueue:
-      return "queue";
     case TransportKind::kQueueFramed:
       return "framed";
     case TransportKind::kSocket:
@@ -19,7 +17,7 @@ std::string_view TransportKindName(TransportKind kind) {
 }
 
 Result<TransportKind> ParseTransportKind(std::string_view name) {
-  for (TransportKind kind : {TransportKind::kDirect, TransportKind::kQueue,
+  for (TransportKind kind : {TransportKind::kDirect,
                              TransportKind::kQueueFramed,
                              TransportKind::kSocket}) {
     if (name == TransportKindName(kind)) return kind;
@@ -38,22 +36,13 @@ Status ValidateTransportOptions(const TransportOptions& options) {
   if (options.max_batch_runs < 1) {
     return Status::InvalidArgument("transport max_batch_runs must be >= 1");
   }
-  if (options.owned_shards) {
+  if (options.owned_shards && options.kind == TransportKind::kDirect) {
     // Single-writer collector shards are only sound when the routing
-    // guarantees one writer per shard; reject the unsound combinations
+    // guarantees one writer per shard; reject the unsound combination
     // here rather than racing silently at runtime.
-    if (options.kind == TransportKind::kDirect) {
-      return Status::InvalidArgument(
-          "owned_shards requires a queued transport: under kDirect every "
-          "worker thread ingests directly, so no shard has a single "
-          "writer");
-    }
-    if (!options.shard_affinity) {
-      return Status::InvalidArgument(
-          "owned_shards requires shard_affinity: without affinity "
-          "routing, multiple consumers write the same shard and "
-          "single-writer ingest would race");
-    }
+    return Status::InvalidArgument(
+        "owned_shards requires a queued transport: under kDirect every "
+        "worker thread ingests directly, so no shard has a single writer");
   }
   // sockaddr_un::sun_path is 108 bytes on Linux; leave headroom for the
   // terminator. Checked for every kind so a config cannot become invalid

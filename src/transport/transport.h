@@ -17,9 +17,9 @@ namespace capp {
 /// How reports reach the collector.
 enum class TransportKind {
   kDirect,       ///< In-process function call (no queue, no consumers).
-  kQueue,        ///< MPSC ring of structured run batches.
-  kQueueFramed,  ///< MPSC ring of binary wire frames (encode + CRC-checked
-                 ///< decode on every run: the full wire path, in process).
+  kQueueFramed,  ///< Per-consumer MPSC rings of binary wire frames (encode
+                 ///< + CRC-checked decode on every run: the full wire
+                 ///< path, in process).
   kSocket,       ///< Socket stream of wire frames (unix-domain on one
                  ///< host, TCP across hosts): producers write handshaked,
                  ///< sequence-stamped chunks to a collector-side
@@ -27,7 +27,7 @@ enum class TransportKind {
                  ///< different processes (tools/collector_server).
 };
 
-/// Short display name ("direct", "queue", "framed", "socket").
+/// Short display name ("direct", "framed", "socket").
 std::string_view TransportKindName(TransportKind kind);
 
 /// Parses a display name back into a TransportKind.
@@ -43,24 +43,21 @@ struct TransportOptions {
   /// while bounding the backlog a fast producer can build (16 frames of
   /// 64 d=4 x 100-slot runs are ~3 MB).
   size_t queue_capacity = 16;
-  /// Consumer threads draining the queue into the collector.
+  /// Consumer threads draining the rings into the collector. Each
+  /// consumer owns one ring, and every run is routed to the consumer
+  /// owning its shard group (shard_index % num_consumers), so no two
+  /// consumers ever write the same collector shard.
   int num_consumers = 2;
   /// User runs per frame before a producer pushes it.
   size_t max_batch_runs = 64;
-  /// Route each user run to the consumer owning its shard group
-  /// (shard_index % num_consumers) through per-consumer sub-queues, so no
-  /// two consumers ever contend on the same ShardedCollector shard mutex.
-  /// Applies to the queued kinds (server-side for kSocket); ignored under
-  /// kDirect. Results are bit-identical either way.
-  bool shard_affinity = false;
-  /// Run the collector's shards in single-writer mode: with
-  /// shard_affinity routing, each shard group is owned by exactly one
-  /// consumer, so the collector can skip its per-shard mutex on ingest
-  /// and serve aggregate readers through a per-shard seqlock instead
-  /// (ShardedCollectorOptions::single_writer). Requires shard_affinity
-  /// and a queued kind -- under kDirect every worker thread ingests, so
-  /// no shard has a single writer. Results stay bit-identical; only the
-  /// locking discipline changes.
+  /// Run the collector's shards in single-writer mode: the shard-group
+  /// routing already gives each shard exactly one consumer, so the
+  /// collector can skip its per-shard mutex on ingest and serve
+  /// aggregate readers through a per-shard seqlock instead
+  /// (ShardedCollectorOptions::single_writer). Requires a queued kind --
+  /// under kDirect every worker thread ingests, so no shard has a single
+  /// writer. Results stay bit-identical; only the locking discipline
+  /// changes.
   bool owned_shards = false;
   /// kSocket only. Empty: the hub runs an in-process loopback collector
   /// server on an auto-generated /tmp path (single-process testing and

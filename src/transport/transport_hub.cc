@@ -1,8 +1,5 @@
 #include "transport/transport_hub.h"
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -14,13 +11,6 @@
 #include "transport/wire_format.h"
 
 namespace capp {
-namespace {
-
-bool IsQueuedKind(TransportKind kind) {
-  return kind == TransportKind::kQueue || kind == TransportKind::kQueueFramed;
-}
-
-}  // namespace
 
 TransportHub::TransportHub(CollectorBackend* collector,
                            const TransportOptions& options)
@@ -34,12 +24,11 @@ Result<std::unique_ptr<TransportHub>> TransportHub::Create(
   CAPP_RETURN_IF_ERROR(ValidateTransportOptions(options));
   // unique_ptr: consumer threads capture `this`, so the hub must not move.
   std::unique_ptr<TransportHub> hub(new TransportHub(collector, options));
-  if (IsQueuedKind(options.kind)) {
+  if (options.kind == TransportKind::kQueueFramed) {
+    // Each consumer drains a private ring; producers route each run to
+    // the ring of the consumer owning its shard group.
     const size_t consumers = static_cast<size_t>(options.num_consumers);
-    // Shard affinity gives each consumer a private sub-queue; producers
-    // route each run to the queue of the consumer owning its shard group.
-    const size_t num_queues = options.shard_affinity ? consumers : 1;
-    for (size_t q = 0; q < num_queues; ++q) {
+    for (size_t c = 0; c < consumers; ++c) {
       hub->queues_.push_back(
           std::make_unique<MpscQueue<std::unique_ptr<ReportFrame>>>(
               options.queue_capacity));
@@ -72,7 +61,6 @@ Result<std::unique_ptr<TransportHub>> TransportHub::Create(
       server_options.num_consumers = options.num_consumers;
       server_options.queue_capacity = options.queue_capacity;
       server_options.max_batch_runs = options.max_batch_runs;
-      server_options.shard_affinity = options.shard_affinity;
       CAPP_ASSIGN_OR_RETURN(
           hub->socket_server_,
           SocketCollectorServer::Create(collector, server_options));
@@ -142,84 +130,26 @@ TransportHub::Producer::~Producer() {
 }
 
 size_t TransportHub::GroupForUser(uint64_t user_id) const {
-  if (!options_.shard_affinity || queues_.size() < 2) return 0;
+  if (queues_.size() < 2) return 0;
   // The consumer that owns the run's shard: two runs landing in the same
-  // shard always route to the same consumer, so shard mutexes are never
-  // contended between consumers.
+  // shard always route to the same consumer, so no shard ever has two
+  // writing consumers.
   return collector_->ShardIndexOf(user_id) % queues_.size();
-}
-
-void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
-                                     std::span<const double> values) {
-  ++runs_;
-  reports_ += values.size();
-  const TransportKind kind = hub_->options_.kind;
-  if (kind == TransportKind::kDirect) {
-    hub_->collector_->IngestUserRun(user_id, base_slot, values);
-    return;
-  }
-  const size_t group = hub_->GroupForUser(user_id);
-  if (frames_.size() <= group) frames_.resize(hub_->ProducerGroupCount());
-  if (frames_[group] == nullptr) frames_[group] = hub_->AcquireFrame();
-  if (kind == TransportKind::kQueue) {
-    // RunHeader offsets are uint32; a pathological max_batch_runs x run
-    // length combination must push early rather than wrap.
-    if (!frames_[group]->runs.empty() &&
-        frames_[group]->values.size() + values.size() >
-            std::numeric_limits<uint32_t>::max()) {
-      hub_->PushFrame(*this, group);
-      frames_[group] = hub_->AcquireFrame();
-    }
-    ReportFrame& frame = *frames_[group];
-    frame.runs.push_back(
-        {user_id, base_slot, static_cast<uint32_t>(frame.values.size()),
-         static_cast<uint32_t>(values.size())});
-    frame.values.insert(frame.values.end(), values.begin(), values.end());
-  } else {
-    // kQueueFramed and kSocket both stage encoded wire frames; they
-    // differ only in where PushFrame sends the bytes.
-    telemetry::ScopedTimer encode_timer;
-    if (telemetry::Enabled() && telemetry::ShouldSample()) {
-      encode_timer.Arm(&telemetry::metrics::TransportEncodeSeconds());
-    }
-    AppendUserRunFrame(user_id, base_slot, values, frames_[group]->bytes);
-  }
-  if (++frames_[group]->run_count >= hub_->options_.max_batch_runs) {
-    hub_->PushFrame(*this, group);
-  }
 }
 
 void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
                                      size_t dims,
                                      std::span<const double> values) {
-  if (dims <= 1) {
-    // The one-dimensional fast path above: same staging, same 0xC5 bytes.
-    Publish(user_id, base_slot, values);
-    return;
-  }
   ++runs_;
   reports_ += values.size();
-  const TransportKind kind = hub_->options_.kind;
-  if (kind == TransportKind::kDirect) {
+  if (hub_->options_.kind == TransportKind::kDirect) {
     hub_->collector_->IngestUserRun(user_id, base_slot, dims, values);
     return;
   }
-  const size_t group = hub_->GroupForUser(user_id);
-  if (frames_.size() <= group) frames_.resize(hub_->ProducerGroupCount());
-  if (frames_[group] == nullptr) frames_[group] = hub_->AcquireFrame();
-  if (kind == TransportKind::kQueue) {
-    if (!frames_[group]->runs.empty() &&
-        frames_[group]->values.size() + values.size() >
-            std::numeric_limits<uint32_t>::max()) {
-      hub_->PushFrame(*this, group);
-      frames_[group] = hub_->AcquireFrame();
-    }
-    ReportFrame& frame = *frames_[group];
-    frame.runs.push_back(
-        {user_id, base_slot, static_cast<uint32_t>(frame.values.size()),
-         static_cast<uint32_t>(values.size()), static_cast<uint32_t>(dims)});
-    frame.values.insert(frame.values.end(), values.begin(), values.end());
-  } else {
+  // kQueueFramed and kSocket both stage encoded wire frames (0xC5 at
+  // d = 1, 0xC6 above); they differ only in where PushFrame sends them.
+  const size_t group = StagingGroup(user_id);
+  {
     telemetry::ScopedTimer encode_timer;
     if (telemetry::Enabled() && telemetry::ShouldSample()) {
       encode_timer.Arm(&telemetry::metrics::TransportEncodeSeconds());
@@ -227,9 +157,7 @@ void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
     AppendMultiDimRunFrame(user_id, base_slot, dims, values,
                            frames_[group]->bytes);
   }
-  if (++frames_[group]->run_count >= hub_->options_.max_batch_runs) {
-    hub_->PushFrame(*this, group);
-  }
+  RunStaged(group);
 }
 
 void TransportHub::Producer::PublishEncoded(
@@ -238,13 +166,21 @@ void TransportHub::Producer::PublishEncoded(
   CAPP_DCHECK(hub_->options_.kind == TransportKind::kQueueFramed);
   ++runs_;
   reports_ += report_count;
+  const size_t group = StagingGroup(user_id);
+  std::vector<uint8_t>& bytes = frames_[group]->bytes;
+  bytes.insert(bytes.end(), frame_bytes.begin(), frame_bytes.end());
+  RunStaged(group);
+}
+
+size_t TransportHub::Producer::StagingGroup(uint64_t user_id) {
   const size_t group = hub_->GroupForUser(user_id);
   if (frames_.size() <= group) frames_.resize(hub_->ProducerGroupCount());
   if (frames_[group] == nullptr) frames_[group] = hub_->AcquireFrame();
-  ReportFrame& frame = *frames_[group];
-  frame.bytes.insert(frame.bytes.end(), frame_bytes.begin(),
-                     frame_bytes.end());
-  if (++frame.run_count >= hub_->options_.max_batch_runs) {
+  return group;
+}
+
+void TransportHub::Producer::RunStaged(size_t group) {
+  if (++frames_[group]->run_count >= hub_->options_.max_batch_runs) {
     hub_->PushFrame(*this, group);
   }
 }
@@ -270,8 +206,6 @@ void TransportHub::PushFrame(Producer& producer, size_t group) {
     return;
   }
   producer.wire_bytes_ += frame->bytes.size();
-  // group == 0 whenever affinity is off, so this indexes the single
-  // shared ring in that case and the owning consumer's ring otherwise.
   const bool pushed = queues_[group]->Push(std::move(frame));
   // The queue is only closed by Drain/teardown, which require all
   // producers to be done first.
@@ -305,10 +239,7 @@ void TransportHub::MergeProducerCounters(const Producer& producer) {
 // ------------------------------------------------------------- consumer ----
 
 void TransportHub::ConsumerMain(size_t consumer_index) {
-  // Without affinity every consumer drains the one shared ring; with it,
-  // each consumer owns ring consumer_index outright.
-  MpscQueue<std::unique_ptr<ReportFrame>>& queue =
-      *queues_[options_.shard_affinity ? consumer_index : 0];
+  MpscQueue<std::unique_ptr<ReportFrame>>& queue = *queues_[consumer_index];
   std::vector<double> scratch;
   for (;;) {
     std::optional<std::unique_ptr<ReportFrame>> frame = queue.Pop();
@@ -324,20 +255,6 @@ void TransportHub::IngestFrame(const ReportFrame& frame,
                                size_t consumer_index,
                                std::vector<double>& scratch) {
   ConsumerCounters& counters = consumer_counters_[consumer_index];
-  if (options_.kind == TransportKind::kQueue) {
-    for (const ReportFrame::RunHeader& run : frame.runs) {
-      const std::span<const double> values(frame.values.data() + run.offset,
-                                           run.count);
-      if (run.dims <= 1) {
-        collector_->IngestUserRun(run.user_id, run.base_slot, values);
-      } else {
-        collector_->IngestUserRun(run.user_id, run.base_slot, run.dims,
-                                  values);
-      }
-      ++counters.runs;
-    }
-    return;
-  }
   std::span<const uint8_t> bytes(frame.bytes);
   size_t cursor = 0;
   while (cursor < bytes.size()) {
@@ -355,11 +272,7 @@ void TransportHub::IngestFrame(const ReportFrame& frame,
       ++counters.decode_failures;
       return;
     }
-    if (dims == 1) {
-      collector_->IngestUserRun(user_id, base_slot, scratch);
-    } else {
-      collector_->IngestUserRun(user_id, base_slot, dims, scratch);
-    }
+    collector_->IngestUserRun(user_id, base_slot, dims, scratch);
     ++counters.runs;
     cursor += *used;
   }
@@ -388,20 +301,16 @@ void TransportHub::ReleaseFrame(std::unique_ptr<ReportFrame> frame) {
 // -------------------------------------------------------------- shutdown ----
 
 void TransportHub::DrainQueues() {
-  if (IsQueuedKind(options_.kind)) {
-    // One pill per consumer, pushed onto the ring that consumer drains:
-    // FIFO guarantees every data frame ahead of the pill is ingested
-    // first, and each consumer stops after exactly one pill, so all pills
-    // are consumed and all consumers exit.
-    for (size_t c = 0; c < consumers_.size(); ++c) {
-      auto pill = AcquireFrame();
-      pill->poison = true;
-      CAPP_CHECK(queues_[options_.shard_affinity ? c : 0]->Push(
-          std::move(pill)));
-    }
-    for (std::thread& t : consumers_) t.join();
-    consumers_.clear();
+  // One pill per consumer, pushed onto the ring that consumer drains:
+  // FIFO guarantees every data frame ahead of the pill is ingested first,
+  // and each consumer stops at its pill. (kDirect has no consumers.)
+  for (size_t c = 0; c < consumers_.size(); ++c) {
+    auto pill = AcquireFrame();
+    pill->poison = true;
+    CAPP_CHECK(queues_[c]->Push(std::move(pill)));
   }
+  for (std::thread& t : consumers_) t.join();
+  consumers_.clear();
 
   for (const auto& queue : queues_) {
     stats_.push_stalls += queue->push_stalls();

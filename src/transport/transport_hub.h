@@ -1,33 +1,32 @@
 // TransportHub: the broker tier between report producers and the sharded
-// collector. Producers stage user runs into pooled frames and push them
-// onto bounded MPSC rings; N consumer threads drain the rings and ingest
-// every run via ShardedCollector::IngestUserRun. Under kQueueFramed each
-// run additionally round-trips the binary wire codec (encode on the
-// producer, CRC-checked decode on the consumer), so the in-process queue
-// exercises exactly the bytes a socket transport would carry. Under
-// kSocket the frames really do cross a socket: producers write
-// handshaked, sequence-stamped chunks over connect_streams striped
-// connections to a collector-side acceptor (SocketCollectorServer) -- an
-// in-process loopback one by default, or an external collector process
-// when TransportOptions::socket_path or tcp_host is set. Each stripe is
-// an independently resumable stream (ResilientSocketClient): a killed
+// collector. Producers encode user runs as wire frames into pooled
+// batches and push them onto bounded MPSC rings; N consumer threads
+// CRC-check and decode the frames and ingest every run via
+// ShardedCollector::IngestUserRun, so the in-process queue (kQueueFramed)
+// carries exactly the bytes a socket transport would. Under kSocket the
+// frames really do cross a socket: producers write handshaked,
+// sequence-stamped chunks over connect_streams striped connections to a
+// collector-side acceptor (SocketCollectorServer) -- an in-process
+// loopback one by default, or an external collector process when
+// TransportOptions::socket_path or tcp_host is set. Each stripe is an
+// independently resumable stream (ResilientSocketClient): a killed
 // connection redials and replays its unacked window, and the server's
 // sequence dedup keeps the result bit-identical.
 //
-// Shard affinity (TransportOptions::shard_affinity): each consumer owns
-// its own sub-queue, and every run is routed to the consumer owning the
-// run's shard group (shard_index % num_consumers). Two consumers then
-// never ingest into the same shard, so the ShardedCollector shard
-// mutexes are never contended between consumers.
+// Shard-group routing: each consumer owns its own ring, and every run is
+// routed to the consumer owning the run's shard group (shard_index %
+// num_consumers). Two consumers then never ingest into the same shard,
+// so the ShardedCollector shard mutexes are never contended between
+// consumers, and TransportOptions::owned_shards can drop them entirely.
 //
 // Determinism: the hub delivers whole user runs, and the collector's
 // per-slot aggregates accumulate in exact integer arithmetic
 // (SlotAggregate), so collector state is a pure function of the multiset
-// of runs -- bit-identical across every TransportKind, any producer x
-// consumer thread mix, and affinity on or off. Report loss is impossible
-// by construction: Push blocks instead of dropping (backpressure), Drain
-// flushes and joins before returning, and the poison-pill protocol
-// guarantees FIFO delivery of every data frame before any consumer exits.
+// of runs -- bit-identical across every TransportKind and any producer x
+// consumer thread mix. Report loss is impossible by construction: Push
+// blocks instead of dropping (backpressure), Drain flushes and joins
+// before returning, and the poison-pill protocol guarantees FIFO
+// delivery of every data frame before any consumer exits.
 #ifndef CAPP_TRANSPORT_TRANSPORT_HUB_H_
 #define CAPP_TRANSPORT_TRANSPORT_HUB_H_
 
@@ -64,17 +63,19 @@ class TransportHub {
     Producer& operator=(const Producer&) = delete;
     ~Producer();
 
-    /// Publishes one device's run of consecutive slot reports.
-    void Publish(uint64_t user_id, size_t base_slot,
-                 std::span<const double> values);
-
     /// Publishes one device's d-dimensional run: `values` is dim-major
     /// (dims * slots doubles, dimension k's run at [k * slots, (k+1) *
-    /// slots) -- the 0xC6 wire payload order). dims == 1 is exactly the
-    /// overload above; dims >= 2 stages 0xC6 frames on the framed paths
-    /// and reaches the collector through its dims-aware ingest.
+    /// slots) -- the 0xC6 wire payload order). The queued kinds stage it
+    /// as one wire frame: 0xC5 at dims == 1, 0xC6 above.
     void Publish(uint64_t user_id, size_t base_slot, size_t dims,
                  std::span<const double> values);
+
+    /// Publishes one device's run of consecutive one-dimensional slot
+    /// reports.
+    void Publish(uint64_t user_id, size_t base_slot,
+                 std::span<const double> values) {
+      Publish(user_id, base_slot, 1, values);
+    }
 
     /// Publishes one already-encoded wire frame (kQueueFramed only). The
     /// socket server's readers use this to re-stage bytes received off a
@@ -90,13 +91,18 @@ class TransportHub {
     friend class TransportHub;
     explicit Producer(TransportHub* hub) : hub_(hub) {}
 
+    // The routing group of `user_id`'s run, its staging frame acquired.
+    size_t StagingGroup(uint64_t user_id);
+    // Counts one run staged into `group`; pushes the frame once full.
+    void RunStaged(size_t group);
+
     TransportHub* hub_;  // null after move
     // The socket stripe this producer's chunks ride (kSocket only):
     // assigned round-robin at MakeProducer, so producers on different
     // stripes never serialize on one connection mutex.
     size_t stripe_ = 0;
-    // One staging frame per routing group: a single slot normally, one
-    // per consumer under shard affinity.
+    // One staging frame per routing group: one per consumer ring (a
+    // single slot under kSocket).
     std::vector<std::unique_ptr<ReportFrame>> frames_;
     // Local counters, merged into the hub once on destruction.
     uint64_t frames_pushed_ = 0;
@@ -161,12 +167,12 @@ class TransportHub {
   void IngestFrame(const ReportFrame& frame, size_t consumer_index,
                    std::vector<double>& scratch);
 
-  // The routing group of one user's runs: 0 normally; the owning
-  // consumer's index under shard affinity.
+  // The routing group of one user's runs: the owning consumer's index
+  // (0 with a single ring or under kSocket).
   size_t GroupForUser(uint64_t user_id) const;
-  // Staging groups a Producer needs (1, or num_consumers under affinity).
+  // Staging groups a Producer needs (one per ring, at least 1).
   size_t ProducerGroupCount() const {
-    return queues_.size() < 1 ? 1 : queues_.size();
+    return queues_.empty() ? 1 : queues_.size();
   }
 
   std::unique_ptr<ReportFrame> AcquireFrame();
@@ -179,8 +185,8 @@ class TransportHub {
 
   CollectorBackend* collector_;
   TransportOptions options_;
-  // One ring normally; one ring per consumer under shard affinity (the
-  // per-consumer sub-queues). Empty under kDirect and kSocket.
+  // One ring per consumer under kQueueFramed; empty under kDirect and
+  // kSocket.
   std::vector<std::unique_ptr<MpscQueue<std::unique_ptr<ReportFrame>>>>
       queues_;
 

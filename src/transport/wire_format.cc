@@ -195,6 +195,16 @@ Status ParseFrameHeader(std::span<const uint8_t> bytes, uint64_t* user_id,
   if (multi && *count % *dims != 0) {
     return FrameError("count not divisible by dims");
   }
+  // The run's last cell ((base_slot + slots) * dims - 1) must fit the
+  // collector's uint32 cell index, i.e. base_slot + slots <= limit.
+  // Compared as a subtraction so a base_slot near 2^64 cannot wrap;
+  // slots <= limit always holds because count <= kWireMaxRunLength.
+  static_assert(kWireMaxRunLength <= kWireMaxCells);
+  const uint64_t limit = kWireMaxCells / *dims;
+  if (*base_slot > limit - *count / *dims) {
+    return Status::OutOfRange(
+        "wire frame: run ends past the collector's uint32 cell index");
+  }
   return Status::OK();
 }
 

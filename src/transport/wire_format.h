@@ -53,6 +53,13 @@ inline constexpr uint64_t kWireMaxRunLength = 1u << 24;
 /// larger before trusting the per-dimension arithmetic.
 inline constexpr uint64_t kWireMaxDims = 1u << 12;
 
+/// Cells the collector can index (cell = slot * dims + dim, held in a
+/// uint32). Decode and peek refuse a frame whose run ends past it --
+/// base_slot + count / dims > kWireMaxCells / dims -- with OutOfRange,
+/// so a CRC-valid frame cannot drive the collector's slot arithmetic
+/// past its index.
+inline constexpr uint64_t kWireMaxCells = uint64_t{1} << 32;
+
 /// Appends `value` as a LEB128 varint (7 bits per byte, high bit = more).
 void AppendVarint(uint64_t value, std::vector<uint8_t>& out);
 
@@ -83,7 +90,8 @@ void AppendMultiDimRunFrame(uint64_t user_id, uint64_t base_slot,
 /// *base_slot, and `values` (cleared and refilled, capacity reused) and
 /// returns the number of bytes consumed, so concatenated frames decode by
 /// advancing a cursor. Fails with InvalidArgument on a bad magic byte,
-/// truncation, an absurd run length, or a CRC mismatch; `values` is
+/// truncation, an absurd run length, or a CRC mismatch, and with
+/// OutOfRange on a run ending past kWireMaxCells; `values` is
 /// unspecified after a failure. This overload serves one-dimensional
 /// call sites: a 0xC6 frame decodes successfully only through the
 /// dims-aware overload below (here it fails loudly rather than silently
@@ -117,9 +125,10 @@ struct WireFrameHeader {
 /// The socket reader uses this to split a received chunk into individual
 /// frames and route each by user id; the consumer still CRC-checks every
 /// frame before ingest. Accepts both 0xC5 and 0xC6 frames, applying the
-/// same dims validation as the dims-aware decode. Fails on a bad magic
-/// byte, a malformed varint, an absurd run length or dimension count, or
-/// a frame extending past `bytes`.
+/// same dims and slot-range validation as the dims-aware decode. Fails on
+/// a bad magic byte, a malformed varint, an absurd run length or
+/// dimension count, a run ending past kWireMaxCells, or a frame
+/// extending past `bytes`.
 Result<WireFrameHeader> PeekUserRunFrame(std::span<const uint8_t> bytes);
 
 }  // namespace capp

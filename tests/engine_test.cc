@@ -666,21 +666,19 @@ TEST(EngineConfigTest, ValidationCatchesBadKnobs) {
   bad.smoothing_window = 2;
   EXPECT_FALSE(ValidateEngineConfig(bad).ok());
 
-  // Owned-shard (single-writer) ingest is only sound when shard-affinity
-  // routing gives every shard exactly one writer, and never composes
-  // with per-user stream storage.
+  // Owned-shard (single-writer) ingest is only sound when the queued
+  // transports' shard-group routing gives every shard exactly one
+  // writer, and never composes with per-user stream storage.
   bad = good;
-  bad.transport.kind = TransportKind::kQueue;
-  bad.transport.shard_affinity = true;
+  bad.transport.kind = TransportKind::kQueueFramed;
   bad.transport.owned_shards = true;
   bad.keep_streams = false;
   EXPECT_TRUE(ValidateEngineConfig(bad).ok());  // the supported shape
-  bad.transport.shard_affinity = false;
-  EXPECT_FALSE(ValidateEngineConfig(bad).ok());
-  bad.transport.shard_affinity = true;
+  bad.transport.kind = TransportKind::kSocket;
+  EXPECT_TRUE(ValidateEngineConfig(bad).ok());
   bad.transport.kind = TransportKind::kDirect;
   EXPECT_FALSE(ValidateEngineConfig(bad).ok());
-  bad.transport.kind = TransportKind::kQueue;
+  bad.transport.kind = TransportKind::kQueueFramed;
   bad.keep_streams = true;
   EXPECT_FALSE(ValidateEngineConfig(bad).ok());
 }
@@ -773,16 +771,15 @@ TEST(FleetTest, DigestInvariantToChunkSizeAndShardCount) {
 }
 
 TEST(FleetTest, OwnedShardTransportMatchesMutexIngest) {
-  // The same scenario through the mutex-affinity and owned-shard queue
+  // The same scenario through the mutex and owned-shard framed queue
   // transports: stream digest, error statistics, and the collector's
   // order-independent state digest must all be bit-identical -- the
   // owned mode changes the locking discipline, never the results.
   EngineConfig config = SmallFleetConfig();
   config.keep_streams = false;  // owned mode is aggregate-only
   config.num_threads = 4;
-  config.transport.kind = TransportKind::kQueue;
+  config.transport.kind = TransportKind::kQueueFramed;
   config.transport.num_consumers = 2;
-  config.transport.shard_affinity = true;
 
   auto mutex_fleet = Fleet::Create(config);
   config.transport.owned_shards = true;

@@ -594,6 +594,37 @@ TEST(DurableCollectorTest, RecoveryRefusesDimsMismatchedFrames) {
   EXPECT_EQ(backend.report_count(), 0u);
 }
 
+TEST(DurableCollectorTest, RecoveryRefusesFramesPastTheCellIndex) {
+  // A CRC-valid frame whose base_slot would wrap (2^64 - 5), demand a
+  // ~48 TB slot array (2^40) or truncate in the uint32 cell index (2^32)
+  // must make recovery fail loudly -- not crash in the collector, and
+  // not be truncated away like a torn tail -- with the backend
+  // untouched.
+  for (uint64_t bad : {~uint64_t{0} - 4, uint64_t{1} << 40, kWireMaxCells}) {
+    SCOPED_TRACE(bad);
+    TempDir dir;
+    {
+      auto writer = WalWriter::Create(TestWalOptions(dir.path()), 1);
+      ASSERT_TRUE(writer.ok());
+      std::vector<uint8_t> frame;
+      for (uint64_t u = 0; u < 3; ++u) {
+        frame.clear();
+        AppendUserRunFrame(u, u == 1 ? bad : 0, RunValues(u, 4), frame);
+        ASSERT_TRUE(writer->Append(frame).ok());
+      }
+      ASSERT_TRUE(writer->Seal().ok());
+    }
+    ShardedCollector backend = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+    ASSERT_FALSE(durable.ok());
+    EXPECT_EQ(durable.status().code(), StatusCode::kOutOfRange)
+        << durable.status().ToString();
+    EXPECT_EQ(backend.user_count(), 0u);
+    EXPECT_EQ(backend.report_count(), 0u);
+  }
+}
+
 // Simulated SIGKILL: garbage lands after the last durable frame (a torn
 // user-space buffer). Recovery replays the durable prefix, the "fleet"
 // re-sends every run, and the result matches the no-crash oracle.
@@ -969,7 +1000,6 @@ TEST(DurableFleetTest, QueueFramedTransportWithWalStaysBitIdentical) {
   EngineConfig config = SmallFleetConfig();
   config.transport.kind = TransportKind::kQueueFramed;
   config.transport.num_consumers = 3;
-  config.transport.shard_affinity = true;
   config.durability.dir = dir.path();
   config.durability.checkpoint_every_runs = 777;
   auto fleet = Fleet::Create(config);

@@ -4,17 +4,24 @@
 // path (unix and TCP) with fault injection -- handshake refusals, raw
 // corruption, connection kills with reconnect-and-resume -- and the
 // headline determinism contract: fleet digests and collector aggregates
-// bit-identical across kDirect/kQueue/kQueueFramed/kSocket, every
-// producer x consumer thread mix, and shard affinity on or off.
+// bit-identical across kDirect/kQueueFramed/kSocket, every producer x
+// consumer thread mix, and mutex or owned-shard ingest.
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <set>
@@ -590,6 +597,45 @@ TEST(WireFormatTest, MultiDimRejectsBadDimsAndCounts) {
   EXPECT_FALSE(PeekUserRunFrame(absurd).ok());
 }
 
+TEST(WireFormatTest, RefusesRunsEndingPastTheCellIndex) {
+  // CRC-valid frames whose run would end past the collector's uint32
+  // cell index (base_slot + slots > kWireMaxCells / dims) are refused as
+  // OutOfRange by decode and peek alike -- near 2^64 the comparison must
+  // not wrap -- while the largest legal base_slot still decodes.
+  uint64_t user_id = 0;
+  uint64_t base_slot = 0;
+  uint64_t dims = 0;
+  std::vector<double> values;
+  for (uint64_t d : {uint64_t{1}, uint64_t{4}}) {
+    SCOPED_TRACE(d);
+    const std::vector<double> run(3 * d, 0.5);  // 3 slots per dimension
+    const uint64_t largest = kWireMaxCells / d - 3;
+    for (uint64_t bad : {~uint64_t{0} - 4, uint64_t{1} << 40, kWireMaxCells,
+                         largest + 1}) {
+      SCOPED_TRACE(bad);
+      std::vector<uint8_t> frame;
+      AppendMultiDimRunFrame(7, bad, d, run, frame);
+      const auto decoded =
+          DecodeUserRunFrame(frame, &user_id, &base_slot, &dims, values);
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
+      EXPECT_EQ(PeekUserRunFrame(frame).status().code(),
+                StatusCode::kOutOfRange);
+    }
+    std::vector<uint8_t> frame;
+    AppendMultiDimRunFrame(7, largest, d, run, frame);
+    const auto decoded =
+        DecodeUserRunFrame(frame, &user_id, &base_slot, &dims, values);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(base_slot, largest);
+    EXPECT_EQ(dims, d);
+    EXPECT_EQ(values, run);
+    EXPECT_TRUE(PeekUserRunFrame(frame).ok());
+    // Its last cell is the index's last cell.
+    EXPECT_EQ((largest + 3) * d - 1, kWireMaxCells - 1);
+  }
+}
+
 // ------------------------------------------------------------ mpsc queue ----
 
 TEST(MpscQueueTest, FifoWithinCapacity) {
@@ -651,7 +697,7 @@ TEST(MpscQueueTest, CloseUnblocksAndDrains) {
 // ---------------------------------------------- transport kind / options ----
 
 TEST(TransportOptionsTest, KindNamesRoundTrip) {
-  for (TransportKind kind : {TransportKind::kDirect, TransportKind::kQueue,
+  for (TransportKind kind : {TransportKind::kDirect,
                              TransportKind::kQueueFramed,
                              TransportKind::kSocket}) {
     auto parsed = ParseTransportKind(TransportKindName(kind));
@@ -685,78 +731,24 @@ TEST(TransportOptionsTest, ValidationCatchesBadKnobs) {
 // -------------------------------------------------------- transport hub ----
 
 TEST(TransportHubTest, DeliversRunsToCollector) {
+  // Every kind delivers the same runs. kDirect is a pass-through (no
+  // frames, no consumers); kSocket's loopback server demuxes the
+  // producers' chunks back into a framed hub. On the queued kinds routing
+  // is a pure function of the user id: consumer c ingests exactly the
+  // runs whose shard group (shard index % consumers) is c.
   for (TransportKind kind :
-       {TransportKind::kQueue, TransportKind::kQueueFramed}) {
-    for (bool affinity : {false, true}) {
-      SCOPED_TRACE(TransportKindName(kind));
-      SCOPED_TRACE(affinity);
-      auto collector = ShardedCollector::Create();
-      ASSERT_TRUE(collector.ok());
-      TransportOptions options;
-      options.kind = kind;
-      options.queue_capacity = 4;
-      options.num_consumers = 2;
-      options.max_batch_runs = 3;
-      options.shard_affinity = affinity;
-      auto hub = TransportHub::Create(&*collector, options);
-      ASSERT_TRUE(hub.ok());
-      {
-        auto producer = (*hub)->MakeProducer();
-        const std::vector<double> run = {0.25, 0.5, 0.75};
-        for (uint64_t user = 0; user < 10; ++user) {
-          producer.Publish(user, 2, run);
-        }
-      }
-      ASSERT_TRUE((*hub)->Drain().ok());
-      EXPECT_EQ(collector->user_count(), 10u);
-      EXPECT_EQ(collector->report_count(), 30u);
-      auto stream = collector->GapFilledStream(4);
-      ASSERT_TRUE(stream.ok());
-      EXPECT_EQ(*stream, (std::vector<double>{0.5, 0.5, 0.25, 0.5, 0.75}));
-      const TransportStats& stats = (*hub)->stats();
-      EXPECT_EQ(stats.runs, 10u);
-      EXPECT_EQ(stats.reports, 30u);
-      ASSERT_EQ(stats.consumer_runs.size(), 2u);
-      EXPECT_EQ(stats.consumer_runs[0] + stats.consumer_runs[1], 10u);
-      if (affinity) {
-        // Routing is a pure function of the user id: consumer c ingests
-        // exactly the runs whose shard group is c.
-        uint64_t expected[2] = {0, 0};
-        for (uint64_t user = 0; user < 10; ++user) {
-          ++expected[collector->ShardIndexOf(user) % 2];
-        }
-        EXPECT_EQ(stats.consumer_runs[0], expected[0]);
-        EXPECT_EQ(stats.consumer_runs[1], expected[1]);
-      } else {
-        EXPECT_EQ(stats.frames, 4u);  // ceil(10 runs / 3 per frame)
-      }
-      if (kind == TransportKind::kQueueFramed) {
-        EXPECT_GT(stats.wire_bytes, 30u * 8u);
-      } else {
-        EXPECT_EQ(stats.wire_bytes, 0u);
-      }
-      EXPECT_EQ(stats.decode_failures, 0u);
-    }
-  }
-}
-
-TEST(TransportHubTest, SocketLoopbackDeliversRunsToCollector) {
-  // The full socket path in one process: producers encode and write
-  // length-prefixed chunks, the loopback server's reader demuxes them,
-  // and the framed consumers CRC-check and ingest every run.
-  for (bool affinity : {false, true}) {
-    SCOPED_TRACE(affinity);
+       {TransportKind::kDirect, TransportKind::kQueueFramed,
+        TransportKind::kSocket}) {
+    SCOPED_TRACE(TransportKindName(kind));
     auto collector = ShardedCollector::Create();
     ASSERT_TRUE(collector.ok());
     TransportOptions options;
-    options.kind = TransportKind::kSocket;
+    options.kind = kind;
     options.queue_capacity = 4;
     options.num_consumers = 2;
     options.max_batch_runs = 3;
-    options.shard_affinity = affinity;
     auto hub = TransportHub::Create(&*collector, options);
     ASSERT_TRUE(hub.ok()) << hub.status().ToString();
-    EXPECT_FALSE((*hub)->socket_path().empty());
     {
       auto producer = (*hub)->MakeProducer();
       const std::vector<double> run = {0.25, 0.5, 0.75};
@@ -774,13 +766,24 @@ TEST(TransportHubTest, SocketLoopbackDeliversRunsToCollector) {
     const TransportStats& stats = (*hub)->stats();
     EXPECT_EQ(stats.runs, 10u);
     EXPECT_EQ(stats.reports, 30u);
-    EXPECT_EQ(stats.frames, 4u);  // chunks: ceil(10 runs / 3 per chunk)
-    EXPECT_EQ(stats.connections, 1u);
-    EXPECT_EQ(stats.stream_errors, 0u);
-    EXPECT_GT(stats.wire_bytes, 30u * 8u);
-    ASSERT_EQ(stats.consumer_runs.size(), 2u);
-    EXPECT_EQ(stats.consumer_runs[0] + stats.consumer_runs[1], 10u);
     EXPECT_EQ(stats.decode_failures, 0u);
+    if (kind == TransportKind::kDirect) {
+      EXPECT_EQ(stats.frames, 0u);
+      EXPECT_TRUE(stats.consumer_runs.empty());
+      continue;
+    }
+    EXPECT_GT(stats.wire_bytes, 30u * 8u);
+    std::vector<uint64_t> expected(2, 0);
+    for (uint64_t user = 0; user < 10; ++user) {
+      ++expected[collector->ShardIndexOf(user) % 2];
+    }
+    EXPECT_EQ(stats.consumer_runs, expected);
+    if (kind == TransportKind::kSocket) {
+      EXPECT_FALSE((*hub)->socket_path().empty());
+      EXPECT_EQ(stats.frames, 4u);  // chunks: ceil(10 runs / 3 per chunk)
+      EXPECT_EQ(stats.connections, 1u);
+      EXPECT_EQ(stats.stream_errors, 0u);
+    }
   }
 }
 
@@ -793,7 +796,6 @@ TEST(TransportHubTest, SocketClientModeReachesExternalServer) {
   SocketCollectorServer::Options server_options;
   server_options.socket_path = MakeLoopbackSocketPath();
   server_options.num_consumers = 2;
-  server_options.shard_affinity = true;
   auto server =
       SocketCollectorServer::Create(&*server_collector, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -828,42 +830,45 @@ TEST(TransportHubTest, SocketClientModeReachesExternalServer) {
   EXPECT_EQ(stats.stream_errors, 0u);
 }
 
-TEST(TransportHubTest, DirectKindIngestsInPlace) {
-  // A kDirect hub is a pass-through: no queue traffic, no consumer
-  // threads, same collector state and counters as the queued kinds.
-  auto collector = ShardedCollector::Create();
-  ASSERT_TRUE(collector.ok());
-  TransportOptions options;
-  options.kind = TransportKind::kDirect;
-  auto hub = TransportHub::Create(&*collector, options);
-  ASSERT_TRUE(hub.ok());
-  {
-    auto producer = (*hub)->MakeProducer();
-    const std::vector<double> run = {0.25, 0.5, 0.75};
-    for (uint64_t user = 0; user < 10; ++user) {
-      producer.Publish(user, 2, run);
-    }
-  }
-  ASSERT_TRUE((*hub)->Drain().ok());
-  EXPECT_EQ(collector->user_count(), 10u);
-  EXPECT_EQ(collector->report_count(), 30u);
-  const TransportStats& stats = (*hub)->stats();
-  EXPECT_EQ(stats.runs, 10u);
-  EXPECT_EQ(stats.reports, 30u);
-  EXPECT_EQ(stats.frames, 0u);
-  EXPECT_TRUE(stats.consumer_runs.empty());
-}
-
 TEST(TransportHubTest, DrainIsIdempotentAndEmptyHubDrains) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   TransportOptions options;
-  options.kind = TransportKind::kQueue;
+  options.kind = TransportKind::kQueueFramed;
   auto hub = TransportHub::Create(&*collector, options);
   ASSERT_TRUE(hub.ok());
   EXPECT_TRUE((*hub)->Drain().ok());
   EXPECT_TRUE((*hub)->Drain().ok());
   EXPECT_EQ(collector->report_count(), 0u);
+}
+
+TEST(TransportHubTest, FramesPastTheCellIndexFailDrain) {
+  // Each frame's base_slot would wrap (2^64 - 5), demand a ~48 TB slot
+  // array (2^40), or truncate in the uint32 index (2^32) inside the
+  // collector; the consumer's decode refuses it first, on the mutex and
+  // the owned-shard ingest paths alike.
+  for (bool owned : {false, true}) {
+    for (uint64_t bad : {~uint64_t{0} - 4, uint64_t{1} << 40, kWireMaxCells}) {
+      SCOPED_TRACE(owned);
+      SCOPED_TRACE(bad);
+      auto collector = ShardedCollector::Create(
+          {.keep_streams = false, .single_writer = owned});
+      ASSERT_TRUE(collector.ok());
+      TransportOptions options;
+      options.kind = TransportKind::kQueueFramed;
+      options.num_consumers = 2;
+      options.owned_shards = owned;
+      auto hub = TransportHub::Create(&*collector, options);
+      ASSERT_TRUE(hub.ok());
+      {
+        auto producer = (*hub)->MakeProducer();
+        producer.Publish(1, bad, std::vector<double>{0.5, 0.25});
+      }
+      EXPECT_FALSE((*hub)->Drain().ok());
+      EXPECT_EQ((*hub)->stats().decode_failures, 1u);
+      EXPECT_EQ(collector->report_count(), 0u);
+    }
+  }
 }
 
 TEST(TransportHubTest, NoLossUnderBackpressure) {
@@ -924,24 +929,30 @@ void AppendFin(uint64_t final_seq, std::vector<uint8_t>& out) {
   AppendSeqChunk(final_seq, {}, out);
 }
 
-// Dials `path` and completes the v2 handshake as a well-formed d=1,
-// fingerprint-0 peer, leaving the connection ready for raw data-section
-// bytes.
-Result<SocketClient> HandshakeOn(const std::string& path,
-                                 uint64_t client_id = 99) {
-  auto client = SocketClient::Connect(path);
-  if (!client.ok()) return client.status();
+// Completes the v2 handshake on a connected `client` as a well-formed
+// d=1, fingerprint-0 peer, leaving the connection ready for raw
+// data-section bytes.
+Status HandshakeOver(SocketClient& client, uint64_t client_id) {
   HandshakeHello hello;
   hello.client_id = client_id;
   uint8_t hello_bytes[kHandshakeHelloBytes];
   EncodeHandshakeHello(hello, hello_bytes);
-  CAPP_RETURN_IF_ERROR(client->SendRaw(hello_bytes));
+  CAPP_RETURN_IF_ERROR(client.SendRaw(hello_bytes));
   uint8_t ack_bytes[kHandshakeAckBytes];
-  CAPP_RETURN_IF_ERROR(client->ReadExact(ack_bytes, sizeof(ack_bytes)));
+  CAPP_RETURN_IF_ERROR(client.ReadExact(ack_bytes, sizeof(ack_bytes)));
   auto ack = DecodeHandshakeAck(ack_bytes);
   CAPP_RETURN_IF_ERROR(ack.status());
   EXPECT_TRUE(ack->accepted) << HandshakeRefusalName(ack->refusal);
   EXPECT_EQ(ack->resume_seq, 0u);
+  return Status::OK();
+}
+
+// Dials `path` and handshakes (HandshakeOver).
+Result<SocketClient> HandshakeOn(const std::string& path,
+                                 uint64_t client_id = 99) {
+  auto client = SocketClient::Connect(path);
+  if (!client.ok()) return client.status();
+  CAPP_RETURN_IF_ERROR(HandshakeOver(*client, client_id));
   return std::move(*client);
 }
 
@@ -1221,6 +1232,85 @@ TEST_F(SocketFaultTest, ZeroByteConnectionIsABenignProbe) {
   EXPECT_TRUE(finished.ok()) << finished.ToString();
   EXPECT_EQ(server_->stats().connections, 1u);  // the real peer only
   EXPECT_EQ(server_->stats().handshake_rejects, 0u);
+}
+
+TEST_F(SocketFaultTest, FramePastTheCellIndexIsRefused) {
+  // A CRC-valid frame whose base_slot would wrap the collector's slot
+  // arithmetic: the reader's header peek refuses it, so it never reaches
+  // a consumer, and the session fails loudly.
+  StartServer();
+  std::vector<uint8_t> frames;
+  AppendUserRunFrame(1, ~uint64_t{0} - 4, std::vector<double>{0.5}, frames);
+  std::vector<uint8_t> stream;
+  AppendSeqChunk(1, frames, stream);
+  AppendFin(1, stream);
+  const Status finished = SendAndFinish(stream);
+  EXPECT_FALSE(finished.ok());
+  EXPECT_EQ(server_->stats().decode_failures, 1u);
+  EXPECT_EQ(collector_->report_count(), 0u);
+}
+
+TEST_F(SocketFaultTest, AcceptorServesBacklogAfterDescriptorExhaustion) {
+  // Running out of descriptors is transient: connections that waited in
+  // the backlog while accept() failed with EMFILE must be handshaked and
+  // served once descriptors free up. The client sockets exist before the
+  // table fills (connect() needs no new descriptor); a receive timeout
+  // turns a stranded connection into a failed read instead of a hang.
+  StartServer();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, server_->socket_path().c_str(),
+               sizeof(addr.sun_path) - 1);
+  std::vector<SocketClient> clients;
+  for (int i = 0; i < 2; ++i) {
+    clients.push_back(SocketClient::Adopt(::socket(AF_UNIX, SOCK_STREAM, 0)));
+    ASSERT_TRUE(clients.back().connected());
+    const timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(clients.back().fd(), SOL_SOCKET, SO_RCVTIMEO,
+                           &timeout, sizeof(timeout)),
+              0);
+  }
+  // Fill the table under a lowered limit and connect both clients; the
+  // acceptor's blocked accept() may already hold one slot, so at least
+  // the second connection hits EMFILE. Then free everything.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(clients[0].fd())) >= 0;) fillers.push_back(fd);
+  const int fill_errno = errno;
+  int connected = 0;
+  for (const SocketClient& client : clients) {
+    connected += ::connect(client.fd(), reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(fill_errno, EMFILE);
+  ASSERT_EQ(connected, 2);
+
+  for (uint64_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    const Status handshaked = HandshakeOver(clients[i], /*client_id=*/100 + i);
+    ASSERT_TRUE(handshaked.ok()) << handshaked.ToString();
+    std::vector<uint8_t> frames;
+    AppendUserRunFrame(10 + i, 0, std::vector<double>{0.25, 0.5}, frames);
+    std::vector<uint8_t> stream;
+    AppendSeqChunk(1, frames, stream);
+    AppendFin(1, stream);
+    ASSERT_TRUE(clients[i].SendRaw(stream).ok());
+    uint8_t fin_ack[kStreamAckBytes];
+    ASSERT_TRUE(clients[i].ReadExact(fin_ack, sizeof(fin_ack)).ok());
+    clients[i].Close();
+  }
+  server_->WaitForCompletedSessions(2);
+  const Status finished = server_->Finish();
+  EXPECT_TRUE(finished.ok()) << finished.ToString();
+  EXPECT_EQ(server_->stats().connections, 2u);
+  EXPECT_EQ(collector_->report_count(), 4u);
 }
 
 // ------------------------------------------- connect under signal load ----
@@ -1680,9 +1770,41 @@ FleetObservation RunFleet(EngineConfig config) {
           std::move(*histograms), fleet->collector().report_count()};
 }
 
+// Expects `run` to match `baseline` bit for bit: digest, error
+// statistics, per-cell aggregates, and histogram bins. Histogram bins are
+// integer counts of a pure per-value bin function, so the streaming
+// analytics tier inherits the transport determinism contract.
+void ExpectBitIdentical(const FleetObservation& run,
+                        const FleetObservation& baseline) {
+  EXPECT_EQ(run.stats.stream_digest, baseline.stats.stream_digest);
+  EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.mean_slot_mse),
+            std::bit_cast<uint64_t>(baseline.stats.mean_slot_mse));
+  ASSERT_EQ(run.stats.per_dim_mse.size(), baseline.stats.per_dim_mse.size());
+  for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
+              std::bit_cast<uint64_t>(baseline.stats.per_dim_mse[k]))
+        << "dim " << k;
+  }
+  EXPECT_EQ(run.report_count, baseline.report_count);
+  ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
+  for (size_t t = 0; t < run.aggregates.size(); ++t) {
+    const SlotAggregate& got = run.aggregates[t];
+    const SlotAggregate& want = baseline.aggregates[t];
+    EXPECT_EQ(got.Count(), want.Count()) << "cell " << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.Mean()),
+              std::bit_cast<uint64_t>(want.Mean()))
+        << "cell " << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.M2()),
+              std::bit_cast<uint64_t>(want.M2()))
+        << "cell " << t;
+  }
+  EXPECT_EQ(run.histograms, baseline.histograms);
+}
+
 // The headline acceptance test: digests AND collector aggregates are
-// bit-identical between kDirect, kQueue, kQueueFramed, and kSocket for
-// every producer x consumer mix, with shard affinity on or off.
+// bit-identical between kDirect, kQueueFramed, and kSocket for every
+// producer x consumer mix, with mutex or owned-shard (single-writer
+// seqlock) ingest on the queued kinds.
 // Exactness of the aggregates comes from SlotAggregate's integer
 // accumulation; the digest is already computed producer-side from
 // per-user streams.
@@ -1696,48 +1818,24 @@ TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
 
     for (int producers : {1, 4, 8}) {
       for (TransportKind kind :
-           {TransportKind::kDirect, TransportKind::kQueue,
-            TransportKind::kQueueFramed, TransportKind::kSocket}) {
+           {TransportKind::kDirect, TransportKind::kQueueFramed,
+            TransportKind::kSocket}) {
         for (int consumers : {1, 2, 4}) {
           if (kind == TransportKind::kDirect && consumers != 1) continue;
-          for (bool affinity : {false, true}) {
-            if (kind == TransportKind::kDirect && affinity) continue;
+          for (bool owned : {false, true}) {
+            if (kind == TransportKind::kDirect && owned) continue;
             SCOPED_TRACE(TransportKindName(kind));
             SCOPED_TRACE(producers);
             SCOPED_TRACE(consumers);
-            SCOPED_TRACE(affinity);
+            SCOPED_TRACE(owned);
             EngineConfig config = TransportFleetConfig(algorithm);
             config.num_threads = producers;
             config.transport.kind = kind;
             config.transport.num_consumers = consumers;
             config.transport.queue_capacity = 8;
             config.transport.max_batch_runs = 16;
-            config.transport.shard_affinity = affinity;
-            const FleetObservation run = RunFleet(config);
-
-            EXPECT_EQ(run.stats.stream_digest,
-                      baseline.stats.stream_digest);
-            EXPECT_EQ(run.stats.mean_slot_mse,
-                      baseline.stats.mean_slot_mse);
-            EXPECT_EQ(run.report_count, baseline.report_count);
-            ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
-            for (size_t t = 0; t < run.aggregates.size(); ++t) {
-              EXPECT_EQ(run.aggregates[t].Count(),
-                        baseline.aggregates[t].Count())
-                  << "slot " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].Mean()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].Mean()))
-                  << "slot " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].M2()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].M2()))
-                  << "slot " << t;
-            }
-            // Histogram bins are integer counts of a pure per-value bin
-            // function, so every bin must match exactly -- the streaming
-            // analytics tier inherits the transport determinism contract.
-            EXPECT_EQ(run.histograms, baseline.histograms);
+            config.transport.owned_shards = owned;
+            ExpectBitIdentical(RunFleet(config), baseline);
           }
         }
       }
@@ -1747,9 +1845,8 @@ TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
 
 // The multi-dimensional flavor of the headline contract: a d=4 fleet's
 // digest, per-cell aggregates, and histogram bins are bit-identical
-// between kDirect, kQueue, kQueueFramed, and kSocket for every producer
-// mix, with shard affinity and owned-shard (single-writer seqlock)
-// storage on or off. The queued paths carry these runs in 0xC6 frames,
+// between kDirect, kQueueFramed, and kSocket for every producer mix, with
+// owned-shard (single-writer seqlock) storage on or off. The queued paths carry these runs in 0xC6 frames,
 // so this also pins the d-dim wire codec end to end.
 TEST(TransportDeterminismTest, MultiDimBitIdenticalAcrossKindsAndModes) {
   for (MultidimStrategy strategy :
@@ -1765,55 +1862,22 @@ TEST(TransportDeterminismTest, MultiDimBitIdenticalAcrossKindsAndModes) {
 
     for (int producers : {1, 4, 8}) {
       for (TransportKind kind :
-           {TransportKind::kDirect, TransportKind::kQueue,
-            TransportKind::kQueueFramed, TransportKind::kSocket}) {
-        for (bool affinity : {false, true}) {
-          if (kind == TransportKind::kDirect && affinity) continue;
-          for (bool owned : {false, true}) {
-            // Single-writer shards are only sound with affinity routing
-            // on a queued transport.
-            if (owned && (kind == TransportKind::kDirect || !affinity)) {
-              continue;
-            }
-            SCOPED_TRACE(TransportKindName(kind));
-            SCOPED_TRACE(producers);
-            SCOPED_TRACE(affinity);
-            SCOPED_TRACE(owned);
-            EngineConfig config = base_config;
-            config.num_threads = producers;
-            config.transport.kind = kind;
-            config.transport.num_consumers = 2;
-            config.transport.queue_capacity = 8;
-            config.transport.max_batch_runs = 16;
-            config.transport.shard_affinity = affinity;
-            config.transport.owned_shards = owned;
-            const FleetObservation run = RunFleet(config);
-
-            EXPECT_EQ(run.stats.stream_digest,
-                      baseline.stats.stream_digest);
-            EXPECT_EQ(run.stats.mean_slot_mse,
-                      baseline.stats.mean_slot_mse);
-            ASSERT_EQ(run.stats.per_dim_mse.size(),
-                      baseline.stats.per_dim_mse.size());
-            for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
-                        std::bit_cast<uint64_t>(
-                            baseline.stats.per_dim_mse[k]))
-                  << "dim " << k;
-            }
-            EXPECT_EQ(run.report_count, baseline.report_count);
-            ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
-            for (size_t t = 0; t < run.aggregates.size(); ++t) {
-              EXPECT_EQ(run.aggregates[t].Count(),
-                        baseline.aggregates[t].Count())
-                  << "cell " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].Mean()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].Mean()))
-                  << "cell " << t;
-            }
-            EXPECT_EQ(run.histograms, baseline.histograms);
-          }
+           {TransportKind::kDirect, TransportKind::kQueueFramed,
+            TransportKind::kSocket}) {
+        for (bool owned : {false, true}) {
+          // Single-writer shards need a queued transport.
+          if (owned && kind == TransportKind::kDirect) continue;
+          SCOPED_TRACE(TransportKindName(kind));
+          SCOPED_TRACE(producers);
+          SCOPED_TRACE(owned);
+          EngineConfig config = base_config;
+          config.num_threads = producers;
+          config.transport.kind = kind;
+          config.transport.num_consumers = 2;
+          config.transport.queue_capacity = 8;
+          config.transport.max_batch_runs = 16;
+          config.transport.owned_shards = owned;
+          ExpectBitIdentical(RunFleet(config), baseline);
         }
       }
     }
@@ -1872,8 +1936,8 @@ TEST(SaturationTest, HubDrainFailsWhenAggregatesSaturate) {
   // fixed-point aggregates; the transport must refuse to call that a
   // clean session.
   for (TransportKind kind :
-       {TransportKind::kDirect, TransportKind::kQueue,
-        TransportKind::kQueueFramed, TransportKind::kSocket}) {
+       {TransportKind::kDirect, TransportKind::kQueueFramed,
+        TransportKind::kSocket}) {
     SCOPED_TRACE(TransportKindName(kind));
     auto collector = ShardedCollector::Create({.keep_streams = false});
     ASSERT_TRUE(collector.ok());

@@ -5,7 +5,7 @@
 // from the device fleet (Fig. 1).
 //
 //   # terminal 1: the collector
-//   $ ./collector_server --socket=/tmp/capp.sock --consumers=4 --affinity
+//   $ ./collector_server --socket=/tmp/capp.sock --consumers=4 --owned-shards
 //   # terminal 2: the fleet
 //   $ ./fleet_simulation 200000 24 --connect=/tmp/capp.sock
 //
@@ -83,7 +83,7 @@ namespace {
                "usage: %s {--socket=PATH | --tcp=HOST:PORT}\n"
                "          [--sessions=N] [--consumers=N]\n"
                "          [--shards=N] [--capacity=N] [--batch-runs=N]\n"
-               "          [--affinity] [--owned-shards] [--max-slots=N]\n"
+               "          [--owned-shards] [--max-slots=N]\n"
                "          [--dims=N] "
                "[--multidim=budget_split|sample_split]\n"
                "          [--analytics] [--epsilon=X] [--window=N]\n"
@@ -271,8 +271,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       multidim_strategy = *strategy;
-    } else if (arg == "--affinity") {
-      options.shard_affinity = true;
     } else if (arg == "--owned-shards") {
       owned_shards = true;
     } else if (arg.starts_with("--max-slots=")) {
@@ -299,20 +297,12 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
   }
   capp::telemetry::Configure(telemetry_config);
-  if (owned_shards && !options.shard_affinity) {
-    // Same soundness rule as ValidateTransportOptions: single-writer
-    // shards need exactly one consumer per shard group.
-    std::fprintf(stderr,
-                 "--owned-shards requires --affinity: without affinity "
-                 "routing, multiple consumers write the same shard and "
-                 "single-writer ingest would race\n");
-    return 2;
-  }
 
   // Aggregate-only storage: the collector tier scales by slot count, not
   // by population, exactly like the million-user fleet configuration.
-  // With --owned-shards the affinity-routed consumers own their shards
-  // outright and ingest skips the per-shard mutex (seqlock reads).
+  // Consumers are routed by shard group, so with --owned-shards each owns
+  // its shards outright and ingest skips the per-shard mutex (seqlock
+  // reads).
   capp::ShardedCollectorOptions collector_options;
   collector_options.num_shards = shards;
   collector_options.keep_streams = false;
@@ -510,10 +500,9 @@ int main(int argc, char** argv) {
           ? options.socket_path
           : "tcp " + options.tcp_host + ":" +
                 std::to_string((*server)->tcp_port());
-  std::printf("collector_server: listening on %s (%d consumers, affinity "
-              "%s, %zu shards, %s ingest%s); waiting for %llu session(s)\n",
+  std::printf("collector_server: listening on %s (%d consumers, %zu "
+              "shards, %s ingest%s); waiting for %llu session(s)\n",
               listen_endpoint.c_str(), options.num_consumers,
-              options.shard_affinity ? "on" : "off",
               static_cast<size_t>(shards),
               owned_shards ? "owned-shard" : "mutex", dims_note.c_str(),
               static_cast<unsigned long long>(sessions));
