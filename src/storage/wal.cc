@@ -381,9 +381,10 @@ Result<WalSegmentScan> ScanWalSegment(const std::string& path,
         {bytes.data() + offset, bytes.size() - offset}, &user_id,
         &base_slot, &dims, scratch);
     if (!consumed.ok()) {
-      // A well-formed header whose run ends past the collector's cell
-      // index is not a torn write: it is data no collector can ingest,
-      // and truncating it away would hide that. Refuse the log instead.
+      // A whole, CRC-valid frame whose run ends past the collector's
+      // cell index (the only OutOfRange the decoder returns) is not a
+      // torn write: it is data no collector can ingest, and truncating
+      // it away would hide that. Refuse the log instead.
       if (consumed.status().code() == StatusCode::kOutOfRange) {
         return Status::OutOfRange(
             "wal segment " + path + " holds a frame at byte " +

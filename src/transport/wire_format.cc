@@ -195,13 +195,20 @@ Status ParseFrameHeader(std::span<const uint8_t> bytes, uint64_t* user_id,
   if (multi && *count % *dims != 0) {
     return FrameError("count not divisible by dims");
   }
-  // The run's last cell ((base_slot + slots) * dims - 1) must fit the
-  // collector's uint32 cell index, i.e. base_slot + slots <= limit.
-  // Compared as a subtraction so a base_slot near 2^64 cannot wrap;
-  // slots <= limit always holds because count <= kWireMaxRunLength.
+  return Status::OK();
+}
+
+// The run's last cell ((base_slot + slots) * dims - 1) must fit the
+// collector's uint32 cell index, i.e. base_slot + slots <= limit.
+// Compared as a subtraction so a base_slot near 2^64 cannot wrap;
+// slots <= limit always holds because count <= kWireMaxRunLength.
+// Checked only once the frame is otherwise whole (and, on decode,
+// CRC-valid), so OutOfRange never describes a torn or damaged frame.
+Status CheckRunFitsCellIndex(uint64_t base_slot, uint64_t dims,
+                             uint64_t count) {
   static_assert(kWireMaxRunLength <= kWireMaxCells);
-  const uint64_t limit = kWireMaxCells / *dims;
-  if (*base_slot > limit - *count / *dims) {
+  const uint64_t limit = kWireMaxCells / dims;
+  if (base_slot > limit - count / dims) {
     return Status::OutOfRange(
         "wire frame: run ends past the collector's uint32 cell index");
   }
@@ -228,6 +235,7 @@ Result<size_t> DecodeUserRunFrame(std::span<const uint8_t> bytes,
   uint32_t stored = 0;
   std::memcpy(&stored, bytes.data() + cursor + payload, 4);
   if (computed != stored) return FrameError("CRC mismatch");
+  CAPP_RETURN_IF_ERROR(CheckRunFitsCellIndex(*base_slot, *dims, count));
 
   // Little-endian payload on a little-endian host: one bulk copy.
   values.resize(count);
@@ -260,6 +268,8 @@ Result<WireFrameHeader> PeekUserRunFrame(std::span<const uint8_t> bytes) {
   if (header.frame_bytes > bytes.size()) {
     return FrameError("frame extends past the buffer");
   }
+  CAPP_RETURN_IF_ERROR(
+      CheckRunFitsCellIndex(header.base_slot, header.dims, header.count));
   return header;
 }
 

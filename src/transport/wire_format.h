@@ -91,7 +91,8 @@ void AppendMultiDimRunFrame(uint64_t user_id, uint64_t base_slot,
 /// returns the number of bytes consumed, so concatenated frames decode by
 /// advancing a cursor. Fails with InvalidArgument on a bad magic byte,
 /// truncation, an absurd run length, or a CRC mismatch, and with
-/// OutOfRange on a run ending past kWireMaxCells; `values` is
+/// OutOfRange on an otherwise whole, CRC-valid frame whose run ends past
+/// kWireMaxCells (so OutOfRange never means a torn frame); `values` is
 /// unspecified after a failure. This overload serves one-dimensional
 /// call sites: a 0xC6 frame decodes successfully only through the
 /// dims-aware overload below (here it fails loudly rather than silently

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -625,48 +626,62 @@ TEST(DurableCollectorTest, RecoveryRefusesFramesPastTheCellIndex) {
   }
 }
 
-// Simulated SIGKILL: garbage lands after the last durable frame (a torn
-// user-space buffer). Recovery replays the durable prefix, the "fleet"
-// re-sends every run, and the result matches the no-crash oracle.
-TEST(DurableCollectorTest, TornTailThenResendMatchesOracle) {
-  const size_t kUsers = 100;
-  const size_t kSlots = 6;
-  TempDir dir;
+// Writes users [0, users) through a DurableCollector in `dir`, then
+// tears its one segment the way a SIGKILL mid-write would: the trailer
+// ripped off and `tail` (a frame that never finished) on the end.
+void WriteTornLog(const std::string& dir, size_t users, size_t slots,
+                  std::span<const uint8_t> tail) {
   {
     ShardedCollector backend = MakeCollector();
-    auto durable =
-        DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+    auto durable = DurableCollector::Create(&backend, TestDurableOptions(dir));
     ASSERT_TRUE(durable.ok());
-    for (uint64_t u = 0; u < kUsers / 2; ++u) {
-      (*durable)->IngestUserRun(u, 0, RunValues(u, kSlots));
+    for (uint64_t u = 0; u < users; ++u) {
+      (*durable)->IngestUserRun(u, 0, RunValues(u, slots));
     }
     ASSERT_TRUE((*durable)->Flush().ok());
     // No Seal(): the destructor seals, so tear the file afterwards.
   }
-  auto segments = ListWalSegments(dir.path());
+  auto segments = ListWalSegments(dir);
   ASSERT_TRUE(segments.ok());
   ASSERT_EQ(segments->size(), 1u);
-  {
-    // Rip the trailer off and drop half a frame of garbage on the end.
-    auto bytes = ReadFileBytes((*segments)[0].path);
-    ASSERT_TRUE(bytes.ok());
-    std::vector<uint8_t> torn(bytes->begin(), bytes->end() - 13);
-    torn.push_back(0xC5);  // a frame that never finished
-    torn.push_back(0x33);
-    ASSERT_TRUE(AtomicWriteFile((*segments)[0].path, torn).ok());
+  auto bytes = ReadFileBytes((*segments)[0].path);
+  ASSERT_TRUE(bytes.ok());
+  std::vector<uint8_t> torn(bytes->begin(), bytes->end() - 13);
+  torn.insert(torn.end(), tail.begin(), tail.end());
+  ASSERT_TRUE(AtomicWriteFile((*segments)[0].path, torn).ok());
+}
+
+// Simulated SIGKILL: a torn frame lands after the last durable one.
+// Recovery truncates it and replays the durable prefix, the "fleet"
+// re-sends every run, and the result matches the no-crash oracle. One
+// torn tail is two bytes of a frame; the other a frame cut short in its
+// payload whose header reads as a run past the cell index -- still a torn
+// write, not a frame for recovery to refuse.
+TEST(DurableCollectorTest, TornTailThenResendMatchesOracle) {
+  const size_t kUsers = 100;
+  const size_t kSlots = 6;
+  std::vector<uint8_t> past_index;
+  AppendUserRunFrame(kUsers, uint64_t{1} << 40, RunValues(kUsers, kSlots),
+                     past_index);
+  past_index.resize(past_index.size() - 9);
+  for (const std::vector<uint8_t>& tail :
+       {std::vector<uint8_t>{0xC5, 0x33}, past_index}) {
+    SCOPED_TRACE(tail.size());
+    TempDir dir;
+    ASSERT_NO_FATAL_FAILURE(WriteTornLog(dir.path(), kUsers / 2, kSlots, tail));
+    ShardedCollector recovered = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&recovered, TestDurableOptions(dir.path()));
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    EXPECT_EQ((*durable)->wal_stats().bytes_discarded, tail.size());
+    EXPECT_EQ(recovered.user_count(), kUsers / 2);
+    for (uint64_t u = 0; u < kUsers; ++u) {
+      (*durable)->IngestUserRun(u, 0, RunValues(u, kSlots));
+    }
+    ASSERT_TRUE((*durable)->Flush().ok());
+    EXPECT_EQ((*durable)->wal_stats().runs_deduped, kUsers / 2);
+    EXPECT_EQ(CollectorStateDigest(recovered), OracleDigest(kUsers, kSlots));
   }
-  ShardedCollector recovered = MakeCollector();
-  auto durable =
-      DurableCollector::Create(&recovered, TestDurableOptions(dir.path()));
-  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
-  EXPECT_EQ((*durable)->wal_stats().bytes_discarded, 2u);
-  EXPECT_EQ(recovered.user_count(), kUsers / 2);
-  for (uint64_t u = 0; u < kUsers; ++u) {
-    (*durable)->IngestUserRun(u, 0, RunValues(u, kSlots));
-  }
-  ASSERT_TRUE((*durable)->Flush().ok());
-  EXPECT_EQ((*durable)->wal_stats().runs_deduped, kUsers / 2);
-  EXPECT_EQ(CollectorStateDigest(recovered), OracleDigest(kUsers, kSlots));
 }
 
 // Regression: recovery must repair (truncate + seal) a torn final
@@ -676,25 +691,8 @@ TEST(DurableCollectorTest, TornTailThenResendMatchesOracle) {
 TEST(DurableCollectorTest, RecoverySurvivesBackToBackCrashes) {
   const size_t kSlots = 4;
   TempDir dir;
-  {
-    ShardedCollector backend = MakeCollector();
-    auto durable =
-        DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
-    ASSERT_TRUE(durable.ok());
-    for (uint64_t u = 0; u < 30; ++u) {
-      (*durable)->IngestUserRun(u, 0, RunValues(u, kSlots));
-    }
-    ASSERT_TRUE((*durable)->Flush().ok());
-  }
-  auto segments = ListWalSegments(dir.path());
-  ASSERT_TRUE(segments.ok());
-  {
-    auto bytes = ReadFileBytes((*segments)[0].path);
-    ASSERT_TRUE(bytes.ok());
-    std::vector<uint8_t> torn(bytes->begin(), bytes->end() - 13);
-    torn.push_back(0xC5);
-    ASSERT_TRUE(AtomicWriteFile((*segments)[0].path, torn).ok());
-  }
+  const uint8_t tail[] = {0xC5};
+  ASSERT_NO_FATAL_FAILURE(WriteTornLog(dir.path(), 30, kSlots, tail));
   // Crash incarnation 2: recovers, appends a few runs, dies unsealed.
   {
     ShardedCollector backend = MakeCollector();

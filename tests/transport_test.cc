@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <set>
@@ -621,6 +622,19 @@ TEST(WireFormatTest, RefusesRunsEndingPastTheCellIndex) {
       EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
       EXPECT_EQ(PeekUserRunFrame(frame).status().code(),
                 StatusCode::kOutOfRange);
+      // Cut short or CRC-damaged, the same header is just a broken frame
+      // (what a WAL scan truncates as a torn tail), not OutOfRange.
+      const std::span<const uint8_t> torn(frame.data(), frame.size() - 5);
+      EXPECT_EQ(PeekUserRunFrame(torn).status().code(),
+                StatusCode::kInvalidArgument);
+      frame.back() ^= 0x01;
+      for (auto damaged : {torn, std::span<const uint8_t>(frame)}) {
+        EXPECT_EQ(
+            DecodeUserRunFrame(damaged, &user_id, &base_slot, &dims, values)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+      }
     }
     std::vector<uint8_t> frame;
     AppendMultiDimRunFrame(7, largest, d, run, frame);
@@ -1770,117 +1784,93 @@ FleetObservation RunFleet(EngineConfig config) {
           std::move(*histograms), fleet->collector().report_count()};
 }
 
-// Expects `run` to match `baseline` bit for bit: digest, error
-// statistics, per-cell aggregates, and histogram bins. Histogram bins are
+// Runs `base` through every transport mode -- kDirect, and kQueueFramed
+// and kSocket with mutex or owned-shard (single-writer seqlock) ingest --
+// at 1, 4 and 8 producers and each of `consumer_counts`, and expects
+// every run to match the plain direct run bit for bit: digest, error
+// statistics, per-cell aggregates, and histogram bins. Exactness of the
+// aggregates comes from SlotAggregate's integer accumulation; the digest
+// is computed producer-side from per-user streams; histogram bins are
 // integer counts of a pure per-value bin function, so the streaming
-// analytics tier inherits the transport determinism contract.
-void ExpectBitIdentical(const FleetObservation& run,
-                        const FleetObservation& baseline) {
-  EXPECT_EQ(run.stats.stream_digest, baseline.stats.stream_digest);
-  EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.mean_slot_mse),
-            std::bit_cast<uint64_t>(baseline.stats.mean_slot_mse));
-  ASSERT_EQ(run.stats.per_dim_mse.size(), baseline.stats.per_dim_mse.size());
-  for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
-              std::bit_cast<uint64_t>(baseline.stats.per_dim_mse[k]))
-        << "dim " << k;
+// analytics tier inherits the same contract.
+void ExpectBitIdenticalAcrossModes(const EngineConfig& base,
+                                   std::initializer_list<int> consumer_counts) {
+  const FleetObservation baseline = RunFleet(base);
+  ASSERT_EQ(baseline.aggregates.size(), base.dims * base.num_slots);
+  for (int producers : {1, 4, 8}) {
+    for (TransportKind kind :
+         {TransportKind::kDirect, TransportKind::kQueueFramed,
+          TransportKind::kSocket}) {
+      for (int consumers : consumer_counts) {
+        for (bool owned : {false, true}) {
+          // kDirect has no consumers, so no consumer count or ownership.
+          if (kind == TransportKind::kDirect &&
+              (owned || consumers != *consumer_counts.begin())) {
+            continue;
+          }
+          SCOPED_TRACE(TransportKindName(kind));
+          SCOPED_TRACE(producers);
+          SCOPED_TRACE(consumers);
+          SCOPED_TRACE(owned);
+          EngineConfig config = base;
+          config.num_threads = producers;
+          config.transport.kind = kind;
+          config.transport.num_consumers = consumers;
+          config.transport.queue_capacity = 8;
+          config.transport.max_batch_runs = 16;
+          config.transport.owned_shards = owned;
+          const FleetObservation run = RunFleet(config);
+          EXPECT_EQ(run.stats.stream_digest, baseline.stats.stream_digest);
+          EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.mean_slot_mse),
+                    std::bit_cast<uint64_t>(baseline.stats.mean_slot_mse));
+          ASSERT_EQ(run.stats.per_dim_mse.size(),
+                    baseline.stats.per_dim_mse.size());
+          for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
+                      std::bit_cast<uint64_t>(baseline.stats.per_dim_mse[k]))
+                << "dim " << k;
+          }
+          EXPECT_EQ(run.report_count, baseline.report_count);
+          ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
+          for (size_t t = 0; t < run.aggregates.size(); ++t) {
+            const SlotAggregate& got = run.aggregates[t];
+            const SlotAggregate& want = baseline.aggregates[t];
+            EXPECT_EQ(got.Count(), want.Count()) << "cell " << t;
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.Mean()),
+                      std::bit_cast<uint64_t>(want.Mean()))
+                << "cell " << t;
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.M2()),
+                      std::bit_cast<uint64_t>(want.M2()))
+                << "cell " << t;
+          }
+          EXPECT_EQ(run.histograms, baseline.histograms);
+        }
+      }
+    }
   }
-  EXPECT_EQ(run.report_count, baseline.report_count);
-  ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
-  for (size_t t = 0; t < run.aggregates.size(); ++t) {
-    const SlotAggregate& got = run.aggregates[t];
-    const SlotAggregate& want = baseline.aggregates[t];
-    EXPECT_EQ(got.Count(), want.Count()) << "cell " << t;
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.Mean()),
-              std::bit_cast<uint64_t>(want.Mean()))
-        << "cell " << t;
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.M2()),
-              std::bit_cast<uint64_t>(want.M2()))
-        << "cell " << t;
-  }
-  EXPECT_EQ(run.histograms, baseline.histograms);
 }
 
-// The headline acceptance test: digests AND collector aggregates are
-// bit-identical between kDirect, kQueueFramed, and kSocket for every
-// producer x consumer mix, with mutex or owned-shard (single-writer
-// seqlock) ingest on the queued kinds.
-// Exactness of the aggregates comes from SlotAggregate's integer
-// accumulation; the digest is already computed producer-side from
-// per-user streams.
+// The headline acceptance test: the mode matrix above for CAPP, IPP and
+// APP at 1, 2 and 4 consumers.
 TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
   for (AlgorithmKind algorithm :
        {AlgorithmKind::kCapp, AlgorithmKind::kIpp, AlgorithmKind::kApp}) {
     SCOPED_TRACE(AlgorithmKindName(algorithm));
-    const FleetObservation baseline =
-        RunFleet(TransportFleetConfig(algorithm));
-    ASSERT_FALSE(baseline.aggregates.empty());
-
-    for (int producers : {1, 4, 8}) {
-      for (TransportKind kind :
-           {TransportKind::kDirect, TransportKind::kQueueFramed,
-            TransportKind::kSocket}) {
-        for (int consumers : {1, 2, 4}) {
-          if (kind == TransportKind::kDirect && consumers != 1) continue;
-          for (bool owned : {false, true}) {
-            if (kind == TransportKind::kDirect && owned) continue;
-            SCOPED_TRACE(TransportKindName(kind));
-            SCOPED_TRACE(producers);
-            SCOPED_TRACE(consumers);
-            SCOPED_TRACE(owned);
-            EngineConfig config = TransportFleetConfig(algorithm);
-            config.num_threads = producers;
-            config.transport.kind = kind;
-            config.transport.num_consumers = consumers;
-            config.transport.queue_capacity = 8;
-            config.transport.max_batch_runs = 16;
-            config.transport.owned_shards = owned;
-            ExpectBitIdentical(RunFleet(config), baseline);
-          }
-        }
-      }
-    }
+    ExpectBitIdenticalAcrossModes(TransportFleetConfig(algorithm), {1, 2, 4});
   }
 }
 
-// The multi-dimensional flavor of the headline contract: a d=4 fleet's
-// digest, per-cell aggregates, and histogram bins are bit-identical
-// between kDirect, kQueueFramed, and kSocket for every producer mix, with
-// owned-shard (single-writer seqlock) storage on or off. The queued paths carry these runs in 0xC6 frames,
-// so this also pins the d-dim wire codec end to end.
+// The multi-dimensional flavor: a d=4 fleet under both strategies at 2
+// consumers. The queued paths carry these runs in 0xC6 frames, so this
+// also pins the d-dim wire codec end to end.
 TEST(TransportDeterminismTest, MultiDimBitIdenticalAcrossKindsAndModes) {
   for (MultidimStrategy strategy :
        {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
     SCOPED_TRACE(MultidimStrategyName(strategy));
-    EngineConfig base_config = TransportFleetConfig(AlgorithmKind::kCapp);
-    base_config.dims = 4;
-    base_config.multidim_strategy = strategy;
-    const FleetObservation baseline = RunFleet(base_config);
-    ASSERT_EQ(baseline.aggregates.size(),
-              base_config.dims * base_config.num_slots);
-    ASSERT_EQ(baseline.stats.per_dim_mse.size(), base_config.dims);
-
-    for (int producers : {1, 4, 8}) {
-      for (TransportKind kind :
-           {TransportKind::kDirect, TransportKind::kQueueFramed,
-            TransportKind::kSocket}) {
-        for (bool owned : {false, true}) {
-          // Single-writer shards need a queued transport.
-          if (owned && kind == TransportKind::kDirect) continue;
-          SCOPED_TRACE(TransportKindName(kind));
-          SCOPED_TRACE(producers);
-          SCOPED_TRACE(owned);
-          EngineConfig config = base_config;
-          config.num_threads = producers;
-          config.transport.kind = kind;
-          config.transport.num_consumers = 2;
-          config.transport.queue_capacity = 8;
-          config.transport.max_batch_runs = 16;
-          config.transport.owned_shards = owned;
-          ExpectBitIdentical(RunFleet(config), baseline);
-        }
-      }
-    }
+    EngineConfig config = TransportFleetConfig(AlgorithmKind::kCapp);
+    config.dims = 4;
+    config.multidim_strategy = strategy;
+    ExpectBitIdenticalAcrossModes(config, {2});
   }
 }
 
