@@ -156,6 +156,16 @@ Result<uint64_t> DurableCollector::Recover() {
     CAPP_RETURN_IF_ERROR(RepairWalSegment(to_replay.back()));
     CAPP_RETURN_IF_ERROR(FsyncDirectory(dir));
   }
+  if (telemetry::Enabled()) {
+    telemetry::metrics::WalRecoverySegmentsTotal().Add(
+        recovery_stats_.segments_recovered);
+    telemetry::metrics::WalRecoveryFramesTotal().Add(
+        recovery_stats_.frames_replayed);
+    telemetry::metrics::WalRecoveryBytesDiscardedTotal().Add(
+        recovery_stats_.bytes_discarded);
+    telemetry::metrics::WalRunsDedupedTotal().Add(
+        recovery_stats_.runs_deduped);
+  }
   return max_seqno + 1;
 }
 
@@ -175,6 +185,9 @@ void DurableCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
     std::shared_lock<std::shared_mutex> quiesce(checkpoint_mu_);
     if (options_.dedup_user_runs && backend_->Contains(user_id)) {
       runs_deduped_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry::Enabled()) {
+        telemetry::metrics::WalRunsDedupedTotal().Add(1);
+      }
       return;
     }
     // WAL before backend: queue the run, and under kPerRun wait until

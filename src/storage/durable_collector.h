@@ -17,6 +17,13 @@
 //   (corrupt sealed segment, foreign fingerprint, broken checkpoint)
 //   errors out with the backend untouched, never half-applied.
 //
+// Recovery memory: both phases stream each segment through WAL's fixed
+// kWalReadBufferBytes buffer (storage/wal.h), so besides the backend
+// and the newest checkpoint image, a restart holds O(1 MiB + largest
+// frame) whatever the segment size or count. The recovery summary lands
+// in wal_stats() and, with telemetry on, in the capp_wal_recovery_*
+// counters.
+//
 // Concurrency: one log thread, started by Create after recovery and
 // joined by Seal, is the only code that touches the WalWriter. An ingest
 // (a fleet worker or transport-hub consumer) takes the checkpoint lock

@@ -34,10 +34,18 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
     if (errno == ENOENT) return Status::NotFound(path + " does not exist");
     return Status::Internal("open(" + path + ") failed: " + ErrnoText());
   }
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[1 << 16];
-  for (;;) {
-    const ssize_t got = ::read(fd, buffer, sizeof(buffer));
+  // One allocation of the file's size; the loop only covers short reads.
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Status status =
+        Status::Internal("fstat(" + path + ") failed: " + ErrnoText());
+    ::close(fd);
+    return status;
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t got = ::read(fd, bytes.data() + done, bytes.size() - done);
     if (got < 0) {
       if (errno == EINTR) continue;
       const Status status =
@@ -45,10 +53,11 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
       ::close(fd);
       return status;
     }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), buffer, buffer + got);
+    if (got == 0) break;  // the file shrank since fstat
+    done += static_cast<size_t>(got);
   }
   ::close(fd);
+  bytes.resize(done);
   return bytes;
 }
 

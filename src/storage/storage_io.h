@@ -45,8 +45,9 @@ inline uint64_t ReadLe64(std::span<const uint8_t> bytes, size_t offset) {
   return value;
 }
 
-/// Reads a whole file into memory. NotFound when the path does not
-/// exist; Internal on any other I/O failure.
+/// Reads a whole file into memory, in one allocation of the size fstat
+/// reports. NotFound when the path does not exist; Internal on any other
+/// I/O failure.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 
 /// Creates the directory (and parents) if missing.

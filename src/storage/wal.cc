@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -79,6 +80,174 @@ void AppendSegmentTrailer(uint64_t frame_count, std::vector<uint8_t>& out) {
 }
 
 std::string ErrnoText() { return std::strerror(errno); }
+
+// One decoded frame; `values` keeps its capacity from frame to frame.
+struct SegmentFrame {
+  uint64_t user_id = 0;
+  uint64_t base_slot = 0;
+  uint64_t dims = 1;
+  std::vector<double> values;
+};
+
+// Reads one segment file front to back -- the header, then frames one at
+// a time until the trailer, damage or EOF -- through a fixed buffer: the
+// unconsumed tail moves to the front before each refill, and the buffer
+// grows only for a frame larger than itself, never past the bytes left
+// in the file. A reader therefore holds O(buffer + largest frame)
+// whatever the segment's size. "Cut short" is judged against the end of
+// the file, never the end of the buffer, so a frame straddling a refill
+// is not torn. ScanWalSegment and ReplayWalSegment share this one loop.
+class SegmentReader {
+ public:
+  enum class Step {
+    kFrame,   // a whole, CRC-valid frame was decoded
+    kSealed,  // a valid trailer closes the segment
+    kEnd,     // EOF, or damage (torn or CRC-failing frame, lying trailer)
+  };
+
+  SegmentReader() = default;
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+  ~SegmentReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  Status Open(const std::string& path);
+
+  // Reads the header and checks its magic, version and CRC. False, with
+  // nothing consumed, when it is short or damaged: we cannot trust a
+  // fingerprint or seqno out of a bad-CRC header.
+  Result<bool> ReadHeader(uint64_t* fingerprint, uint64_t* seqno);
+
+  // Decodes the next frame into `frame`. Fails on an I/O error, and with
+  // OutOfRange on a whole, CRC-valid frame whose run ends past the
+  // collector's cell index (the only OutOfRange the decoder returns): that
+  // is not a torn write but data no collector can ingest, and truncating
+  // it away would hide it.
+  Result<Step> Next(SegmentFrame& frame);
+
+  uint64_t frames() const { return frames_; }
+  // File offset of the first byte not yet consumed.
+  uint64_t offset() const { return read_ - (end_ - begin_); }
+  uint64_t file_size() const { return size_; }
+
+ private:
+  std::span<const uint8_t> Window() const {
+    return {buffer_.data() + begin_, end_ - begin_};
+  }
+  // Makes at least min(want, bytes left in the file) bytes available.
+  Status Fill(size_t want);
+
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;  // file size at Open
+  uint64_t read_ = 0;  // bytes read from the file so far
+  std::vector<uint8_t> buffer_;
+  size_t begin_ = 0;  // the unconsumed bytes are buffer_[begin_, end_)
+  size_t end_ = 0;
+  uint64_t frames_ = 0;
+};
+
+Status SegmentReader::Open(const std::string& path) {
+  path_ = path;
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
+    if (errno == ENOENT) return Status::NotFound(path + " does not exist");
+    return Status::Internal("open(" + path + ") failed: " + ErrnoText());
+  }
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return Status::Internal("fstat(" + path + ") failed: " + ErrnoText());
+  }
+  size_ = static_cast<uint64_t>(st.st_size);
+  buffer_.resize(std::min<uint64_t>(size_, kWalReadBufferBytes));
+  return Status::OK();
+}
+
+Status SegmentReader::Fill(size_t want) {
+  const size_t held = end_ - begin_;
+  want = static_cast<size_t>(
+      std::min<uint64_t>(want, held + (size_ - read_)));
+  if (held >= want) return Status::OK();
+  if (begin_ + want > buffer_.size()) {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, held);
+    begin_ = 0;
+    end_ = held;
+    if (want > buffer_.size()) buffer_.resize(want);
+  }
+  while (end_ - begin_ < want) {
+    const size_t room = static_cast<size_t>(
+        std::min<uint64_t>(buffer_.size() - end_, size_ - read_));
+    const ssize_t got = ::read(fd_, buffer_.data() + end_, room);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal("read(" + path_ + ") failed: " + ErrnoText());
+    }
+    if (got == 0) {
+      return Status::Internal("wal segment " + path_ +
+                              " shrank while being read");
+    }
+    end_ += static_cast<size_t>(got);
+    read_ += static_cast<uint64_t>(got);
+  }
+  return Status::OK();
+}
+
+Result<bool> SegmentReader::ReadHeader(uint64_t* fingerprint,
+                                       uint64_t* seqno) {
+  CAPP_RETURN_IF_ERROR(Fill(kSegmentHeaderBytes));
+  const std::span<const uint8_t> bytes = Window();
+  if (bytes.size() < kSegmentHeaderBytes ||
+      std::memcmp(bytes.data(), kSegmentMagic, 8) != 0 ||
+      ReadLe32(bytes, 8) != kSegmentVersion ||
+      ReadLe32(bytes, kSegmentHeaderBytes - 4) !=
+          Crc32(bytes.first(kSegmentHeaderBytes - 4))) {
+    return false;
+  }
+  *fingerprint = ReadLe64(bytes, 12);
+  *seqno = ReadLe64(bytes, 20);
+  begin_ += kSegmentHeaderBytes;
+  return true;
+}
+
+Result<SegmentReader::Step> SegmentReader::Next(SegmentFrame& frame) {
+  static_assert(kWireMaxFrameHeaderBytes >= kTrailerBytes);
+  CAPP_RETURN_IF_ERROR(Fill(kWireMaxFrameHeaderBytes));
+  std::span<const uint8_t> bytes = Window();
+  if (bytes.empty()) return Step::kEnd;
+  if (bytes[0] == kTrailerMarker) {
+    if (bytes.size() >= kTrailerBytes &&
+        ReadLe32(bytes, 9) == Crc32(bytes.first(9)) &&
+        ReadLe64(bytes, 1) == frames_) {
+      begin_ += kTrailerBytes;
+      return Step::kSealed;
+    }
+    return Step::kEnd;  // torn or lying trailer: truncate here
+  }
+  // A damaged header, or a frame running past the end of the file, ends
+  // the valid prefix; the buffer never grows for bytes the file lacks
+  // (a damaged count varint can claim kWireMaxRunLength values).
+  const Result<size_t> length = UserRunFrameLength(bytes);
+  if (!length.ok() || *length > bytes.size() + (size_ - read_)) {
+    return Step::kEnd;
+  }
+  CAPP_RETURN_IF_ERROR(Fill(*length));
+  const auto consumed =
+      DecodeUserRunFrame(Window().first(*length), &frame.user_id,
+                         &frame.base_slot, &frame.dims, frame.values);
+  if (!consumed.ok()) {
+    if (consumed.status().code() == StatusCode::kOutOfRange) {
+      return Status::OutOfRange(
+          "wal segment " + path_ + " holds a frame at byte " +
+          std::to_string(offset()) + " that no collector can ingest (" +
+          consumed.status().message() + "); refusing to replay it");
+    }
+    return Step::kEnd;  // CRC failure: truncate here
+  }
+  begin_ += *consumed;
+  ++frames_;
+  return Step::kFrame;
+}
 
 }  // namespace
 
@@ -329,22 +498,19 @@ Result<std::vector<WalSegmentScan>> ListWalSegments(const std::string& dir) {
 
 Result<WalSegmentScan> ScanWalSegment(const std::string& path,
                                       uint64_t expected_fingerprint) {
-  CAPP_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                        ReadFileBytes(path));
+  SegmentReader reader;
+  CAPP_RETURN_IF_ERROR(reader.Open(path));
   WalSegmentScan scan;
   scan.path = path;
-  // Header. Anything short or CRC-broken marks the whole file torn: we
-  // cannot trust a fingerprint or seqno out of a bad-CRC header, so the
-  // caller decides (final segment: crash artifact; earlier: fatal).
-  if (bytes.size() < kSegmentHeaderBytes ||
-      std::memcmp(bytes.data(), kSegmentMagic, 8) != 0 ||
-      ReadLe32(bytes, 8) != kSegmentVersion ||
-      ReadLe32(bytes, kSegmentHeaderBytes - 4) !=
-          Crc32({bytes.data(), kSegmentHeaderBytes - 4})) {
-    scan.discarded_bytes = bytes.size();
+  // A short or CRC-broken header marks the whole file torn; the caller
+  // decides (final segment: crash artifact; earlier: fatal).
+  uint64_t fingerprint = 0;
+  CAPP_ASSIGN_OR_RETURN(const bool header_ok,
+                        reader.ReadHeader(&fingerprint, &scan.seqno));
+  if (!header_ok) {
+    scan.discarded_bytes = reader.file_size();
     return scan;
   }
-  const uint64_t fingerprint = ReadLe64(bytes, 12);
   if (fingerprint != expected_fingerprint) {
     char text[160];
     std::snprintf(text, sizeof(text),
@@ -356,48 +522,17 @@ Result<WalSegmentScan> ScanWalSegment(const std::string& path,
     return Status::FailedPrecondition(text);
   }
   scan.header_ok = true;
-  scan.seqno = ReadLe64(bytes, 20);
 
   // Frames until the trailer, damage, or EOF.
-  size_t offset = kSegmentHeaderBytes;
-  std::vector<double> scratch;
-  while (offset < bytes.size()) {
-    if (bytes[offset] == kTrailerMarker) {
-      if (offset + kTrailerBytes <= bytes.size() &&
-          ReadLe32(bytes, offset + 9) ==
-              Crc32({bytes.data() + offset, 9}) &&
-          ReadLe64(bytes, offset + 1) == scan.frames) {
-        scan.sealed = true;
-        scan.frames_end = offset;
-        scan.discarded_bytes = bytes.size() - (offset + kTrailerBytes);
-        return scan;
-      }
-      break;  // torn or lying trailer: truncate here
-    }
-    uint64_t user_id = 0;
-    uint64_t base_slot = 0;
-    uint64_t dims = 1;
-    const auto consumed = DecodeUserRunFrame(
-        {bytes.data() + offset, bytes.size() - offset}, &user_id,
-        &base_slot, &dims, scratch);
-    if (!consumed.ok()) {
-      // A whole, CRC-valid frame whose run ends past the collector's
-      // cell index (the only OutOfRange the decoder returns) is not a
-      // torn write: it is data no collector can ingest, and truncating
-      // it away would hide that. Refuse the log instead.
-      if (consumed.status().code() == StatusCode::kOutOfRange) {
-        return Status::OutOfRange(
-            "wal segment " + path + " holds a frame at byte " +
-            std::to_string(offset) + " that no collector can ingest (" +
-            consumed.status().message() + "); refusing to replay it");
-      }
-      break;  // short read or CRC failure: truncate here
-    }
-    offset += *consumed;
-    ++scan.frames;
-  }
-  scan.frames_end = offset;
-  scan.discarded_bytes = bytes.size() - offset;
+  SegmentFrame frame;
+  SegmentReader::Step step = SegmentReader::Step::kEnd;
+  do {
+    CAPP_ASSIGN_OR_RETURN(step, reader.Next(frame));
+  } while (step == SegmentReader::Step::kFrame);
+  scan.sealed = step == SegmentReader::Step::kSealed;
+  scan.frames = reader.frames();
+  scan.frames_end = reader.offset() - (scan.sealed ? kTrailerBytes : 0);
+  scan.discarded_bytes = reader.file_size() - reader.offset();
   return scan;
 }
 
@@ -450,28 +585,26 @@ Status ReplayWalSegment(
                              uint64_t dims,
                              std::span<const double> values)>& apply) {
   if (scan.frames == 0) return Status::OK();
-  CAPP_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                        ReadFileBytes(scan.path));
-  size_t offset = kSegmentHeaderBytes;
-  std::vector<double> values;
-  for (uint64_t frame = 0; frame < scan.frames; ++frame) {
-    if (offset >= bytes.size()) {
-      return Status::Internal("wal segment " + scan.path +
-                              " shrank between scan and replay");
-    }
-    uint64_t user_id = 0;
-    uint64_t base_slot = 0;
-    uint64_t dims = 1;
-    const auto consumed = DecodeUserRunFrame(
-        {bytes.data() + offset, bytes.size() - offset}, &user_id,
-        &base_slot, &dims, values);
-    if (!consumed.ok()) {
+  SegmentReader reader;
+  CAPP_RETURN_IF_ERROR(reader.Open(scan.path));
+  uint64_t fingerprint = 0;
+  uint64_t seqno = 0;
+  CAPP_ASSIGN_OR_RETURN(const bool header_ok,
+                        reader.ReadHeader(&fingerprint, &seqno));
+  SegmentFrame frame;
+  while (header_ok && reader.frames() < scan.frames) {
+    const auto step = reader.Next(frame);
+    if (!step.ok()) {
       return Status::Internal("wal segment " + scan.path +
                               " changed between scan and replay: " +
-                              consumed.status().ToString());
+                              step.status().ToString());
     }
-    apply(user_id, base_slot, dims, values);
-    offset += *consumed;
+    if (*step != SegmentReader::Step::kFrame) break;
+    apply(frame.user_id, frame.base_slot, frame.dims, frame.values);
+  }
+  if (reader.frames() < scan.frames) {
+    return Status::Internal("wal segment " + scan.path +
+                            " changed between scan and replay");
   }
   return Status::OK();
 }

@@ -29,6 +29,13 @@
 // replaying a log into a differently-configured collector (or mixing two
 // experiments' logs) fails loudly instead of silently merging
 // incompatible aggregates.
+//
+// Recovery memory is bounded by the read buffer, not the log: scan and
+// replay stream each segment through a fixed kWalReadBufferBytes buffer,
+// one frame at a time, and grow it only for a single frame larger than
+// the buffer -- never past the bytes left in the file. A reader holds
+// O(kWalReadBufferBytes + largest frame) whatever segment_max_bytes is,
+// and a junk or oversized segment cannot drive a larger allocation.
 #ifndef CAPP_STORAGE_WAL_H_
 #define CAPP_STORAGE_WAL_H_
 
@@ -82,6 +89,12 @@ struct WalOptions {
   /// Rotate to a new segment once the current one exceeds this.
   size_t segment_max_bytes = 64u << 20;
 };
+
+/// Bytes recovery reads a segment through. ScanWalSegment and
+/// ReplayWalSegment hold this much -- plus one frame, when a single frame
+/// is larger -- whatever the segment's size, so restart memory does not
+/// grow with segment_max_bytes.
+inline constexpr size_t kWalReadBufferBytes = 1u << 20;
 
 /// Validates WAL knobs (non-empty dir, positive sync thresholds).
 Status ValidateWalOptions(const WalOptions& options);
@@ -200,18 +213,23 @@ struct WalSegmentScan {
 Result<std::vector<WalSegmentScan>> ListWalSegments(const std::string& dir);
 
 /// Scans one segment file (header, frame CRCs, trailer) without applying
-/// anything. Returns an error only for I/O failures and for a
-/// *fingerprint mismatch* (valid header written by a different config:
-/// that is a usage error no truncation heuristic should eat). All
-/// corruption -- torn header, bad frame CRC, truncated trailer -- is
-/// reported through the scan fields so the caller can decide whether the
-/// segment's position (final or not) makes it a crash artifact or fatal
-/// damage.
+/// anything, streaming it through a kWalReadBufferBytes buffer: memory is
+/// O(buffer + largest frame), not O(file). Returns an error only for I/O
+/// failures, for a *fingerprint mismatch* (valid header written by a
+/// different config: that is a usage error no truncation heuristic
+/// should eat), and with OutOfRange for a whole, CRC-valid frame whose
+/// run ends past the collector's cell index. All corruption -- torn
+/// header, a frame cut short by the end of the file or failing its CRC,
+/// truncated trailer -- is reported through the scan fields so the
+/// caller can decide whether the segment's position (final or not)
+/// makes it a crash artifact or fatal damage.
 Result<WalSegmentScan> ScanWalSegment(const std::string& path,
                                       uint64_t expected_fingerprint);
 
 /// Re-reads a scanned segment and invokes `apply` for each of the first
-/// `scan.frames` frames, in order. The caller already validated the
+/// `scan.frames` frames, in order, through the same bounded buffer as
+/// ScanWalSegment (`values` points into a per-frame vector that is reused
+/// for the next frame). The caller already validated the
 /// range via ScanWalSegment; a decode failure inside it is an Internal
 /// error (the file changed under us). `dims` is the frame's dimension
 /// count (1 for a 0xC5 frame; `values` is then dim-major per

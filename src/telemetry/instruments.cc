@@ -179,6 +179,31 @@ Counter& WalAppendStallsTotal() {
   return c;
 }
 
+Counter& WalRecoverySegmentsTotal() {
+  static Counter& c = C("capp_wal_recovery_segments_total",
+                        "WAL segments replayed by recovery");
+  return c;
+}
+
+Counter& WalRecoveryFramesTotal() {
+  static Counter& c = C("capp_wal_recovery_frames_total",
+                        "WAL frames re-ingested by recovery");
+  return c;
+}
+
+Counter& WalRecoveryBytesDiscardedTotal() {
+  static Counter& c = C("capp_wal_recovery_bytes_discarded_total",
+                        "Torn-tail WAL bytes recovery truncated away");
+  return c;
+}
+
+Counter& WalRunsDedupedTotal() {
+  static Counter& c = C("capp_wal_runs_deduped_total",
+                        "Resent runs skipped by user-id dedup, in "
+                        "recovery and live ingest");
+  return c;
+}
+
 Histogram& WalAppendSeconds() {
   static Histogram& h = Hs("capp_wal_append_seconds",
                            "WAL append time per frame (sampled)");

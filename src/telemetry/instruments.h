@@ -50,6 +50,10 @@ Counter& WalFsyncsTotal();
 Counter& WalRotationsTotal();
 Counter& WalCheckpointsTotal();
 Counter& WalAppendStallsTotal();
+Counter& WalRecoverySegmentsTotal();        // segments replayed at Create
+Counter& WalRecoveryFramesTotal();          // frames re-ingested at Create
+Counter& WalRecoveryBytesDiscardedTotal();  // torn-tail bytes truncated
+Counter& WalRunsDedupedTotal();  // resent runs skipped (recovery and live)
 Histogram& WalAppendSeconds();
 Histogram& WalFsyncSeconds();
 Histogram& WalRotateSeconds();

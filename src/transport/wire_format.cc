@@ -258,6 +258,17 @@ Result<size_t> DecodeUserRunFrame(std::span<const uint8_t> bytes,
   return consumed;
 }
 
+Result<size_t> UserRunFrameLength(std::span<const uint8_t> bytes) {
+  uint64_t user_id = 0;
+  uint64_t base_slot = 0;
+  uint64_t dims = 1;
+  uint64_t count = 0;
+  size_t cursor = 0;
+  CAPP_RETURN_IF_ERROR(
+      ParseFrameHeader(bytes, &user_id, &base_slot, &dims, &count, &cursor));
+  return cursor + static_cast<size_t>(count) * 8 + 4;
+}
+
 Result<WireFrameHeader> PeekUserRunFrame(std::span<const uint8_t> bytes) {
   WireFrameHeader header;
   size_t cursor = 0;

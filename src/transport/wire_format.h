@@ -30,6 +30,7 @@
 #ifndef CAPP_TRANSPORT_WIRE_FORMAT_H_
 #define CAPP_TRANSPORT_WIRE_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -111,6 +112,20 @@ Result<size_t> DecodeUserRunFrame(std::span<const uint8_t> bytes,
                                   uint64_t* user_id, uint64_t* base_slot,
                                   uint64_t* dims,
                                   std::vector<double>& values);
+
+/// Longest frame header: the magic byte and four varints of at most 10
+/// bytes each (0xC6 carries user_id, base_slot, dims and count).
+inline constexpr size_t kWireMaxFrameHeaderBytes = 1 + 4 * 10;
+
+/// Length of the frame at the head of `bytes` -- header, payload and CRC
+/// -- read from its header alone: unlike PeekUserRunFrame, the rest of
+/// the frame may lie past `bytes`. Fails like PeekUserRunFrame on a bad
+/// magic byte, a malformed varint, or an absurd run length or dimension
+/// count; checks neither the CRC nor the slot range. Given at least
+/// kWireMaxFrameHeaderBytes bytes, a failure means the header is damaged,
+/// not cut short. A reader that streams frames from a file uses this to
+/// learn how many bytes to buffer before decoding.
+Result<size_t> UserRunFrameLength(std::span<const uint8_t> bytes);
 
 /// Header of one wire frame, parsed without touching payload or CRC.
 struct WireFrameHeader {

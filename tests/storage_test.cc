@@ -1,6 +1,8 @@
 // Tests for the durable collector tier (src/storage/): WAL segment
 // round-trips, truncation at every byte boundary, bit-flip fuzzing over
-// header/frames/trailer, fingerprint (duplicate/foreign-log) detection,
+// header/frames/trailer, frames straddling the recovery read buffer's
+// refills, Rng-seeded mutation of a multi-segment log, the recovery
+// counters' export, fingerprint (duplicate/foreign-log) detection,
 // checkpoint round-trips, the headline recovery invariant -- replay
 // after a simulated crash reproduces the collector's aggregate state
 // bit-identically (pure-WAL and checkpoint+WAL both), or fails loudly
@@ -13,14 +15,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
 #include "engine/sharded_collector.h"
@@ -29,6 +37,8 @@
 #include "storage/durable_collector.h"
 #include "storage/storage_io.h"
 #include "storage/wal.h"
+#include "telemetry/instruments.h"
+#include "telemetry/metrics.h"
 #include "transport/wire_format.h"
 
 namespace capp {
@@ -777,6 +787,510 @@ TEST(DurableCollectorTest, CheckpointingRequiresSnapshotSupport) {
       &backend, TestDurableOptions(dir.path(), /*checkpoint_every=*/10));
   ASSERT_FALSE(durable.ok());
   EXPECT_EQ(durable.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// -------------------------------------------------- buffer boundaries ----
+
+// Segments laid out byte by byte, for tests that need a frame at a given
+// file offset: where recovery refills its kWalReadBufferBytes buffer. The
+// reader starts with the file's first kWalReadBufferBytes bytes and
+// refills at the start of the first frame that does not fit whole (it
+// moves that frame's bytes to the front and reads on), so while no frame
+// is larger than the buffer, each refill boundary lies one buffer length
+// past the start of the frame that crossed the previous one.
+constexpr size_t kSegmentHeaderBytes = 32;
+constexpr size_t kSegmentTrailerBytes = 13;
+
+size_t VarintBytes(uint64_t value) {
+  size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+struct LaidFrame {
+  uint64_t user_id = 0;
+  uint64_t base_slot = 0;
+  size_t count = 0;
+  size_t begin = 0;  // file offset of the frame's first byte
+  size_t end = 0;    // one past its last byte
+};
+
+class SegmentLayout {
+ public:
+  // File offset of the next frame.
+  size_t end() const {
+    return frames_.empty() ? kSegmentHeaderBytes : frames_.back().end;
+  }
+  const std::vector<LaidFrame>& frames() const { return frames_; }
+
+  // Appends a frame of `count` values whose user id is an `id_bytes`-byte
+  // varint (distinct per frame).
+  const LaidFrame& Add(size_t count, uint64_t base_slot = 0,
+                       size_t id_bytes = 2) {
+    LaidFrame frame;
+    frame.user_id = (uint64_t{1} << (7 * (id_bytes - 1))) + frames_.size();
+    frame.base_slot = base_slot;
+    frame.count = count;
+    frame.begin = end();
+    frame.end = frame.begin + 1 + id_bytes + VarintBytes(base_slot) +
+                VarintBytes(count) + 8 * count + 4;
+    frames_.push_back(frame);
+    return frames_.back();
+  }
+
+  // Appends one frame exactly `bytes` long (at least 16), picking the
+  // user-id and base-slot varint lengths that make the size come out.
+  void AddExact(size_t bytes) {
+    for (size_t id_bytes = 2; id_bytes <= 8; ++id_bytes) {
+      for (uint64_t base_slot : {uint64_t{0}, uint64_t{128}}) {
+        for (size_t count_bytes = 1; count_bytes <= 3; ++count_bytes) {
+          const size_t fixed =
+              1 + id_bytes + VarintBytes(base_slot) + count_bytes + 4;
+          if (bytes < fixed || (bytes - fixed) % 8 != 0) continue;
+          const size_t count = (bytes - fixed) / 8;
+          if (VarintBytes(count) != count_bytes) continue;
+          Add(count, base_slot, id_bytes);
+          ASSERT_EQ(frames_.back().end - frames_.back().begin, bytes);
+          return;
+        }
+      }
+    }
+    FAIL() << "no frame shape is " << bytes << " bytes long";
+  }
+
+  // Appends mixed-size frames (at most ~20 KB each) while the next frame
+  // would start more than `room` bytes before `offset`.
+  void FillUntil(size_t offset, size_t room) {
+    static constexpr size_t kMixedCounts[] = {1,  700,  17, 2500,
+                                              60, 1200, 5,  300};
+    while (end() + room < offset) {
+      Add(kMixedCounts[frames_.size() % std::size(kMixedCounts)]);
+    }
+  }
+
+  // Writes the frames as sealed segment 1 under `dir`; returns its path.
+  std::string Write(const std::string& dir) const {
+    auto writer = WalWriter::Create(TestWalOptions(dir), 1);
+    EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+    std::vector<uint8_t> bytes;
+    for (const LaidFrame& frame : frames_) {
+      bytes.clear();
+      AppendUserRunFrame(frame.user_id, frame.base_slot,
+                         RunValues(frame.user_id, frame.count), bytes);
+      EXPECT_TRUE(writer->Append(bytes).ok());
+    }
+    EXPECT_TRUE(writer->Seal().ok());
+    const std::string path = dir + "/wal-00000001.log";
+    EXPECT_EQ(std::filesystem::file_size(path),
+              end() + kSegmentTrailerBytes);
+    return path;
+  }
+
+  // Frames whole within the first `len` bytes of the file.
+  size_t WholeFrames(size_t len) const {
+    size_t whole = 0;
+    while (whole < frames_.size() && frames_[whole].end <= len) ++whole;
+    return whole;
+  }
+
+  // Digest of a collector that ingested the first `frames` frames.
+  uint64_t PrefixDigest(size_t frames) const {
+    ShardedCollector oracle = MakeCollector();
+    for (size_t i = 0; i < frames; ++i) {
+      const LaidFrame& frame = frames_[i];
+      oracle.IngestUserRun(frame.user_id, frame.base_slot,
+                           RunValues(frame.user_id, frame.count));
+    }
+    return CollectorStateDigest(oracle);
+  }
+
+ private:
+  std::vector<LaidFrame> frames_;
+};
+
+// Scans the segment at `path`, now `len` bytes long, and checks that it
+// yields exactly the frames whole within those bytes and that replay
+// reproduces each of them.
+void ExpectCleanPrefix(const std::string& path, const SegmentLayout& layout,
+                       size_t len) {
+  SCOPED_TRACE("len=" + std::to_string(len));
+  auto scan = ScanWalSegment(path, kFp);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  if (len < kSegmentHeaderBytes) {
+    EXPECT_FALSE(scan->header_ok);
+    EXPECT_EQ(scan->discarded_bytes, len);
+    return;
+  }
+  ASSERT_TRUE(scan->header_ok);
+  const size_t whole = layout.WholeFrames(len);
+  const size_t frames_end =
+      whole == 0 ? kSegmentHeaderBytes : layout.frames()[whole - 1].end;
+  const bool sealed = len == layout.end() + kSegmentTrailerBytes;
+  EXPECT_EQ(scan->sealed, sealed);
+  ASSERT_EQ(scan->frames, whole);
+  EXPECT_EQ(scan->frames_end, frames_end);
+  EXPECT_EQ(scan->discarded_bytes,
+            len - frames_end - (sealed ? kSegmentTrailerBytes : 0));
+  size_t next = 0;
+  const Status replayed = ReplayWalSegment(
+      *scan, [&](uint64_t user_id, uint64_t base_slot, uint64_t dims,
+                 std::span<const double> values) {
+        ASSERT_LT(next, whole);
+        const LaidFrame& frame = layout.frames()[next++];
+        ASSERT_EQ(user_id, frame.user_id);
+        ASSERT_EQ(base_slot, frame.base_slot);
+        ASSERT_EQ(dims, 1u);
+        const std::vector<double> expected =
+            RunValues(frame.user_id, frame.count);
+        ASSERT_TRUE(std::equal(values.begin(), values.end(),
+                               expected.begin(), expected.end()));
+      });
+  ASSERT_TRUE(replayed.ok()) << replayed.ToString();
+  EXPECT_EQ(next, whole);
+}
+
+// Cuts the segment at `path` to each length in `lens`, longest first
+// (each cut only shortens the file), checking a clean prefix at each.
+void ExpectCleanPrefixesAt(const std::string& path,
+                           const SegmentLayout& layout,
+                           std::vector<size_t> lens) {
+  std::sort(lens.rbegin(), lens.rend());
+  for (size_t len : lens) {
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(len)), 0);
+    ASSERT_NO_FATAL_FAILURE(ExpectCleanPrefix(path, layout, len));
+  }
+}
+
+// A segment over three buffers long whose refills fall inside a header
+// varint, a payload and a CRC: a frame straddling a refill is whole, and
+// a cut at every byte around each refill still yields a clean prefix.
+TEST(WalReadBufferTest, RefillsInsideHeaderPayloadAndCrcKeepCleanPrefixes) {
+  constexpr size_t kBuffer = kWalReadBufferBytes;
+  enum class Lands { kInHeaderVarint, kInPayload, kInCrc };
+  SegmentLayout layout;
+  std::vector<size_t> refills;
+  std::vector<size_t> straddler_ends;
+  size_t refill = kBuffer;
+  for (Lands lands : {Lands::kInHeaderVarint, Lands::kInPayload,
+                      Lands::kInCrc}) {
+    const size_t count = lands == Lands::kInPayload ? 1000 : 500;
+    const size_t header = 1 + 2 + 1 + VarintBytes(count);
+    size_t into = 2;  // inside the 2-byte user-id varint
+    if (lands == Lands::kInPayload) into = header + 3001;
+    if (lands == Lands::kInCrc) into = header + 8 * count + 2;
+    layout.FillUntil(refill, 40000);
+    ASSERT_NO_FATAL_FAILURE(layout.AddExact(refill - into - layout.end()));
+    const LaidFrame& straddler = layout.Add(count);
+    ASSERT_EQ(straddler.begin + into, refill);
+    refills.push_back(refill);
+    straddler_ends.push_back(straddler.end);
+    refill = straddler.begin + kBuffer;
+  }
+  layout.FillUntil(3 * kBuffer + 40000, 0);
+  ASSERT_GE(layout.end(), 3 * kBuffer);
+
+  TempDir dir;
+  const std::string path = layout.Write(dir.path());
+  std::vector<size_t> lens = {layout.end() + kSegmentTrailerBytes};
+  for (size_t i = 0; i < refills.size(); ++i) {
+    for (size_t len = refills[i] - 16; len <= refills[i] + 16; ++len) {
+      lens.push_back(len);
+    }
+    for (size_t len = straddler_ends[i] - 4; len <= straddler_ends[i];
+         ++len) {
+      lens.push_back(len);
+    }
+  }
+  ExpectCleanPrefixesAt(path, layout, lens);
+}
+
+// One frame larger than the buffer (2^18 values, 2 MiB): the buffer grows
+// to hold it, it round-trips, and cut short anywhere it is truncated.
+TEST(WalReadBufferTest, FrameLargerThanTheBufferRoundTripsAndTruncates) {
+  SegmentLayout layout;
+  layout.Add(10);
+  layout.Add(700);
+  const LaidFrame big = layout.Add(size_t{1} << 18);
+  ASSERT_GT(big.end - big.begin, kWalReadBufferBytes);
+  layout.Add(3);
+  layout.Add(1000);
+
+  TempDir dir;
+  const std::string path = layout.Write(dir.path());
+  ExpectCleanPrefixesAt(
+      path, layout,
+      {layout.end() + kSegmentTrailerBytes, big.end + 1, big.end,
+       big.end - 1, big.end - 4, kWalReadBufferBytes + 1,
+       kWalReadBufferBytes, big.begin + 7, big.begin + 1});
+}
+
+// The out-of-range frame of RecoveryRefusesFramesPastTheCellIndex, laid
+// across a refill: whole, it refuses the log; cut short, it is a torn
+// tail like any other.
+TEST(WalReadBufferTest, OutOfRangeFrameAcrossARefillIsRefusedUnlessTorn) {
+  constexpr size_t kBuffer = kWalReadBufferBytes;
+  SegmentLayout layout;
+  layout.FillUntil(kBuffer, 40000);
+  ASSERT_NO_FATAL_FAILURE(layout.AddExact(kBuffer - 3000 - layout.end()));
+  const LaidFrame bad = layout.Add(1000, uint64_t{1} << 40);
+  ASSERT_LT(bad.begin, kBuffer);
+  ASSERT_GT(bad.end, kBuffer);
+  const size_t bad_index = layout.frames().size() - 1;
+  layout.Add(20);
+  layout.Add(300);
+
+  {
+    TempDir dir;
+    const std::string path = layout.Write(dir.path());
+    auto scan = ScanWalSegment(path, kFp);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kOutOfRange);
+    ShardedCollector backend = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+    ASSERT_FALSE(durable.ok());
+    EXPECT_EQ(durable.status().code(), StatusCode::kOutOfRange)
+        << durable.status().ToString();
+    EXPECT_EQ(backend.user_count(), 0u);
+    EXPECT_EQ(backend.report_count(), 0u);
+  }
+  for (size_t len : {bad.end - 1, kBuffer + 100, kBuffer}) {
+    SCOPED_TRACE(len);
+    TempDir dir;
+    const std::string path = layout.Write(dir.path());
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(len)), 0);
+    auto scan = ScanWalSegment(path, kFp);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->frames, bad_index);
+    EXPECT_EQ(scan->discarded_bytes, len - bad.begin);
+    ShardedCollector recovered = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&recovered, TestDurableOptions(dir.path()));
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    EXPECT_EQ(recovered.user_count(), bad_index);
+    EXPECT_EQ(CollectorStateDigest(recovered),
+              layout.PrefixDigest(bad_index));
+  }
+}
+
+// ------------------------------------------------------- wal mutation ----
+
+// Writes `bytes` to `path` (no fsync: the file only feeds a recovery).
+void WriteFileForTest(const std::string& path,
+                      std::span<const uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// File offsets of the frames in a sealed segment's bytes.
+std::vector<size_t> FrameOffsets(std::span<const uint8_t> segment) {
+  std::vector<size_t> offsets;
+  size_t offset = kSegmentHeaderBytes;
+  while (segment[offset] != 0xA7) {  // the trailer marker
+    auto header = PeekUserRunFrame(segment.subspan(offset));
+    EXPECT_TRUE(header.ok());
+    if (!header.ok()) break;
+    offsets.push_back(offset);
+    offset += header->frame_bytes;
+  }
+  return offsets;
+}
+
+// Deterministic mutation testing of recovery: a three-segment log, each
+// segment longer than the read buffer, takes one mutation at a time --
+// a byte flip, a truncation, spliced junk, a count varint claiming
+// kWireMaxRunLength - 1 values, or a duplicated frame. Damage to an
+// interior segment must refuse the log with the backend untouched;
+// damage to the final segment must recover exactly the frames before
+// it, with the digest of a collector that never crashed.
+TEST(WalMutationTest, MutatedLogRecoversItsPrefixOrRefuses) {
+  constexpr int kMutations = 200;
+  static constexpr size_t kCounts[] = {1, 700, 17, 2500, 60, 1200, 5, 300};
+  TempDir pristine_dir;
+  std::vector<size_t> counts;  // user u's run has counts[u] values
+  {
+    WalOptions options = TestWalOptions(pristine_dir.path());
+    // Two full segments, then a final one of just over a buffer.
+    options.segment_max_bytes = kWalReadBufferBytes + kWalReadBufferBytes / 8;
+    const size_t log_bytes = 3 * options.segment_max_bytes;
+    auto writer = WalWriter::Create(options, 1);
+    ASSERT_TRUE(writer.ok());
+    std::vector<uint8_t> frame;
+    while (writer->stats().bytes_appended < log_bytes) {
+      const uint64_t user = counts.size();
+      counts.push_back(kCounts[user % std::size(kCounts)]);
+      frame.clear();
+      AppendUserRunFrame(user, 0, RunValues(user, counts.back()), frame);
+      ASSERT_TRUE(writer->Append(frame).ok());
+    }
+    ASSERT_TRUE(writer->Seal().ok());
+  }
+  auto listed = ListWalSegments(pristine_dir.path());
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 3u);
+  std::vector<std::vector<uint8_t>> segments;
+  std::vector<std::vector<size_t>> offsets;
+  for (const WalSegmentScan& segment : *listed) {
+    auto bytes = ReadFileBytes(segment.path);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_GT(bytes->size(), kWalReadBufferBytes);
+    offsets.push_back(FrameOffsets(*bytes));
+    segments.push_back(std::move(*bytes));
+  }
+  const size_t interior_frames = offsets[0].size() + offsets[1].size();
+  ASSERT_EQ(interior_frames + offsets[2].size(), counts.size());
+
+  std::map<size_t, uint64_t> oracle;  // frames -> digest of that prefix
+  auto prefix_digest = [&](size_t frames) {
+    auto [it, inserted] = oracle.try_emplace(frames, 0);
+    if (inserted) {
+      ShardedCollector collector = MakeCollector();
+      for (uint64_t u = 0; u < frames; ++u) {
+        collector.IngestUserRun(u, 0, RunValues(u, counts[u]));
+      }
+      it->second = CollectorStateDigest(collector);
+    }
+    return it->second;
+  };
+
+  Rng rng(0x5EC7);
+  int refused = 0;
+  for (int trial = 0; trial < kMutations; ++trial) {
+    // Half the mutations hit the final segment.
+    const size_t target = std::min<size_t>(rng.UniformInt(4), 2);
+    std::vector<uint8_t> bytes = segments[target];
+    const std::vector<size_t>& frames = offsets[target];
+    const size_t frame = rng.UniformInt(frames.size());
+    // Damage at byte `at` costs the frames that do not end before it.
+    size_t at = 0;
+    std::string what;
+    switch (rng.UniformInt(5)) {
+      case 0:
+        at = rng.UniformInt(bytes.size());
+        bytes[at] ^= static_cast<uint8_t>(1 + rng.UniformInt(255));
+        what = "flip";
+        break;
+      case 1:
+        at = rng.UniformInt(bytes.size());
+        bytes.resize(at);
+        what = "truncate";
+        break;
+      case 2: {
+        at = rng.UniformInt(bytes.size() + 1);
+        std::vector<uint8_t> junk(1 + rng.UniformInt(64));
+        for (uint8_t& b : junk) b = static_cast<uint8_t>(rng.NextUint64());
+        bytes.insert(bytes.begin() + at, junk.begin(), junk.end());
+        what = "junk";
+        break;
+      }
+      case 3: {
+        // 0xC5 | user_id | base_slot | count: rewrite the count varint.
+        at = frames[frame];
+        uint64_t skip = 0;
+        size_t count_at = at + 1;
+        count_at += DecodeVarint(std::span(bytes).subspan(count_at), &skip);
+        count_at += DecodeVarint(std::span(bytes).subspan(count_at), &skip);
+        const size_t count_bytes =
+            DecodeVarint(std::span(bytes).subspan(count_at), &skip);
+        std::vector<uint8_t> huge;
+        AppendVarint(kWireMaxRunLength - 1, huge);
+        bytes.erase(bytes.begin() + count_at,
+                    bytes.begin() + count_at + count_bytes);
+        bytes.insert(bytes.begin() + count_at, huge.begin(), huge.end());
+        what = "count";
+        break;
+      }
+      default: {
+        const size_t end =
+            frame + 1 < frames.size() ? frames[frame + 1]
+                                      : bytes.size() - kSegmentTrailerBytes;
+        const std::vector<uint8_t> copy(bytes.begin() + frames[frame],
+                                        bytes.begin() + end);
+        bytes.insert(bytes.begin() + end, copy.begin(), copy.end());
+        at = bytes.size();  // no frame is lost; the trailer's count lies
+        what = "duplicate";
+        break;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + what +
+                 " in segment " + std::to_string(target) + " at byte " +
+                 std::to_string(at));
+
+    TempDir dir;
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const std::string path =
+          dir.path() + "/" + std::filesystem::path((*listed)[s].path)
+                                 .filename()
+                                 .string();
+      ASSERT_NO_FATAL_FAILURE(
+          WriteFileForTest(path, s == target ? bytes : segments[s]));
+    }
+    ShardedCollector recovered = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&recovered, TestDurableOptions(dir.path()));
+    if (target < 2) {
+      ASSERT_FALSE(durable.ok());
+      EXPECT_EQ(durable.status().code(), StatusCode::kInternal)
+          << durable.status().ToString();
+      EXPECT_EQ(recovered.user_count(), 0u);
+      EXPECT_EQ(recovered.report_count(), 0u);
+      ++refused;
+      continue;
+    }
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    size_t survivors = interior_frames;
+    for (size_t f = 0; f < frames.size(); ++f) {
+      const size_t frame_end = f + 1 < frames.size()
+                                   ? frames[f + 1]
+                                   : segments[2].size() - kSegmentTrailerBytes;
+      if (frame_end <= at) ++survivors;
+    }
+    EXPECT_EQ(recovered.user_count(), survivors);
+    EXPECT_EQ((*durable)->wal_stats().frames_replayed, survivors);
+    EXPECT_EQ((*durable)->wal_stats().runs_deduped,
+              what == "duplicate" ? 1u : 0u);
+    EXPECT_EQ(CollectorStateDigest(recovered), prefix_digest(survivors));
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(refused, kMutations / 4);
+  EXPECT_LT(refused, 3 * kMutations / 4);
+}
+
+// Recovery publishes its WalStats summary to the metrics registry.
+TEST(DurableCollectorTest, TornTailRecoveryMovesTheRecoveryCounters) {
+  const telemetry::TelemetryConfig saved = telemetry::CurrentConfig();
+  telemetry::TelemetryConfig on;
+  on.enabled = true;
+  telemetry::Configure(on);
+  const size_t kUsers = 40;
+  const uint8_t tail[] = {0xC5, 0x33, 0x01};
+  TempDir dir;
+  ASSERT_NO_FATAL_FAILURE(WriteTornLog(dir.path(), kUsers, 4, tail));
+  namespace metrics = telemetry::metrics;
+  const uint64_t segments = metrics::WalRecoverySegmentsTotal().Value();
+  const uint64_t frames = metrics::WalRecoveryFramesTotal().Value();
+  const uint64_t discarded =
+      metrics::WalRecoveryBytesDiscardedTotal().Value();
+  const uint64_t deduped = metrics::WalRunsDedupedTotal().Value();
+  {
+    ShardedCollector recovered = MakeCollector();
+    auto durable =
+        DurableCollector::Create(&recovered, TestDurableOptions(dir.path()));
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    EXPECT_EQ(metrics::WalRecoverySegmentsTotal().Value() - segments, 1u);
+    EXPECT_EQ(metrics::WalRecoveryFramesTotal().Value() - frames, kUsers);
+    EXPECT_EQ(metrics::WalRecoveryBytesDiscardedTotal().Value() - discarded,
+              sizeof(tail));
+    (*durable)->IngestUserRun(0, 0, RunValues(0, 4));  // a resent run
+    EXPECT_EQ(metrics::WalRunsDedupedTotal().Value() - deduped, 1u);
+    const WalStats stats = (*durable)->wal_stats();
+    EXPECT_EQ(stats.frames_replayed, kUsers);
+    EXPECT_EQ(stats.bytes_discarded, sizeof(tail));
+    EXPECT_EQ(stats.runs_deduped, 1u);
+  }
+  telemetry::Configure(saved);
 }
 
 // ------------------------------------------------------------ log thread --

@@ -317,6 +317,32 @@ TEST(WireFormatTest, PeekParsesHeaderWithoutTouchingPayload) {
           .ok());
 }
 
+TEST(WireFormatTest, FrameLengthNeedsOnlyTheHeader) {
+  // Both frame kinds, with 10-byte user-id and base-slot varints.
+  const std::vector<double> run(6, 0.5);
+  for (const uint64_t dims : {uint64_t{1}, uint64_t{2}}) {
+    SCOPED_TRACE(dims);
+    std::vector<uint8_t> bytes;
+    AppendMultiDimRunFrame(~uint64_t{0}, ~uint64_t{0}, dims, run, bytes);
+    const size_t header = bytes.size() - run.size() * 8 - 4;
+    EXPECT_LE(header, kWireMaxFrameHeaderBytes);
+    // The header alone is enough; a header cut short is not.
+    auto length = UserRunFrameLength(std::span(bytes).first(header));
+    ASSERT_TRUE(length.ok()) << length.status().ToString();
+    EXPECT_EQ(*length, bytes.size());
+    EXPECT_FALSE(UserRunFrameLength(std::span(bytes).first(header - 1)).ok());
+  }
+  // A huge count is a length, not an allocation: the caller decides
+  // whether the bytes it claims exist.
+  std::vector<uint8_t> huge = {kWireFrameMagic, 0x01, 0x00};
+  AppendVarint(kWireMaxRunLength, huge);
+  auto length = UserRunFrameLength(huge);
+  ASSERT_TRUE(length.ok());
+  EXPECT_EQ(*length, huge.size() + kWireMaxRunLength * 8 + 4);
+  huge[0] = 0x00;
+  EXPECT_FALSE(UserRunFrameLength(huge).ok());
+}
+
 // ------------------------------------------------- multi-dim wire frames ----
 
 // Hand-builds a frame byte by byte with a correct CRC: the reference the
