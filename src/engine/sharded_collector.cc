@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <new>
@@ -144,11 +145,58 @@ ShardedCollector::ShardedCollector(ShardedCollectorOptions options)
   }
 }
 
-size_t ShardedCollector::ShardIndex(uint64_t user_id) const {
+size_t ShardedCollector::ShardIndexOf(uint64_t user_id) const {
   // Hash rather than modulo directly: sequential fleet user ids would
   // otherwise stripe perfectly, which is fine for balance but makes shard
   // membership depend on the population layout instead of the id alone.
-  return SplitMix64Mix(user_id) % shards_.size();
+  return ShardIndex(SplitMix64Mix(user_id));
+}
+
+uint32_t ShardedCollector::UserIndex::Find(uint64_t user_id,
+                                           uint64_t hash) const {
+  if (table_.empty()) return kNotFound;
+  const size_t mask = table_.size() - 1;
+  for (size_t slot = hash >> shift_;; slot = (slot + 1) & mask) {
+    const uint32_t stored = table_[slot];
+    if (stored == 0) return kNotFound;
+    if (entries_[stored - 1].user_id == user_id) return stored - 1;
+  }
+}
+
+std::pair<uint32_t, bool> ShardedCollector::UserIndex::FindOrInsert(
+    uint64_t user_id, uint64_t hash) {
+  // Grow before probing so the probe below always meets an empty slot.
+  if ((entries_.size() + 1) * 4 > table_.size() * 3) {
+    Rehash(std::max<size_t>(table_.size() * 2, 16));
+  }
+  const size_t mask = table_.size() - 1;
+  for (size_t slot = hash >> shift_;; slot = (slot + 1) & mask) {
+    const uint32_t stored = table_[slot];
+    if (stored == 0) {
+      entries_.push_back({user_id, 0, 0});
+      table_[slot] = static_cast<uint32_t>(entries_.size());
+      return {static_cast<uint32_t>(entries_.size() - 1), true};
+    }
+    if (entries_[stored - 1].user_id == user_id) return {stored - 1, false};
+  }
+}
+
+void ShardedCollector::UserIndex::Reserve(size_t users) {
+  size_t capacity = 16;
+  while (users * 4 > capacity * 3) capacity *= 2;
+  if (capacity > table_.size()) Rehash(capacity);
+  entries_.reserve(users);
+}
+
+void ShardedCollector::UserIndex::Rehash(size_t capacity) {
+  table_.assign(capacity, 0);
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (size_t dense = 0; dense < entries_.size(); ++dense) {
+    size_t slot = SplitMix64Mix(entries_[dense].user_id) >> shift_;
+    while (table_[slot] != 0) slot = (slot + 1) & mask;
+    table_[slot] = static_cast<uint32_t>(dense + 1);
+  }
 }
 
 void ShardedCollector::GrowSlots(Shard& shard, size_t end_slot) {
@@ -194,25 +242,22 @@ void ShardedCollector::GrowOwnedSlots(Shard& shard, size_t end_slot) {
 }
 
 void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
-                                      size_t base_slot,
+                                      uint64_t hash, size_t base_slot,
                                       std::span<const double> values,
                                       size_t first, size_t last) {
   // Owner-private bookkeeping: exactly one thread ever ingests into
-  // this shard (the single_writer contract), so the user index and
-  // dense arrays need no lock. Cross-thread per-user queries are
-  // answered only from the owner or after quiescence (see the header).
-  const auto [it, inserted] = shard.index.try_emplace(
-      user_id, static_cast<uint32_t>(shard.last_slot.size()));
-  const uint32_t dense = it->second;
+  // this shard (the single_writer contract), so the user index needs no
+  // lock. Cross-thread per-user queries are answered only from the
+  // owner or after quiescence (see the header).
+  const auto [dense, inserted] = shard.users.FindOrInsert(user_id, hash);
   if (inserted) {
-    shard.last_slot.push_back(static_cast<uint32_t>(base_slot + first));
-    shard.reports_per_user.push_back(0);
     shard.owned_users.store(
         shard.owned_users.load(std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
   }
-  shard.last_slot[dense] = std::max(
-      shard.last_slot[dense], static_cast<uint32_t>(base_slot + last));
+  UserEntry& user = shard.users.entry(dense);
+  user.last_slot =
+      std::max(user.last_slot, static_cast<uint32_t>(base_slot + last));
   const size_t end_slot = base_slot + last + 1;
   if (end_slot > shard.owned_slots) GrowOwnedSlots(shard, end_slot);
 
@@ -256,7 +301,7 @@ void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
 
   // Totals live outside the write section: they are monotonic counters
   // read relaxed, not part of the consistent-snapshot contract.
-  shard.reports_per_user[dense] += static_cast<uint32_t>(ingested);
+  user.reports += static_cast<uint32_t>(ingested);
   shard.owned_reports.store(
       shard.owned_reports.load(std::memory_order_relaxed) + ingested,
       std::memory_order_relaxed);
@@ -308,23 +353,17 @@ void ShardedCollector::CountSeqlockRetry() const {
   }
 }
 
-void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report) {
+void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report,
+                                    uint64_t hash) {
   // Non-finite values would collide with the NaN missing-slot sentinel and
   // poison the streaming aggregates; no library path produces them
   // (perturbers sanitize, report I/O validates), so a garbage report from
   // an external transport is simply discarded.
   if (!std::isfinite(report.value)) return;
-  const auto [it, inserted] =
-      shard.index.try_emplace(report.user_id,
-                              static_cast<uint32_t>(shard.last_slot.size()));
-  const uint32_t dense = it->second;
-  if (inserted) {
-    shard.last_slot.push_back(static_cast<uint32_t>(report.slot));
-    shard.reports_per_user.push_back(0);
-  } else {
-    shard.last_slot[dense] = std::max(shard.last_slot[dense],
-                                      static_cast<uint32_t>(report.slot));
-  }
+  const uint32_t dense = shard.users.FindOrInsert(report.user_id, hash).first;
+  UserEntry& user = shard.users.entry(dense);
+  user.last_slot =
+      std::max(user.last_slot, static_cast<uint32_t>(report.slot));
   GrowSlots(shard, report.slot + 1);
   const SlotHistogramOptions& hist = options_.histogram;
   uint32_t* hist_row =
@@ -347,7 +386,7 @@ void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report) {
         BumpBin(hist_row[hist.BinFor(report.value)],
                 shard.saturated_reports);
       }
-      ++shard.reports_per_user[dense];
+      ++user.reports;
       ++shard.report_count;
     } else {
       // Overwrite: move the old value's unit count to the new bin, the
@@ -371,7 +410,7 @@ void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report) {
       BumpBin(hist_row[hist.BinFor(report.value)],
               shard.saturated_reports);
     }
-    ++shard.reports_per_user[dense];
+    ++user.reports;
     ++shard.report_count;
   }
 }
@@ -383,9 +422,7 @@ void ShardedCollector::ReserveUsers(size_t expected_users) {
                            expected_users / (4 * shards_.size()) + 16;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.reserve(per_shard);
-    shard->last_slot.reserve(per_shard);
-    shard->reports_per_user.reserve(per_shard);
+    shard->users.Reserve(per_shard);
   }
 }
 
@@ -408,23 +445,20 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
     }
   }
 
-  Shard& shard = *shards_[ShardIndex(user_id)];
+  // One hash per run: its low bits pick the shard, its high bits the
+  // user index's probe start.
+  const uint64_t hash = SplitMix64Mix(user_id);
+  Shard& shard = *shards_[ShardIndex(hash)];
   if (options_.single_writer) {
-    IngestOwnedRun(shard, user_id, base_slot, values, first, last);
+    IngestOwnedRun(shard, user_id, hash, base_slot, values, first, last);
     return;
   }
   std::lock_guard<std::mutex> lock(shard.mu);
   // Resolve the user's dense index once for the run.
-  const auto [it, inserted] =
-      shard.index.try_emplace(user_id,
-                              static_cast<uint32_t>(shard.last_slot.size()));
-  const uint32_t dense = it->second;
-  if (inserted) {
-    shard.last_slot.push_back(static_cast<uint32_t>(base_slot + first));
-    shard.reports_per_user.push_back(0);
-  }
-  shard.last_slot[dense] = std::max(
-      shard.last_slot[dense], static_cast<uint32_t>(base_slot + last));
+  const uint32_t dense = shard.users.FindOrInsert(user_id, hash).first;
+  UserEntry& user = shard.users.entry(dense);
+  user.last_slot =
+      std::max(user.last_slot, static_cast<uint32_t>(base_slot + last));
   const size_t end_slot = base_slot + last + 1;  // one past the run
   GrowSlots(shard, end_slot);
   const SlotHistogramOptions& hist = options_.histogram;
@@ -455,7 +489,7 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
                 shard.saturated_reports);
       }
     }
-    shard.reports_per_user[dense] += static_cast<uint32_t>(ingested);
+    user.reports += static_cast<uint32_t>(ingested);
     shard.report_count += ingested;
     return;
   }
@@ -477,7 +511,7 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
         BumpBin(hist_row[hist.BinFor(values[i])],
                 shard.saturated_reports);
       }
-      ++shard.reports_per_user[dense];
+      ++user.reports;
       ++shard.report_count;
     } else {
       if (shard.slots[slot].Replace(old_value, values[i])) {
@@ -500,9 +534,10 @@ void ShardedCollector::Ingest(const SlotReport& report) {
     IngestUserRun(report.user_id, report.slot, {&report.value, 1});
     return;
   }
-  Shard& shard = *shards_[ShardIndex(report.user_id)];
+  const uint64_t hash = SplitMix64Mix(report.user_id);
+  Shard& shard = *shards_[ShardIndex(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  IngestLocked(shard, report);
+  IngestLocked(shard, report, hash);
 }
 
 void ShardedCollector::IngestBatch(std::span<const SlotReport> reports) {
@@ -516,20 +551,24 @@ void ShardedCollector::IngestBatch(std::span<const SlotReport> reports) {
   if (shards_.size() == 1) {
     Shard& shard = *shards_[0];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const SlotReport& report : reports) IngestLocked(shard, report);
+    for (const SlotReport& report : reports) {
+      IngestLocked(shard, report, SplitMix64Mix(report.user_id));
+    }
     return;
   }
-  // Bucket report indices by shard in one pass, then lock each shard once.
+  // Hash each report once and bucket report indices by shard in one
+  // pass, then lock each shard once.
+  std::vector<uint64_t> hashes(reports.size());
   std::vector<std::vector<uint32_t>> buckets(shards_.size());
   for (size_t i = 0; i < reports.size(); ++i) {
-    buckets[ShardIndex(reports[i].user_id)].push_back(
-        static_cast<uint32_t>(i));
+    hashes[i] = SplitMix64Mix(reports[i].user_id);
+    buckets[ShardIndex(hashes[i])].push_back(static_cast<uint32_t>(i));
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (buckets[s].empty()) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (uint32_t i : buckets[s]) IngestLocked(shard, reports[i]);
+    for (uint32_t i : buckets[s]) IngestLocked(shard, reports[i], hashes[i]);
   }
 }
 
@@ -537,7 +576,7 @@ size_t ShardedCollector::user_count() const {
   size_t total = 0;
   if (options_.single_writer) {
     // The owner maintains a dedicated atomic counter precisely so this
-    // query never touches its lock-free index map.
+    // query never touches its lock-free user index.
     for (const auto& shard : shards_) {
       total += shard->owned_users.load(std::memory_order_relaxed);
     }
@@ -545,7 +584,7 @@ size_t ShardedCollector::user_count() const {
   }
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->index.size();
+    total += shard->users.size();
   }
   return total;
 }
@@ -585,16 +624,18 @@ uint64_t ShardedCollector::seqlock_read_retries() const {
 }
 
 bool ShardedCollector::Contains(uint64_t user_id) const {
-  const Shard& shard = *shards_[ShardIndex(user_id)];
+  const uint64_t hash = SplitMix64Mix(user_id);
+  const Shard& shard = *shards_[ShardIndex(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.contains(user_id);
+  return shard.users.Find(user_id, hash) != UserIndex::kNotFound;
 }
 
 size_t ShardedCollector::SlotCount(uint64_t user_id) const {
-  const Shard& shard = *shards_[ShardIndex(user_id)];
+  const uint64_t hash = SplitMix64Mix(user_id);
+  const Shard& shard = *shards_[ShardIndex(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(user_id);
-  return it == shard.index.end() ? 0 : shard.reports_per_user[it->second];
+  const uint32_t dense = shard.users.Find(user_id, hash);
+  return dense == UserIndex::kNotFound ? 0 : shard.users.entry(dense).reports;
 }
 
 size_t ShardedCollector::SlotSpan() const {
@@ -613,12 +654,12 @@ Result<std::vector<double>> ShardedCollector::GapFilledStream(
     return Status::FailedPrecondition(
         "per-user streams require keep_streams = true");
   }
-  const Shard& shard = *shards_[ShardIndex(user_id)];
+  const uint64_t hash = SplitMix64Mix(user_id);
+  const Shard& shard = *shards_[ShardIndex(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(user_id);
-  if (it == shard.index.end()) return Status::NotFound("unknown user");
-  const uint32_t dense = it->second;
-  const size_t n = static_cast<size_t>(shard.last_slot[dense]) + 1;
+  const uint32_t dense = shard.users.Find(user_id, hash);
+  if (dense == UserIndex::kNotFound) return Status::NotFound("unknown user");
+  const size_t n = size_t{shard.users.entry(dense).last_slot} + 1;
   std::vector<double> raw(n);
   for (size_t t = 0; t < n; ++t) {
     raw[t] = RawValueAt(shard.values, t, dense);
@@ -634,11 +675,11 @@ Result<double> ShardedCollector::SubsequenceMean(uint64_t user_id,
     return Status::FailedPrecondition(
         "per-user streams require keep_streams = true");
   }
-  const Shard& shard = *shards_[ShardIndex(user_id)];
+  const uint64_t hash = SplitMix64Mix(user_id);
+  const Shard& shard = *shards_[ShardIndex(hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(user_id);
-  if (it == shard.index.end()) return Status::NotFound("unknown user");
-  const uint32_t dense = it->second;
+  const uint32_t dense = shard.users.Find(user_id, hash);
+  if (dense == UserIndex::kNotFound) return Status::NotFound("unknown user");
   KahanSum sum;
   size_t count = 0;
   for (size_t t = begin; t < begin + len; ++t) {
@@ -773,11 +814,7 @@ Result<CollectorShardState> ShardedCollector::ExportShardState(
       state.slots[t] = UnpackSnapshotSlot(packed.data() + t * kPackedWords);
     }
     state.histogram.assign(bins.begin(), bins.end());
-    state.users.resize(shard.last_slot.size());
-    for (const auto& [user_id, dense] : shard.index) {
-      state.users[dense] = {user_id, shard.last_slot[dense],
-                            shard.reports_per_user[dense]};
-    }
+    state.users = shard.users.entries();
     state.report_count = shard.owned_reports.load(std::memory_order_relaxed);
     state.saturated_reports =
         shard.owned_saturated.load(std::memory_order_relaxed);
@@ -785,11 +822,7 @@ Result<CollectorShardState> ShardedCollector::ExportShardState(
   }
   std::lock_guard<std::mutex> lock(shard.mu);
   CollectorShardState state;
-  state.users.resize(shard.last_slot.size());
-  for (const auto& [user_id, dense] : shard.index) {
-    state.users[dense] = {user_id, shard.last_slot[dense],
-                          shard.reports_per_user[dense]};
-  }
+  state.users = shard.users.entries();
   state.slots = shard.slots;
   state.histogram = shard.histogram;
   state.report_count = shard.report_count;
@@ -823,28 +856,23 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
       options_.single_writer
           ? shard.owned_reports.load(std::memory_order_relaxed)
           : shard.report_count;
-  if (!shard.index.empty() || prior_reports != 0) {
+  if (shard.users.size() != 0 || prior_reports != 0) {
     return Status::FailedPrecondition(
         "RestoreShardState wants an empty shard (restore runs before any "
         "ingest)");
   }
-  shard.index.reserve(state.users.size());
-  shard.last_slot.resize(state.users.size());
-  shard.reports_per_user.resize(state.users.size());
-  for (size_t dense = 0; dense < state.users.size(); ++dense) {
-    const CollectorShardState::UserEntry& entry = state.users[dense];
-    const bool inserted =
-        shard.index.emplace(entry.user_id, static_cast<uint32_t>(dense))
-            .second;
+  shard.users.Reserve(state.users.size());
+  for (const UserEntry& entry : state.users) {
+    const auto [dense, inserted] =
+        shard.users.FindOrInsert(entry.user_id, SplitMix64Mix(entry.user_id));
     if (!inserted) {
-      // A duplicated user id would desynchronize the dense arrays; a
-      // snapshot can only contain one by corruption the CRC missed or a
-      // writer bug, so refuse and leave this shard partially built --
-      // the caller (recovery) discards the whole backend on any error.
+      // A duplicated user id would alias two entries; a snapshot can
+      // only contain one by corruption the CRC missed or a writer bug,
+      // so refuse and leave this shard partially built -- the caller
+      // (recovery) discards the whole backend on any error.
       return Status::Internal("snapshot contains a duplicated user id");
     }
-    shard.last_slot[dense] = entry.last_slot;
-    shard.reports_per_user[dense] = entry.reports;
+    shard.users.entry(dense) = entry;
   }
   if (options_.single_writer) {
     // Restore runs single-threaded before any ingest, so plain relaxed

@@ -8,8 +8,9 @@
 //   * N independent shards, each guarded by its own mutex; a report's shard
 //     is a splitmix64 hash of its user id, so concurrent writers touching
 //     different users rarely contend.
-//   * Flat per-shard storage: user ids map to dense indices through one
-//     unordered_map lookup; values live in slot-major arrays
+//   * Flat per-shard storage: user ids map to dense indices through a
+//     flat open-addressing index (one probe sequence, no per-user heap
+//     node; see UserIndex); values live in slot-major arrays
 //     (values[slot][dense_user]) with NaN marking missing reports.
 //   * Streaming per-slot aggregates (count / fixed-point exact sums of x
 //     and x^2, including the reverse update for overwritten reports), so
@@ -19,7 +20,11 @@
 //
 // Aggregate-only mode (keep_streams = false) is what lets the engine run
 // million-user fleets: per-report cost and memory are independent of the
-// population's total report volume. It is also the mode the storage
+// population's total report volume. Memory is the O(shards * slots)
+// aggregates plus ~25 B per distinct user (a 16-byte UserEntry and its
+// index table slot). That per-user state cannot go: it is what answers
+// Contains (the durable tier's resend dedup), user_count, and the
+// checkpoint's per-user entries. It is also the mode the storage
 // tier's checkpoints cover (ExportShardState / RestoreShardState): the
 // exact per-shard aggregate state round-trips through
 // storage/checkpoint.h, while raw streams are deliberately not
@@ -54,7 +59,7 @@
 #include <mutex>
 #include <new>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -94,10 +99,11 @@ struct ShardedCollectorOptions {
   /// cell order; per-dimension queries slice cells back out.
   size_t dims = 1;
   /// When true, raw per-(user, slot) values are kept and per-user stream
-  /// queries work. When false only the per-slot aggregates are maintained:
-  /// memory stays O(shards * slots) no matter how many users report, but
-  /// each (user, slot) pair must then be ingested at most once (overwrites
-  /// cannot be detected without the raw values).
+  /// queries work. When false only the per-slot aggregates (O(shards *
+  /// slots)) and ~25 B of bookkeeping per distinct user are kept --
+  /// memory no longer grows with the report volume -- but each (user,
+  /// slot) pair must then be ingested at most once (overwrites cannot be
+  /// detected without the raw values).
   bool keep_streams = true;
   /// Single-writer (shard-owned) ingest: the caller guarantees that at
   /// most one thread ever ingests into any given shard (the queued
@@ -176,9 +182,7 @@ class ShardedCollector : public CollectorBackend {
   /// The shard a user's reports land in: splitmix64(user_id) % num_shards.
   /// A pure function of (user_id, num_shards), exposed so the transport
   /// tier can route each run to the consumer owning its shard group.
-  size_t ShardIndexOf(uint64_t user_id) const override {
-    return ShardIndex(user_id);
-  }
+  size_t ShardIndexOf(uint64_t user_id) const override;
 
   /// True if the user has reported at least once.
   bool Contains(uint64_t user_id) const override;
@@ -252,11 +256,43 @@ class ShardedCollector : public CollectorBackend {
   const ShardedCollectorOptions& options() const { return options_; }
 
  private:
+  using UserEntry = CollectorShardState::UserEntry;
+
+  // One shard's users: their entries in first-seen (dense) order -- the
+  // checkpoint's own UserEntry, 16 B each -- plus a power-of-two
+  // open-addressing table of dense + 1 (0 = empty), probed linearly from
+  // the high bits of the user's SplitMix64Mix (the hash that already
+  // picked the shard) and kept at load <= 3/4. Dense order is insertion
+  // order, so exports, checkpoints and digests never see the table.
+  class UserIndex {
+   public:
+    static constexpr uint32_t kNotFound = ~uint32_t{0};
+
+    // The user's dense index, or kNotFound.
+    uint32_t Find(uint64_t user_id, uint64_t hash) const;
+    // The user's dense index and whether this call registered the user
+    // (appending a zeroed entry).
+    std::pair<uint32_t, bool> FindOrInsert(uint64_t user_id, uint64_t hash);
+    // Sizes the table and the entries for `users` users.
+    void Reserve(size_t users);
+
+    size_t size() const { return entries_.size(); }
+    UserEntry& entry(uint32_t dense) { return entries_[dense]; }
+    const UserEntry& entry(uint32_t dense) const { return entries_[dense]; }
+    const std::vector<UserEntry>& entries() const { return entries_; }
+
+   private:
+    // Rebuilds the table at `capacity` (a power of two) in dense order.
+    void Rehash(size_t capacity);
+
+    std::vector<UserEntry> entries_;
+    std::vector<uint32_t> table_;  // dense + 1 per slot; 0 = empty
+    int shift_ = 64;               // 64 - log2(table_.size())
+  };
+
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, uint32_t> index;  // user id -> dense index
-    std::vector<uint32_t> last_slot;               // per dense index
-    std::vector<uint32_t> reports_per_user;        // per dense index
+    UserIndex users;
     // Slot-major raw values, values[slot][dense_index]; NaN = missing.
     // Inner rows grow lazily, so reads must treat short rows as missing.
     // Unused in aggregate-only mode.
@@ -298,18 +334,20 @@ class ShardedCollector : public CollectorBackend {
 
   explicit ShardedCollector(ShardedCollectorOptions options);
 
-  size_t ShardIndex(uint64_t user_id) const;
-  // Applies one report to a shard. Caller holds the shard's lock.
-  void IngestLocked(Shard& shard, const SlotReport& report);
+  // The shard of a user whose SplitMix64Mix is `hash`.
+  size_t ShardIndex(uint64_t hash) const { return hash % shards_.size(); }
+  // Applies one report (its user's SplitMix64Mix is `hash`) to a shard.
+  // Caller holds the shard's lock.
+  void IngestLocked(Shard& shard, const SlotReport& report, uint64_t hash);
   // Grows shard.slots (and the histogram rows, when enabled) to cover
   // `end_slot` slots. Caller holds the shard's lock.
   void GrowSlots(Shard& shard, size_t end_slot);
   // Single-writer ingest of one run (values[first..last] are the
   // trimmed finite span). Called by the owning thread only; takes the
   // shard mutex solely inside GrowOwnedSlots.
-  void IngestOwnedRun(Shard& shard, uint64_t user_id, size_t base_slot,
-                      std::span<const double> values, size_t first,
-                      size_t last);
+  void IngestOwnedRun(Shard& shard, uint64_t user_id, uint64_t hash,
+                      size_t base_slot, std::span<const double> values,
+                      size_t first, size_t last);
   // Grows the owned atomic arrays to cover end_slot slots. Owner only;
   // locks the shard mutex to exclude in-flight seqlock readers.
   void GrowOwnedSlots(Shard& shard, size_t end_slot);

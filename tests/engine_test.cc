@@ -1,6 +1,7 @@
 // Tests for the sharded stream-publication engine: the gap-fill policy,
 // Welford slot aggregates, ShardedCollector equivalence with the legacy
-// map-based collector, and the Fleet determinism contract.
+// map-based collector, its user index under colliding and wrapping
+// probes, its restore refusals, and the Fleet determinism contract.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -543,6 +544,162 @@ TEST(ShardedCollectorTest, SingleWriterRestoreRoundTrips) {
   EXPECT_EQ(restored->user_count(), source->user_count());
   EXPECT_EQ(restored->report_count(), source->report_count());
   EXPECT_EQ(CollectorStateDigest(*restored), CollectorStateDigest(*source));
+}
+
+TEST(ShardedCollectorTest, RestoreRefusesDuplicatedUsersAndNonEmptyShards) {
+  for (const bool single_writer : {false, true}) {
+    SCOPED_TRACE(single_writer);
+    ShardedCollectorOptions options;
+    options.num_shards = 4;
+    options.keep_streams = false;
+    options.single_writer = single_writer;
+    auto fresh = ShardedCollector::Create(options);
+    ASSERT_TRUE(fresh.ok());
+    CollectorShardState duplicated;
+    duplicated.users = {{7, 0, 1}, {9, 2, 3}, {7, 4, 1}};
+    EXPECT_EQ(fresh->RestoreShardState(0, duplicated).code(),
+              StatusCode::kInternal);
+
+    auto used = ShardedCollector::Create(options);
+    ASSERT_TRUE(used.ok());
+    used->IngestUserRun(5, 0, std::vector<double>{0.5});
+    CollectorShardState state;
+    state.users = {{11, 0, 1}};
+    EXPECT_EQ(
+        used->RestoreShardState(used->ShardIndexOf(5), state).code(),
+        StatusCode::kFailedPrecondition);
+  }
+}
+
+// Ids whose SplitMix64Mix -- the hash whose high bits start a user's
+// probe in its shard's index -- has its top 12 bits equal to `top`: in
+// any index table of up to 4096 slots they all start probing at the same
+// slot (the last one for top = 0xFFF, so their cluster wraps past the
+// table end onto slot 0).
+std::vector<uint64_t> IdsSharingProbeStart(uint64_t top, size_t n) {
+  std::vector<uint64_t> ids;
+  for (uint64_t id = 1; ids.size() < n; ++id) {
+    if (SplitMix64Mix(id) >> 52 == top) ids.push_back(id);
+  }
+  return ids;
+}
+
+// 400 ids probing from the last table slot, 400 from slot 0 (where the
+// wrapped cluster lands) and 400 arbitrary ones, shuffled: 1200 users
+// grow a one-shard index from empty through seven doublings.
+std::vector<uint64_t> CollidingPopulation() {
+  std::vector<uint64_t> ids = IdsSharingProbeStart(0xFFF, 400);
+  const std::vector<uint64_t> at_start = IdsSharingProbeStart(0, 400);
+  ids.insert(ids.end(), at_start.begin(), at_start.end());
+  Rng rng(0x1D);
+  for (int i = 0; i < 400; ++i) ids.push_back(rng.NextUint64());
+  for (size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.UniformInt(i + 1)]);
+  }
+  return ids;
+}
+
+TEST(ShardedCollectorTest, UserIndexStaysExactThroughCollidingGrowth) {
+  const std::vector<uint64_t> ids = CollidingPopulation();
+  for (const bool single_writer : {false, true}) {
+    SCOPED_TRACE(single_writer);
+    ShardedCollectorOptions options;
+    options.num_shards = 1;
+    options.keep_streams = false;
+    options.single_writer = single_writer;
+    auto collector = ShardedCollector::Create(options);
+    ASSERT_TRUE(collector.ok());
+    std::vector<uint32_t> reports(ids.size());
+    std::vector<uint32_t> last_slot(ids.size());
+    size_t next_check = 1;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      collector->IngestUserRun(ids[i], 0, std::vector<double>(1 + i % 5, 0.5));
+      reports[i] = 1 + i % 5;
+      last_slot[i] = i % 5;
+      if (i % 4 == 3) {
+        // A repeat visit: a hit that probes through the same clusters.
+        collector->IngestUserRun(ids[i / 2], 10, std::vector<double>{0.25});
+        ++reports[i / 2];
+        last_slot[i / 2] = 10;
+      }
+      if (i + 1 != next_check && i + 1 != ids.size()) continue;
+      next_check *= 2;
+      ASSERT_EQ(collector->user_count(), i + 1);
+      for (size_t j = 0; j < ids.size(); ++j) {
+        // Unseen ids miss after probing through the same clusters.
+        ASSERT_EQ(collector->Contains(ids[j]), j <= i) << j;
+        ASSERT_EQ(collector->SlotCount(ids[j]), j <= i ? reports[j] : 0u)
+            << j;
+      }
+    }
+    auto state = collector->ExportShardState(0);
+    ASSERT_TRUE(state.ok());
+    ASSERT_EQ(state->users.size(), ids.size());
+    for (size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(state->users[j].user_id, ids[j]) << j;
+      EXPECT_EQ(state->users[j].reports, reports[j]) << j;
+      EXPECT_EQ(state->users[j].last_slot, last_slot[j]) << j;
+    }
+  }
+}
+
+TEST(ShardedCollectorTest, ReserveUsersOnANonEmptyIndexKeepsFirstSeenOrder) {
+  const std::vector<uint64_t> ids = CollidingPopulation();
+  const size_t half = ids.size() / 2;
+  for (const bool single_writer : {false, true}) {
+    SCOPED_TRACE(single_writer);
+    ShardedCollectorOptions options;
+    options.num_shards = 1;
+    options.keep_streams = false;
+    options.single_writer = single_writer;
+    auto collector = ShardedCollector::Create(options);
+    ASSERT_TRUE(collector.ok());
+    for (size_t i = 0; i < half; ++i) {
+      collector->IngestUserRun(ids[i], i % 7, std::vector<double>{0.5});
+    }
+    collector->ReserveUsers(100000);  // rehashes the populated table
+    collector->ReserveUsers(10);      // smaller than the index: a no-op
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(collector->Contains(ids[i])) << i;
+      ASSERT_FALSE(collector->Contains(ids[half + i])) << i;
+    }
+    for (size_t i = half; i < ids.size(); ++i) {
+      collector->IngestUserRun(ids[i], i % 7, std::vector<double>{0.5});
+    }
+    EXPECT_EQ(collector->user_count(), ids.size());
+    auto state = collector->ExportShardState(0);
+    ASSERT_TRUE(state.ok());
+    ASSERT_EQ(state->users.size(), ids.size());
+    for (size_t j = 0; j < ids.size(); ++j) {
+      EXPECT_EQ(state->users[j].user_id, ids[j]) << j;
+      EXPECT_EQ(state->users[j].last_slot, j % 7) << j;
+    }
+  }
+}
+
+TEST(ShardedCollectorTest, KeptStreamsSurviveIndexGrowth) {
+  // Every user reports slot 0 while the index grows through its
+  // doublings, then slot 3 in one batch; each stream must still resolve
+  // to its own dense row.
+  const std::vector<uint64_t> ids = CollidingPopulation();
+  auto collector =
+      ShardedCollector::Create({.num_shards = 1, .keep_streams = true});
+  ASSERT_TRUE(collector.ok());
+  std::vector<SlotReport> later;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    collector->Ingest({ids[i], 0, 0.001 * static_cast<double>(i)});
+    later.push_back({ids[i], 3, -0.002 * static_cast<double>(i)});
+  }
+  collector->IngestBatch(later);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double first = 0.001 * static_cast<double>(i);
+    auto stream = collector->GapFilledStream(ids[i]);
+    ASSERT_TRUE(stream.ok()) << i;
+    EXPECT_EQ(*stream, (std::vector<double>{first, first, first,
+                                            -0.002 * static_cast<double>(i)}))
+        << i;
+    EXPECT_EQ(collector->SlotCount(ids[i]), 2u) << i;
+  }
 }
 
 TEST(ShardedCollectorTest, SingleWriterRequiresAggregateOnlyStorage) {

@@ -3,12 +3,13 @@
 // header/frames/trailer, frames straddling the recovery read buffer's
 // refills, Rng-seeded mutation of a multi-segment log, the recovery
 // counters' export, fingerprint (duplicate/foreign-log) detection,
-// checkpoint round-trips, the headline recovery invariant -- replay
-// after a simulated crash reproduces the collector's aggregate state
-// bit-identically (pure-WAL and checkpoint+WAL both), or fails loudly
-// with the backend untouched; never a half-applied log -- and the
-// DurableCollector's log thread: idle kTimed syncs, kPerRun visibility,
-// ingest after Seal, log-thread write errors, and a concurrent hammer.
+// checkpoint round-trips and pinned checkpoint bytes, the headline
+// recovery invariant -- replay after a simulated crash reproduces the
+// collector's aggregate state bit-identically (pure-WAL and
+// checkpoint+WAL both), or fails loudly with the backend untouched;
+// never a half-applied log -- and the DurableCollector's log thread:
+// idle kTimed syncs, kPerRun visibility, ingest after Seal, log-thread
+// write errors, and a concurrent hammer.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -411,6 +412,51 @@ TEST(CheckpointTest, RefusesForeignFingerprintAndCorruption) {
     mutated[pos] ^= 0xFF;
     ASSERT_TRUE(AtomicWriteFile(path, mutated).ok());
     EXPECT_FALSE(ReadCheckpointFile(path, kFp).ok()) << "pos=" << pos;
+  }
+}
+
+TEST(CheckpointTest, CheckpointBytesArePinned) {
+  // A known-answer pin on the checkpoint file itself: a fixed Rng-seeded
+  // population with random (non-sequential) 64-bit ids, so neither shard
+  // membership nor the user index's table order follows id order, and
+  // some users report twice. The bytes pin the per-shard user order
+  // (first-seen), the entry fields and the aggregate encoding; both
+  // locking modes must write the same file. If a deliberate format
+  // change lands, recompute and update the constant in the same commit.
+  constexpr uint64_t kPinnedFileHash = 0x4e1fe15a4f9a57f0ULL;
+  for (const bool single_writer : {false, true}) {
+    SCOPED_TRACE(single_writer);
+    ShardedCollectorOptions options;
+    options.num_shards = 16;
+    options.keep_streams = false;
+    options.single_writer = single_writer;
+    auto collector = ShardedCollector::Create(options);
+    ASSERT_TRUE(collector.ok());
+    Rng rng(0xC4EC7);
+    std::vector<uint64_t> ids(3000);
+    for (uint64_t& id : ids) id = rng.NextUint64();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const size_t base = rng.UniformInt(40);
+      std::vector<double> run(1 + rng.UniformInt(8));
+      for (double& v : run) v = rng.Uniform(-1.5, 2.5);
+      collector->IngestUserRun(ids[i], base, run);
+      if (i % 3 == 0) {
+        // A later run from an earlier user, past its first run's slots.
+        const uint64_t earlier = ids[rng.UniformInt(i + 1)];
+        std::vector<double> more(1 + rng.UniformInt(4));
+        for (double& v : more) v = rng.Uniform(-1.5, 2.5);
+        collector->IngestUserRun(earlier, 48 + rng.UniformInt(8), more);
+      }
+    }
+    TempDir dir;
+    ASSERT_TRUE(WriteCheckpointFile(dir.path(), kFp, 3, *collector).ok());
+    auto bytes = ReadFileBytes(CheckpointPath(dir.path(), 3));
+    ASSERT_TRUE(bytes.ok());
+    uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a over the file bytes
+    for (uint8_t b : *bytes) hash = (hash ^ b) * 0x100000001B3ULL;
+    EXPECT_EQ(hash, kPinnedFileHash)
+        << std::hex << "0x" << hash << " over " << std::dec
+        << bytes->size() << " bytes";
   }
 }
 

@@ -11,8 +11,8 @@
 //
 //   # or across hosts (port 0 picks a free port, printed on startup):
 //   $ ./collector_server --tcp=0.0.0.0:7433 --sessions=4
-//   $ ./fleet_simulation 200000 24 --connect-tcp=collector:7433 \
-//         --connect-streams=4
+//   $ ./fleet_simulation 200000 24 --connect-tcp=collector:7433
+//         --connect-streams=4   (one command line, wrapped here)
 //
 // Every connection opens with the versioned handshake of
 // transport/handshake.h: the server refuses peers with a mismatched
