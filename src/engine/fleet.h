@@ -5,11 +5,12 @@
 // UserSession whose RNG seeds are derived from (fleet seed, user id) with
 // splitmix64, so a user's perturbed stream is a pure function of the config
 // -- never of thread scheduling. The population is split into fixed-size
-// chunks of users; worker threads claim chunks, advance every session in
-// the chunk slot-by-slot, and deliver the resulting reports to the sharded
-// collector through per-thread ReportBatches. Per-chunk accumulators are
-// reduced in chunk order afterwards, so the reported statistics (and the
-// published-stream digest) are bit-identical for any thread count.
+// chunks of users; worker threads claim chunks, perturb every session in
+// the chunk, and deliver each user's stream to the collector as one run
+// (IngestUserRun, or a frame through the transport). Per-chunk
+// accumulators are reduced in chunk order afterwards, so the reported
+// statistics (and the published-stream digest) are bit-identical for any
+// thread count.
 #ifndef CAPP_ENGINE_FLEET_H_
 #define CAPP_ENGINE_FLEET_H_
 

@@ -20,15 +20,22 @@ namespace {
 
 constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
 
-// Saturating histogram-bin increment (see Shard::histogram): a bin
-// pinned at 2^32 - 1 stops counting and reports through the shard's
-// saturated_reports channel instead of silently wrapping.
-inline void BumpBin(uint32_t& bin, uint64_t& saturated_reports) {
-  if (bin == std::numeric_limits<uint32_t>::max()) {
-    ++saturated_reports;
-  } else {
-    ++bin;
-  }
+// Relaxed read-modify-write for a location with one writer (the run
+// writer): the seqlock and the shard mutex order it, the atomic only
+// keeps racing snapshot reads defined.
+template <typename T>
+inline void AddRelaxed(std::atomic<T>& a, T n) {
+  a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+// Saturating histogram-bin increment: a bin pinned at 2^32 - 1 stops
+// counting and returns 1, for the shard's saturated total, instead of
+// silently wrapping.
+inline uint64_t BumpBin(std::atomic<uint32_t>& bin) {
+  const uint32_t count = bin.load(std::memory_order_relaxed);
+  if (count == std::numeric_limits<uint32_t>::max()) return 1;
+  bin.store(count + 1, std::memory_order_relaxed);
+  return 0;
 }
 
 // Reads values[slot][dense] treating short rows as missing.
@@ -39,11 +46,10 @@ double RawValueAt(const std::vector<std::vector<double>>& values, size_t slot,
   return dense < row.size() ? row[dense] : kMissing;
 }
 
-// Single-writer storage keeps each SlotAggregate as its five Packed
-// words in a flat atomic array; these convert between the two forms.
-// All accesses are relaxed: the seqlock's sequence counter and fences
-// provide the ordering, the atomics only keep the racing word accesses
-// defined.
+// The shard store keeps each SlotAggregate as its five Packed words in a
+// flat atomic array; these convert between the two forms. All accesses
+// are relaxed: the seqlock's sequence counter and fences provide the
+// ordering, the atomics only keep the racing word accesses defined.
 constexpr size_t kPackedWords = 5;
 
 inline SlotAggregate LoadPackedSlot(const std::atomic<uint64_t>* words) {
@@ -67,18 +73,14 @@ inline void StorePackedSlot(std::atomic<uint64_t>* words,
 }
 
 // Allocates a zero-initialized, 64-byte-aligned array of atomics for the
-// owned (seqlock) storage. make_unique's allocation is only 16-byte
-// aligned, so the packed 5-word (40-byte) aggregate slots started at an
-// arbitrary cache-line offset: which line a given slot's words straddle
-// depended on where the allocator happened to place the array, and the
+// shard store. make_unique's allocation is only 16-byte aligned, so the
+// packed 5-word (40-byte) aggregate slots would start at an arbitrary
+// cache-line offset: which line a given slot's words straddle would
+// depend on where the allocator happened to place the array, and the
 // first slots of a hot run could cost an extra straddled line. Aligning
 // the base to the line size makes slot-to-line mapping a pure function
 // of the slot index (slots t and t+1 share a line on a fixed 8-slot /
 // 5-line cadence) and lets the run walk stream through whole lines.
-// Measured with bench_transport_throughput's queue_owned row (200k
-// users x 50 slots, best of 5): 27.0M -> 31.2M reports/s, while the
-// mutex-mode d=1 bench_engine_throughput row stayed within noise of its
-// baseline (0.98x best-of-5, above the 0.95x floor).
 template <typename T>
 AlignedAtomicArray<T> MakeAlignedZeroed(size_t n) {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -199,220 +201,32 @@ void ShardedCollector::UserIndex::Rehash(size_t capacity) {
   }
 }
 
-void ShardedCollector::GrowSlots(Shard& shard, size_t end_slot) {
-  if (end_slot <= shard.slots.size()) return;
-  shard.slots.resize(end_slot);
-  if (options_.histogram.enabled) {
-    shard.histogram.resize(end_slot * options_.histogram.row_size(), 0);
-  }
-}
-
-void ShardedCollector::GrowOwnedSlots(Shard& shard, size_t end_slot) {
-  // The mutex here excludes in-flight seqlock readers (they hold it for
-  // their whole snapshot), so the swap below can never reallocate the
-  // arrays out from under a racing copy. Only the owner grows, so
-  // owned_slots / owned_capacity are stable outside the lock for it.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (end_slot > shard.owned_capacity) {
-    size_t capacity = std::max<size_t>(shard.owned_capacity * 2, 64);
+void ShardedCollector::Grow(Shard& shard, size_t end_slot) {
+  if (end_slot > shard.capacity) {
+    size_t capacity = std::max<size_t>(shard.capacity * 2, 64);
     capacity = std::max(capacity, end_slot);
-    // MakeAlignedZeroed value-initializes, so the new tail slots are zero
-    // -- an empty SlotAggregate / empty bins, exactly like GrowSlots.
+    // MakeAlignedZeroed value-initializes, so the new tail slots are an
+    // empty SlotAggregate and empty bins.
     auto packed =
         MakeAlignedZeroed<std::atomic<uint64_t>>(capacity * kPackedWords);
-    for (size_t w = 0; w < shard.owned_slots * kPackedWords; ++w) {
-      packed[w].store(shard.owned_packed[w].load(std::memory_order_relaxed),
+    for (size_t w = 0; w < shard.slots * kPackedWords; ++w) {
+      packed[w].store(shard.packed[w].load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     }
-    shard.owned_packed = std::move(packed);
+    shard.packed = std::move(packed);
     if (options_.histogram.enabled) {
       const size_t row_size = options_.histogram.row_size();
       auto bins =
           MakeAlignedZeroed<std::atomic<uint32_t>>(capacity * row_size);
-      for (size_t b = 0; b < shard.owned_slots * row_size; ++b) {
-        bins[b].store(
-            shard.owned_histogram[b].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
+      for (size_t b = 0; b < shard.slots * row_size; ++b) {
+        bins[b].store(shard.histogram[b].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
       }
-      shard.owned_histogram = std::move(bins);
+      shard.histogram = std::move(bins);
     }
-    shard.owned_capacity = capacity;
+    shard.capacity = capacity;
   }
-  shard.owned_slots = end_slot;
-}
-
-void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
-                                      uint64_t hash, size_t base_slot,
-                                      std::span<const double> values,
-                                      size_t first, size_t last) {
-  // Owner-private bookkeeping: exactly one thread ever ingests into
-  // this shard (the single_writer contract), so the user index needs no
-  // lock. Cross-thread per-user queries are answered only from the
-  // owner or after quiescence (see the header).
-  const auto [dense, inserted] = shard.users.FindOrInsert(user_id, hash);
-  if (inserted) {
-    shard.owned_users.store(
-        shard.owned_users.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-  UserEntry& user = shard.users.entry(dense);
-  user.last_slot =
-      std::max(user.last_slot, static_cast<uint32_t>(base_slot + last));
-  const size_t end_slot = base_slot + last + 1;
-  if (end_slot > shard.owned_slots) GrowOwnedSlots(shard, end_slot);
-
-  // Seqlock write section: bump to odd, release-fence so the data
-  // stores cannot be ordered before it, mutate, then publish with a
-  // store-release back to even. Readers that overlap any of this see an
-  // odd or moved sequence and retry.
-  const uint64_t seq = shard.seq.load(std::memory_order_relaxed);
-  shard.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  size_t ingested = 0;
-  uint64_t saturated = 0;
-  std::atomic<uint64_t>* const slots_base =
-      shard.owned_packed.get() + base_slot * kPackedWords;
-  for (size_t i = first; i <= last; ++i) {
-    if (!std::isfinite(values[i])) continue;
-    std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
-    SlotAggregate aggregate = LoadPackedSlot(words);
-    saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
-    StorePackedSlot(words, aggregate);
-    ++ingested;
-  }
-  const SlotHistogramOptions& hist = options_.histogram;
-  if (hist.enabled) {
-    const size_t row_size = hist.row_size();
-    std::atomic<uint32_t>* rows =
-        shard.owned_histogram.get() + base_slot * row_size;
-    for (size_t i = first; i <= last; ++i) {
-      if (!std::isfinite(values[i])) continue;
-      std::atomic<uint32_t>& bin =
-          rows[i * row_size + hist.BinFor(values[i])];
-      const uint32_t count = bin.load(std::memory_order_relaxed);
-      if (count == std::numeric_limits<uint32_t>::max()) {
-        ++saturated;  // same pinned-bin semantics as BumpBin
-      } else {
-        bin.store(count + 1, std::memory_order_relaxed);
-      }
-    }
-  }
-  shard.seq.store(seq + 2, std::memory_order_release);
-
-  // Totals live outside the write section: they are monotonic counters
-  // read relaxed, not part of the consistent-snapshot contract.
-  user.reports += static_cast<uint32_t>(ingested);
-  shard.owned_reports.store(
-      shard.owned_reports.load(std::memory_order_relaxed) + ingested,
-      std::memory_order_relaxed);
-  shard.owned_saturated.store(
-      shard.owned_saturated.load(std::memory_order_relaxed) + saturated,
-      std::memory_order_relaxed);
-}
-
-size_t ShardedCollector::SnapshotOwned(const Shard& shard,
-                                       std::vector<uint64_t>& packed,
-                                       std::vector<uint32_t>* hist) const {
-  // Seqlock read: copy the words, then retry if the owner was inside a
-  // write section (odd sequence) or wrote during the copy (sequence
-  // moved). Holding the mutex blocks only capacity growth -- never the
-  // ingest fast path -- so readers cannot perturb the throughput win.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const size_t slots = shard.owned_slots;
-  const size_t words = slots * kPackedWords;
-  const size_t bins = (hist != nullptr && options_.histogram.enabled)
-                          ? slots * options_.histogram.row_size()
-                          : 0;
-  packed.resize(words);
-  if (hist != nullptr) hist->resize(bins);
-  for (;;) {
-    const uint64_t seq_before = shard.seq.load(std::memory_order_acquire);
-    if (seq_before & 1) {
-      CountSeqlockRetry();
-      std::this_thread::yield();
-      continue;
-    }
-    for (size_t w = 0; w < words; ++w) {
-      packed[w] = shard.owned_packed[w].load(std::memory_order_relaxed);
-    }
-    for (size_t b = 0; b < bins; ++b) {
-      (*hist)[b] = shard.owned_histogram[b].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (shard.seq.load(std::memory_order_relaxed) == seq_before) {
-      return slots;
-    }
-    CountSeqlockRetry();
-  }
-}
-
-void ShardedCollector::CountSeqlockRetry() const {
-  seqlock_read_retries_->Add(1);
-  if (telemetry::Enabled()) {
-    telemetry::metrics::SeqlockReadRetriesTotal().Add(1);
-  }
-}
-
-void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report,
-                                    uint64_t hash) {
-  // Non-finite values would collide with the NaN missing-slot sentinel and
-  // poison the streaming aggregates; no library path produces them
-  // (perturbers sanitize, report I/O validates), so a garbage report from
-  // an external transport is simply discarded.
-  if (!std::isfinite(report.value)) return;
-  const uint32_t dense = shard.users.FindOrInsert(report.user_id, hash).first;
-  UserEntry& user = shard.users.entry(dense);
-  user.last_slot =
-      std::max(user.last_slot, static_cast<uint32_t>(report.slot));
-  GrowSlots(shard, report.slot + 1);
-  const SlotHistogramOptions& hist = options_.histogram;
-  uint32_t* hist_row =
-      hist.enabled ? shard.histogram.data() + report.slot * hist.row_size()
-                   : nullptr;
-
-  if (options_.keep_streams) {
-    if (report.slot >= shard.values.size()) {
-      shard.values.resize(report.slot + 1);
-    }
-    std::vector<double>& row = shard.values[report.slot];
-    if (dense >= row.size()) row.resize(dense + 1, kMissing);
-    const double old_value = row[dense];
-    row[dense] = report.value;
-    if (std::isnan(old_value)) {
-      if (shard.slots[report.slot].Add(report.value)) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        BumpBin(hist_row[hist.BinFor(report.value)],
-                shard.saturated_reports);
-      }
-      ++user.reports;
-      ++shard.report_count;
-    } else {
-      // Overwrite: move the old value's unit count to the new bin, the
-      // histogram analogue of SlotAggregate::Replace.
-      if (shard.slots[report.slot].Replace(old_value, report.value)) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        --hist_row[hist.BinFor(old_value)];
-        BumpBin(hist_row[hist.BinFor(report.value)],
-                shard.saturated_reports);
-      }
-    }
-  } else {
-    // Aggregate-only mode cannot see a previous value, so every report is
-    // treated as new (the documented at-most-once contract).
-    if (shard.slots[report.slot].Add(report.value)) {
-      ++shard.saturated_reports;
-    }
-    if (hist_row != nullptr) {
-      BumpBin(hist_row[hist.BinFor(report.value)],
-              shard.saturated_reports);
-    }
-    ++user.reports;
-    ++shard.report_count;
-  }
+  shard.slots = end_slot;
 }
 
 void ShardedCollector::ReserveUsers(size_t expected_users) {
@@ -428,8 +242,10 @@ void ShardedCollector::ReserveUsers(size_t expected_users) {
 
 void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
                                      std::span<const double> values) {
-  // Like Ingest, non-finite values are discarded -- before registration,
-  // so a run with no finite value must not create the user.
+  // Non-finite values would collide with the NaN missing-slot sentinel
+  // and poison the aggregates; no library path produces them, so they
+  // are discarded -- before registration, so a run with no finite value
+  // must not create the user.
   size_t first = 0;
   while (first < values.size() && !std::isfinite(values[first])) ++first;
   if (first == values.size()) return;
@@ -449,174 +265,164 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
   // user index's probe start.
   const uint64_t hash = SplitMix64Mix(user_id);
   Shard& shard = *shards_[ShardIndex(hash)];
-  if (options_.single_writer) {
-    IngestOwnedRun(shard, user_id, hash, base_slot, values, first, last);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Resolve the user's dense index once for the run.
-  const uint32_t dense = shard.users.FindOrInsert(user_id, hash).first;
+  // The one difference between the write disciplines: mutex mode holds
+  // the shard mutex for the whole run, while a single writer owns its
+  // shard (user index included) and takes the mutex only to grow.
+  std::unique_lock<std::mutex> lock(shard.mu, std::defer_lock);
+  if (!options_.single_writer) lock.lock();
+  const auto [dense, inserted] = shard.users.FindOrInsert(user_id, hash);
   UserEntry& user = shard.users.entry(dense);
   user.last_slot =
       std::max(user.last_slot, static_cast<uint32_t>(base_slot + last));
   const size_t end_slot = base_slot + last + 1;  // one past the run
-  GrowSlots(shard, end_slot);
-  const SlotHistogramOptions& hist = options_.histogram;
+  if (end_slot > shard.slots) {
+    // Growth reallocates the arrays, so it always excludes snapshots.
+    if (lock.owns_lock()) {
+      Grow(shard, end_slot);
+    } else {
+      std::lock_guard<std::mutex> grow_lock(shard.mu);
+      Grow(shard, end_slot);
+    }
+  }
 
+  // Seqlock write section: bump to odd, release-fence so the data
+  // stores cannot be ordered before it, mutate, then publish with a
+  // store-release back to even. A reader overlapping a single writer's
+  // section sees an odd or moved sequence and retries; in mutex mode the
+  // reader waits on the mutex instead and always sees it even.
+  const uint64_t seq = shard.seq.load(std::memory_order_relaxed);
+  shard.seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  const SlotHistogramOptions& hist = options_.histogram;
+  const size_t row_size = hist.row_size();
+  std::atomic<uint64_t>* const slots_base =
+      shard.packed.get() + base_slot * kPackedWords;
+  std::atomic<uint32_t>* const rows =
+      hist.enabled ? shard.histogram.get() + base_slot * row_size : nullptr;
+  size_t ingested = 0;
+  uint64_t saturated = 0;
   if (!options_.keep_streams) {
-    // Aggregate-only fast path: one exact add per slot and bulk counter
-    // updates; nothing else to maintain. Saturation is accumulated
-    // branchlessly (Add's bool as 0/1) so the loop carries no
-    // data-dependent branch besides the all-finite check.
-    size_t ingested = 0;
-    uint64_t saturated = 0;
-    SlotAggregate* const slots_base = shard.slots.data() + base_slot;
+    // Aggregate-only mode cannot see a previous value, so every report is
+    // new (the documented at-most-once contract): one exact add per slot.
+    // Saturation is accumulated branchlessly (Add's bool as 0/1) so the
+    // loop carries no data-dependent branch besides the finite check.
     for (size_t i = first; i <= last; ++i) {
       if (!std::isfinite(values[i])) continue;
-      saturated += static_cast<uint64_t>(slots_base[i].Add(values[i]));
+      std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
+      SlotAggregate aggregate = LoadPackedSlot(words);
+      saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
+      StorePackedSlot(words, aggregate);
       ++ingested;
     }
-    shard.saturated_reports += saturated;
-    if (hist.enabled) {
-      // Separate pass for the bins: keeps the aggregate loop's int128
-      // dependency chain free of the bin math and the strided row
-      // stores, which measurably beats a fused loop at 1M users.
-      const size_t row_size = hist.row_size();
-      uint32_t* rows = shard.histogram.data() + base_slot * row_size;
-      for (size_t i = first; i <= last; ++i) {
-        if (!std::isfinite(values[i])) continue;
-        BumpBin(rows[i * row_size + hist.BinFor(values[i])],
-                shard.saturated_reports);
+  } else {
+    if (end_slot > shard.values.size()) shard.values.resize(end_slot);
+    for (size_t i = first; i <= last; ++i) {
+      if (!std::isfinite(values[i])) continue;
+      std::vector<double>& row = shard.values[base_slot + i];
+      if (dense >= row.size()) row.resize(dense + 1, kMissing);
+      const double old_value = row[dense];
+      row[dense] = values[i];
+      std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
+      SlotAggregate aggregate = LoadPackedSlot(words);
+      if (std::isnan(old_value)) {
+        saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
+        ++ingested;
+      } else {
+        saturated +=
+            static_cast<uint64_t>(aggregate.Replace(old_value, values[i]));
+        if (rows != nullptr) {
+          // Overwrite: take the old value's unit back out of its bin; the
+          // bin pass below counts the new value, as for any report. A run
+          // touches each slot once, so the order of the two is free.
+          std::atomic<uint32_t>& bin =
+              rows[i * row_size + hist.BinFor(old_value)];
+          bin.store(bin.load(std::memory_order_relaxed) - 1,
+                    std::memory_order_relaxed);
+        }
       }
-    }
-    user.reports += static_cast<uint32_t>(ingested);
-    shard.report_count += ingested;
-    return;
-  }
-
-  if (end_slot > shard.values.size()) shard.values.resize(end_slot);
-  for (size_t i = first; i <= last; ++i) {
-    if (!std::isfinite(values[i])) continue;
-    const size_t slot = base_slot + i;
-    std::vector<double>& row = shard.values[slot];
-    if (dense >= row.size()) row.resize(dense + 1, kMissing);
-    const double old_value = row[dense];
-    row[dense] = values[i];
-    uint32_t* hist_row =
-        hist.enabled ? shard.histogram.data() + slot * hist.row_size()
-                     : nullptr;
-    if (std::isnan(old_value)) {
-      if (shard.slots[slot].Add(values[i])) ++shard.saturated_reports;
-      if (hist_row != nullptr) {
-        BumpBin(hist_row[hist.BinFor(values[i])],
-                shard.saturated_reports);
-      }
-      ++user.reports;
-      ++shard.report_count;
-    } else {
-      if (shard.slots[slot].Replace(old_value, values[i])) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        --hist_row[hist.BinFor(old_value)];
-        BumpBin(hist_row[hist.BinFor(values[i])],
-                shard.saturated_reports);
-      }
+      StorePackedSlot(words, aggregate);
     }
   }
+  if (rows != nullptr) {
+    // Separate pass for the bins: keeps the aggregate loop's int128
+    // dependency chain free of the bin math and the strided row stores,
+    // which measurably beats a fused loop at 1M users.
+    for (size_t i = first; i <= last; ++i) {
+      if (!std::isfinite(values[i])) continue;
+      saturated += BumpBin(rows[i * row_size + hist.BinFor(values[i])]);
+    }
+  }
+  if (inserted) AddRelaxed<uint64_t>(shard.users_seen, 1);
+  AddRelaxed<uint64_t>(shard.reports, ingested);
+  AddRelaxed<uint64_t>(shard.saturated, saturated);
+  shard.seq.store(seq + 2, std::memory_order_release);
+  user.reports += static_cast<uint32_t>(ingested);
 }
 
-void ShardedCollector::Ingest(const SlotReport& report) {
-  if (options_.single_writer) {
-    // Funnel through the run path: single-writer storage has no locked
-    // per-report variant, and aggregate-only mode (which single_writer
-    // implies) treats every report as new either way.
-    IngestUserRun(report.user_id, report.slot, {&report.value, 1});
-    return;
-  }
-  const uint64_t hash = SplitMix64Mix(report.user_id);
-  Shard& shard = *shards_[ShardIndex(hash)];
+void ShardedCollector::Snapshot(const Shard& shard, unsigned parts,
+                                ShardSnapshot& out) const {
+  // The mutex excludes growth under both disciplines and the whole run in
+  // mutex mode, so only a single writer's run can overlap the copy: its
+  // sequence is odd or moves, and the copy is retried. The mutex never
+  // blocks a single writer's run, only its rare growth.
   std::lock_guard<std::mutex> lock(shard.mu);
-  IngestLocked(shard, report, hash);
+  out.slots = shard.slots;
+  const size_t words = (parts & kAggregates) ? out.slots * kPackedWords : 0;
+  const size_t bins = (parts & kBins) && options_.histogram.enabled
+                          ? out.slots * options_.histogram.row_size()
+                          : 0;
+  out.packed.resize(words);
+  out.bins.resize(bins);
+  for (;;) {
+    const uint64_t seq_before = shard.seq.load(std::memory_order_acquire);
+    if (seq_before & 1) {
+      CountSeqlockRetry();
+      std::this_thread::yield();
+      continue;
+    }
+    for (size_t w = 0; w < words; ++w) {
+      out.packed[w] = shard.packed[w].load(std::memory_order_relaxed);
+    }
+    for (size_t b = 0; b < bins; ++b) {
+      out.bins[b] = shard.histogram[b].load(std::memory_order_relaxed);
+    }
+    out.users_seen = shard.users_seen.load(std::memory_order_relaxed);
+    out.reports = shard.reports.load(std::memory_order_relaxed);
+    out.saturated = shard.saturated.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (shard.seq.load(std::memory_order_relaxed) == seq_before) break;
+    CountSeqlockRetry();
+  }
+  if (parts & kUsers) out.users = shard.users.entries();
 }
 
-void ShardedCollector::IngestBatch(std::span<const SlotReport> reports) {
-  if (reports.empty()) return;
-  if (options_.single_writer) {
-    for (const SlotReport& report : reports) {
-      IngestUserRun(report.user_id, report.slot, {&report.value, 1});
-    }
-    return;
+void ShardedCollector::CountSeqlockRetry() const {
+  seqlock_read_retries_->Add(1);
+  if (telemetry::Enabled()) {
+    telemetry::metrics::SeqlockReadRetriesTotal().Add(1);
   }
-  if (shards_.size() == 1) {
-    Shard& shard = *shards_[0];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const SlotReport& report : reports) {
-      IngestLocked(shard, report, SplitMix64Mix(report.user_id));
-    }
-    return;
+}
+
+uint64_t ShardedCollector::SumTotal(uint64_t ShardSnapshot::*total) const {
+  uint64_t sum = 0;
+  ShardSnapshot snapshot;
+  for (const auto& shard : shards_) {
+    Snapshot(*shard, kTotals, snapshot);
+    sum += snapshot.*total;
   }
-  // Hash each report once and bucket report indices by shard in one
-  // pass, then lock each shard once.
-  std::vector<uint64_t> hashes(reports.size());
-  std::vector<std::vector<uint32_t>> buckets(shards_.size());
-  for (size_t i = 0; i < reports.size(); ++i) {
-    hashes[i] = SplitMix64Mix(reports[i].user_id);
-    buckets[ShardIndex(hashes[i])].push_back(static_cast<uint32_t>(i));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (uint32_t i : buckets[s]) IngestLocked(shard, reports[i], hashes[i]);
-  }
+  return sum;
 }
 
 size_t ShardedCollector::user_count() const {
-  size_t total = 0;
-  if (options_.single_writer) {
-    // The owner maintains a dedicated atomic counter precisely so this
-    // query never touches its lock-free user index.
-    for (const auto& shard : shards_) {
-      total += shard->owned_users.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->users.size();
-  }
-  return total;
+  return SumTotal(&ShardSnapshot::users_seen);
 }
 
 size_t ShardedCollector::report_count() const {
-  size_t total = 0;
-  if (options_.single_writer) {
-    for (const auto& shard : shards_) {
-      total += shard->owned_reports.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->report_count;
-  }
-  return total;
+  return SumTotal(&ShardSnapshot::reports);
 }
 
 uint64_t ShardedCollector::saturated_report_count() const {
-  uint64_t total = 0;
-  if (options_.single_writer) {
-    for (const auto& shard : shards_) {
-      total += shard->owned_saturated.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->saturated_reports;
-  }
-  return total;
+  return SumTotal(&ShardSnapshot::saturated);
 }
 
 uint64_t ShardedCollector::seqlock_read_retries() const {
@@ -640,10 +446,10 @@ size_t ShardedCollector::SlotCount(uint64_t user_id) const {
 
 size_t ShardedCollector::SlotSpan() const {
   size_t span = 0;
+  ShardSnapshot snapshot;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    span = std::max(span, options_.single_writer ? shard->owned_slots
-                                                 : shard->slots.size());
+    Snapshot(*shard, kTotals, snapshot);
+    span = std::max(span, snapshot.slots);
   }
   return span;
 }
@@ -697,27 +503,13 @@ Result<double> ShardedCollector::SubsequenceMean(uint64_t user_id,
 
 std::vector<SlotAggregate> ShardedCollector::PopulationSlotAggregates() const {
   std::vector<SlotAggregate> merged;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, nullptr);
-      if (slots > merged.size()) merged.resize(slots);
-      for (size_t t = 0; t < slots; ++t) {
-        merged[t].Merge(UnpackSnapshotSlot(packed.data() +
-                                           t * kPackedWords));
-      }
-    }
-    return merged;
-  }
+  ShardSnapshot snapshot;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Sized inside the lock: a concurrent ingest may have grown a shard
-    // past any span observed before this loop.
-    if (shard->slots.size() > merged.size()) {
-      merged.resize(shard->slots.size());
-    }
-    for (size_t t = 0; t < shard->slots.size(); ++t) {
-      merged[t].Merge(shard->slots[t]);
+    Snapshot(*shard, kAggregates, snapshot);
+    if (snapshot.slots > merged.size()) merged.resize(snapshot.slots);
+    for (size_t t = 0; t < snapshot.slots; ++t) {
+      merged[t].Merge(
+          UnpackSnapshotSlot(snapshot.packed.data() + t * kPackedWords));
     }
   }
   return merged;
@@ -731,31 +523,14 @@ ShardedCollector::PopulationSlotHistograms() const {
   }
   const size_t row_size = options_.histogram.row_size();
   std::vector<std::vector<uint64_t>> merged;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, &bins);
-      if (slots > merged.size()) {
-        merged.resize(slots, std::vector<uint64_t>(row_size, 0));
-      }
-      for (size_t t = 0; t < slots; ++t) {
-        const uint32_t* row = bins.data() + t * row_size;
-        for (size_t b = 0; b < row_size; ++b) merged[t][b] += row[b];
-      }
-    }
-    return merged;
-  }
+  ShardSnapshot snapshot;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Sized inside the lock, like PopulationSlotAggregates: a concurrent
-    // ingest may have grown a shard past any previously observed span.
-    const size_t shard_slots = shard->histogram.size() / row_size;
-    if (shard_slots > merged.size()) {
-      merged.resize(shard_slots, std::vector<uint64_t>(row_size, 0));
+    Snapshot(*shard, kBins, snapshot);
+    if (snapshot.slots > merged.size()) {
+      merged.resize(snapshot.slots, std::vector<uint64_t>(row_size, 0));
     }
-    for (size_t t = 0; t < shard_slots; ++t) {
-      const uint32_t* row = shard->histogram.data() + t * row_size;
+    for (size_t t = 0; t < snapshot.slots; ++t) {
+      const uint32_t* row = snapshot.bins.data() + t * row_size;
       for (size_t b = 0; b < row_size; ++b) merged[t][b] += row[b];
     }
   }
@@ -766,23 +541,13 @@ uint64_t ShardedCollector::histogram_outlier_count() const {
   if (!options_.histogram.enabled) return 0;
   const size_t row_size = options_.histogram.row_size();
   uint64_t total = 0;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, &bins);
-      for (size_t t = 0; t < slots; ++t) {
-        total += bins[t * row_size] + bins[t * row_size + row_size - 1];
-      }
-    }
-    return total;
-  }
+  ShardSnapshot snapshot;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    Snapshot(*shard, kBins, snapshot);
     // Under/overflow are the first and last entry of each slot row.
-    for (size_t t = 0; t < shard->histogram.size() / row_size; ++t) {
-      total += shard->histogram[t * row_size] +
-               shard->histogram[t * row_size + row_size - 1];
+    for (size_t t = 0; t < snapshot.slots; ++t) {
+      total += snapshot.bins[t * row_size] +
+               snapshot.bins[t * row_size + row_size - 1];
     }
   }
   return total;
@@ -798,35 +563,22 @@ Result<CollectorShardState> ShardedCollector::ExportShardState(
         "shard snapshots cover aggregate-only mode (keep_streams = "
         "false); raw streams are not serialized");
   }
-  const Shard& shard = *shards_[shard_index];
-  if (options_.single_writer) {
-    // The aggregate arrays come through the seqlock like any reader's;
-    // the per-user bookkeeping below is owner-private, so this path
-    // additionally requires the owner thread or quiescence -- which its
-    // only caller, the checkpoint tier, guarantees with its exclusive
-    // lock (and recovery runs before any ingest).
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    CollectorShardState state;
-    const size_t slots = SnapshotOwned(shard, packed, &bins);
-    state.slots.resize(slots);
-    for (size_t t = 0; t < slots; ++t) {
-      state.slots[t] = UnpackSnapshotSlot(packed.data() + t * kPackedWords);
-    }
-    state.histogram.assign(bins.begin(), bins.end());
-    state.users = shard.users.entries();
-    state.report_count = shard.owned_reports.load(std::memory_order_relaxed);
-    state.saturated_reports =
-        shard.owned_saturated.load(std::memory_order_relaxed);
-    return state;
-  }
-  std::lock_guard<std::mutex> lock(shard.mu);
+  // A single writer's user entries are owner-private, so this export
+  // needs the owner thread or quiescence -- which its only caller, the
+  // checkpoint tier, guarantees with its exclusive lock (and recovery
+  // runs before any ingest).
+  ShardSnapshot snapshot;
+  Snapshot(*shards_[shard_index], kAggregates | kBins | kUsers, snapshot);
   CollectorShardState state;
-  state.users = shard.users.entries();
-  state.slots = shard.slots;
-  state.histogram = shard.histogram;
-  state.report_count = shard.report_count;
-  state.saturated_reports = shard.saturated_reports;
+  state.users = std::move(snapshot.users);
+  state.slots.resize(snapshot.slots);
+  for (size_t t = 0; t < snapshot.slots; ++t) {
+    state.slots[t] =
+        UnpackSnapshotSlot(snapshot.packed.data() + t * kPackedWords);
+  }
+  state.histogram = std::move(snapshot.bins);
+  state.report_count = snapshot.reports;
+  state.saturated_reports = snapshot.saturated;
   return state;
 }
 
@@ -852,11 +604,8 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
   }
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const uint64_t prior_reports =
-      options_.single_writer
-          ? shard.owned_reports.load(std::memory_order_relaxed)
-          : shard.report_count;
-  if (shard.users.size() != 0 || prior_reports != 0) {
+  if (shard.users.size() != 0 ||
+      shard.reports.load(std::memory_order_relaxed) != 0) {
     return Status::FailedPrecondition(
         "RestoreShardState wants an empty shard (restore runs before any "
         "ingest)");
@@ -874,37 +623,25 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
     }
     shard.users.entry(dense) = entry;
   }
-  if (options_.single_writer) {
-    // Restore runs single-threaded before any ingest, so plain relaxed
-    // stores into freshly allocated atomic arrays suffice.
-    const size_t slots = state.slots.size();
-    shard.owned_packed =
-        MakeAlignedZeroed<std::atomic<uint64_t>>(slots * kPackedWords);
-    for (size_t t = 0; t < slots; ++t) {
-      StorePackedSlot(shard.owned_packed.get() + t * kPackedWords,
-                      state.slots[t]);
-    }
-    if (options_.histogram.enabled) {
-      shard.owned_histogram =
-          MakeAlignedZeroed<std::atomic<uint32_t>>(state.histogram.size());
-      for (size_t b = 0; b < state.histogram.size(); ++b) {
-        shard.owned_histogram[b].store(state.histogram[b],
-                                       std::memory_order_relaxed);
-      }
-    }
-    shard.owned_capacity = slots;
-    shard.owned_slots = slots;
-    shard.owned_users.store(state.users.size(), std::memory_order_relaxed);
-    shard.owned_reports.store(state.report_count,
-                              std::memory_order_relaxed);
-    shard.owned_saturated.store(state.saturated_reports,
-                                std::memory_order_relaxed);
-    return Status::OK();
+  // Restore runs before any ingest, so plain relaxed stores into freshly
+  // allocated arrays suffice.
+  const size_t slots = state.slots.size();
+  shard.packed = MakeAlignedZeroed<std::atomic<uint64_t>>(slots * kPackedWords);
+  for (size_t t = 0; t < slots; ++t) {
+    StorePackedSlot(shard.packed.get() + t * kPackedWords, state.slots[t]);
   }
-  shard.slots = std::move(state.slots);
-  shard.histogram = std::move(state.histogram);
-  shard.report_count = static_cast<size_t>(state.report_count);
-  shard.saturated_reports = state.saturated_reports;
+  if (options_.histogram.enabled) {
+    shard.histogram =
+        MakeAlignedZeroed<std::atomic<uint32_t>>(state.histogram.size());
+    for (size_t b = 0; b < state.histogram.size(); ++b) {
+      shard.histogram[b].store(state.histogram[b], std::memory_order_relaxed);
+    }
+  }
+  shard.capacity = slots;
+  shard.slots = slots;
+  shard.users_seen.store(state.users.size(), std::memory_order_relaxed);
+  shard.reports.store(state.report_count, std::memory_order_relaxed);
+  shard.saturated.store(state.saturated_reports, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -1,12 +1,12 @@
-// Sharded, thread-safe collector storage: the in-RAM CollectorBackend
+// Sharded collector storage: the in-RAM CollectorBackend
 // behind CollectorSession and the Fleet simulator.
 //
 // The seed collector stored reports in std::map<user, std::map<slot, v>>,
 // which is pointer-chasing-heavy and single-threaded. ShardedCollector
 // replaces it with:
 //
-//   * N independent shards, each guarded by its own mutex; a report's shard
-//     is a splitmix64 hash of its user id, so concurrent writers touching
+//   * N independent shards, each with its own mutex; a report's shard is
+//     a splitmix64 hash of its user id, so concurrent writers touching
 //     different users rarely contend.
 //   * Flat per-shard storage: user ids map to dense indices through a
 //     flat open-addressing index (one probe sequence, no per-user heap
@@ -31,21 +31,24 @@
 // serialized (they are O(users * slots) and the durable tier exists for
 // the aggregate-only production shape).
 //
-// Single-writer mode (single_writer = true) goes one step further for
-// the queued transport shape: the transport routes every shard group to
-// exactly one consumer thread, so each shard has exactly one writer and
-// the per-shard mutex buys nothing on the ingest path. Ingest then
-// skips the mutex entirely and publishes the per-slot aggregates (and
-// histogram bins) through a per-shard seqlock: each aggregate lives
-// as its five Packed words in a flat atomic array, the
-// owner brackets every run with an odd/even sequence counter, and
-// concurrent aggregate readers copy the words and retry if the
-// sequence was odd or moved (a torn snapshot) instead of ever blocking
-// the writer. The shard mutex survives only for storage growth: a
-// reader holds it across its snapshot, so the owner's rare capacity
-// doubling (also under the mutex) can never reallocate the arrays out
-// from under a racing copy. Aggregates are exact integer sums, so the
-// two locking modes are bit-identical for the same ingested multiset.
+// Each shard keeps its per-slot aggregates (five SlotAggregate::Packed
+// words per cell), its histogram bins and its totals in one store: flat
+// 64-byte-aligned atomic arrays written by one run writer inside a
+// per-shard seqlock write section. Two write disciplines share it:
+//
+//   * Mutex mode (the default): any thread may ingest; the writer holds
+//     the shard mutex for the whole run.
+//   * Single-writer mode (single_writer = true), for the queued transport
+//     shape: the transport routes every shard group to exactly one
+//     consumer thread, so the owner takes the mutex only to grow the
+//     arrays and never blocks on a reader during a run.
+//
+// Every aggregate reader takes one snapshot per shard: it copies the
+// words under the shard mutex (which excludes growth, and the whole run
+// in mutex mode), retries if the sequence was odd or moved (a torn copy
+// of a single writer's run), and merges outside the mutex. Aggregates
+// are exact integer sums, so the two disciplines are bit-identical for
+// the same ingested multiset.
 //
 // SlotAggregate and SlotHistogramOptions -- the exact-accumulation
 // building blocks -- live in storage/collector_backend.h so every
@@ -70,8 +73,8 @@
 namespace capp {
 
 /// Deleter for cache-line-aligned arrays of trivially-destructible
-/// payloads (the owned-shard seqlock storage): frees the 64-byte-aligned
-/// allocation without running destructors. make_unique only guarantees
+/// payloads (the shard store): frees the 64-byte-aligned allocation
+/// without running destructors. make_unique only guarantees
 /// alignof(std::max_align_t) (16 bytes), which left the packed 5-word
 /// aggregate slots starting mid-line -- see sharded_collector.cc's
 /// MakeAlignedZeroed for the layout story.
@@ -105,25 +108,30 @@ struct ShardedCollectorOptions {
   /// slot) pair must then be ingested at most once (overwrites cannot be
   /// detected without the raw values).
   bool keep_streams = true;
-  /// Single-writer (shard-owned) ingest: the caller guarantees that at
-  /// most one thread ever ingests into any given shard (the queued
-  /// transports' shard-group routing provides exactly this), and in
-  /// exchange the ingest path skips the per-shard mutex entirely,
-  /// publishing the per-slot aggregates and histogram bins through a
-  /// per-shard seqlock for concurrent aggregate readers (see the class
-  /// comment). Requires
-  /// keep_streams = false. Per-user queries (Contains / SlotCount) are
-  /// then safe only from the shard's owning thread or after ingest has
-  /// quiesced -- which covers every existing caller: the durable tier's
-  /// dedup probe runs on the owning consumer, its checkpoints hold an
-  /// exclusive lock, and stats readers run after Drain().
+  /// Single-writer ingest: the caller guarantees that at most one thread
+  /// ever ingests into any given shard (the queued transports'
+  /// shard-group routing provides exactly this). The store and its
+  /// readers are the same as in mutex mode; only the run writer's locking
+  /// changes -- it takes the shard mutex to grow the arrays, not for the
+  /// run, and concurrent aggregate readers retry through the seqlock
+  /// (see the class comment). Requires keep_streams = false. The user
+  /// index is then owner-private: Contains / SlotCount / ReserveUsers /
+  /// ExportShardState are safe only from the shard's owning thread or
+  /// after ingest has quiesced -- which covers every existing caller: the
+  /// durable tier's dedup probe runs on the owning consumer, its
+  /// checkpoints hold an exclusive lock, and stats readers run after
+  /// Drain().
   bool single_writer = false;
   /// Per-slot value histograms (off by default: the analytics tier).
   SlotHistogramOptions histogram = {};
 };
 
-/// Thread-safe sharded report store with streaming per-slot aggregates.
-/// All methods are safe to call concurrently.
+/// Sharded report store with streaming per-slot aggregates. In mutex mode
+/// all methods are safe to call concurrently. Under single_writer, each
+/// shard must have one ingesting thread, and the per-user queries are
+/// safe only from that thread or after ingest has quiesced (see
+/// ShardedCollectorOptions::single_writer); the totals and aggregate,
+/// histogram and span readers stay safe from any thread.
 class ShardedCollector : public CollectorBackend {
  public:
   static Result<ShardedCollector> Create(ShardedCollectorOptions options = {});
@@ -131,19 +139,17 @@ class ShardedCollector : public CollectorBackend {
   ShardedCollector(ShardedCollector&&) = default;
   ShardedCollector& operator=(ShardedCollector&&) = default;
 
-  /// Ingests one report. Slots may arrive in any order per user; a repeated
-  /// (user, slot) pair overwrites (last write wins), matching the legacy
-  /// collector (overwrites require keep_streams). Reports with non-finite
-  /// values are discarded: they cannot be represented next to the NaN
-  /// missing-slot sentinel, and no library path emits them. Raw streams
-  /// store any finite value, but the per-slot aggregates saturate report
-  /// magnitudes at 2^16 (see SlotAggregate) -- far beyond any sanitized
-  /// mechanism output.
-  void Ingest(const SlotReport& report);
-
-  /// Ingests a batch, grouping reports by shard so each shard's lock is
-  /// taken once per call instead of once per report.
-  void IngestBatch(std::span<const SlotReport> reports);
+  /// Ingests one report: a one-value IngestUserRun. Slots may arrive in
+  /// any order per user; a repeated (user, slot) pair overwrites (last
+  /// write wins), matching the legacy collector (overwrites require
+  /// keep_streams). Reports with non-finite values are discarded: they
+  /// cannot be represented next to the NaN missing-slot sentinel, and no
+  /// library path emits them. Raw streams store any finite value, but the
+  /// per-slot aggregates saturate report magnitudes at 2^16 (see
+  /// SlotAggregate) -- far beyond any sanitized mechanism output.
+  void Ingest(const SlotReport& report) {
+    IngestUserRun(report.user_id, report.slot, {&report.value, 1});
+  }
 
   /// Pre-sizes every shard's user index and per-user bookkeeping for an
   /// expected population (a hint; populations may exceed it). Eliminates
@@ -151,11 +157,10 @@ class ShardedCollector : public CollectorBackend {
   void ReserveUsers(size_t expected_users) override;
 
   /// Ingests one user's run of consecutive slots: values[i] is the report
-  /// for slot base_slot + i. Equivalent to Ingest({user_id, base_slot+i,
-  /// values[i]}) per element in order, but the shard hash, lock
-  /// acquisition, and user-index resolution happen once for the whole run
-  /// -- the fleet's per-user fast path (a simulated device uploads its
-  /// stream in one piece).
+  /// for slot base_slot + i. The collector's only writer: the shard hash,
+  /// lock decision, user-index resolution and seqlock write section
+  /// happen once for the whole run -- the fleet's per-user fast path (a
+  /// simulated device uploads its stream in one piece).
   void IngestUserRun(uint64_t user_id, size_t base_slot,
                      std::span<const double> values) override;
 
@@ -249,8 +254,9 @@ class ShardedCollector : public CollectorBackend {
 
   /// Total seqlock snapshot retries across shards: how often an
   /// aggregate reader observed a write in progress (odd sequence) or a
-  /// torn copy (sequence moved) and re-read. Always 0 in mutex mode,
-  /// and 0 in single-writer mode when nobody read during ingest.
+  /// torn copy (sequence moved) and re-read. Always 0 in mutex mode
+  /// (the run writer holds the mutex the reader copies under), and 0 in
+  /// single-writer mode when nobody read during ingest.
   uint64_t seqlock_read_retries() const;
 
   const ShardedCollectorOptions& options() const { return options_; }
@@ -297,65 +303,67 @@ class ShardedCollector : public CollectorBackend {
     // Inner rows grow lazily, so reads must treat short rows as missing.
     // Unused in aggregate-only mode.
     std::vector<std::vector<double>> values;
-    std::vector<SlotAggregate> slots;  // per-slot streaming aggregates
-    // Flat per-slot value histograms, histogram[slot * row_size + bin];
-    // grown in lockstep with `slots`. Empty when the tier is disabled.
-    // 32-bit counters keep the tier's working set (shards x slots x
-    // bins) half the size of uint64 rows, which is most of its ingest
-    // cost at 1M users. A bin pinned at 2^32 - 1 (>4e9 reports in one
-    // (shard, slot, bin) -- beyond the aggregates' own documented
-    // headroom) stops counting and reports through saturated_reports,
-    // the existing "collector state no longer describes the reports"
-    // channel, so even that absurd scale fails loudly, never silently.
-    std::vector<uint32_t> histogram;
-    size_t report_count = 0;
-    uint64_t saturated_reports = 0;  // reports clamped by SlotAggregate
-
-    // --- Single-writer mode state (unused in mutex mode). ---
-    // Seqlock sequence: odd exactly while the owning thread is inside a
+    // Seqlock sequence: odd exactly while the run writer is inside a
     // write section mutating the atomic words below.
     std::atomic<uint64_t> seq{0};
     // Per-slot aggregates as their SlotAggregate::Packed words (5 per
-    // slot) and flat histogram bins, in atomics so seqlock readers may
-    // race with the owner without UB. The first owned_slots entries are
-    // valid; capacity doubles under `mu` (see GrowOwnedSlots), which a
-    // reader holds across its whole snapshot, so growth can never
+    // slot) and flat per-slot histogram rows (slot * row_size + bin;
+    // null when the tier is disabled), in atomics so seqlock readers may
+    // race with a single writer without UB. The first `slots` slots are
+    // valid. `slots` and `capacity` change only under `mu` (see Grow),
+    // which a reader holds across its whole snapshot, so growth can never
     // reallocate the arrays out from under a racing copy.
-    AlignedAtomicArray<std::atomic<uint64_t>> owned_packed;
-    AlignedAtomicArray<std::atomic<uint32_t>> owned_histogram;
-    size_t owned_slots = 0;     // valid slot prefix; readers see it via mu
-    size_t owned_capacity = 0;  // allocated slots
-    // Monotonic counters, updated by the owner outside the seqlock and
-    // read relaxed: totals, not part of the consistent-snapshot story.
-    std::atomic<uint64_t> owned_users{0};
-    std::atomic<uint64_t> owned_reports{0};
-    std::atomic<uint64_t> owned_saturated{0};
+    // 32-bit bins keep the tier's working set (shards x slots x bins)
+    // half the size of uint64 rows, which is most of its ingest cost at
+    // 1M users. A bin pinned at 2^32 - 1 (>4e9 reports in one (shard,
+    // slot, bin) -- beyond the aggregates' own documented headroom) stops
+    // counting and reports through `saturated`, the existing "collector
+    // state no longer describes the reports" channel, so even that
+    // absurd scale fails loudly, never silently.
+    AlignedAtomicArray<std::atomic<uint64_t>> packed;
+    AlignedAtomicArray<std::atomic<uint32_t>> histogram;
+    size_t slots = 0;
+    size_t capacity = 0;
+    // Totals, written by the run writer inside the write section so a
+    // snapshot's totals match its aggregates. `saturated` counts reports
+    // clamped by SlotAggregate and pinned histogram bins.
+    std::atomic<uint64_t> users_seen{0};
+    std::atomic<uint64_t> reports{0};
+    std::atomic<uint64_t> saturated{0};
+  };
+
+  // One shard's store as plain values, copied under the shard mutex and
+  // merged by the caller outside it. `packed` and `bins` are filled only
+  // when asked for (Snapshot's `parts`), `bins` only with the tier on,
+  // and `users` only with kUsers.
+  struct ShardSnapshot {
+    size_t slots = 0;
+    uint64_t users_seen = 0;
+    uint64_t reports = 0;
+    uint64_t saturated = 0;
+    std::vector<uint64_t> packed;  // SlotAggregate::Packed words, 5 a slot
+    std::vector<uint32_t> bins;    // histogram rows
+    std::vector<UserEntry> users;  // dense order
+  };
+  enum SnapshotPart : unsigned {
+    kTotals = 0,  // slot count and totals only
+    kAggregates = 1,
+    kBins = 2,
+    kUsers = 4,
   };
 
   explicit ShardedCollector(ShardedCollectorOptions options);
 
   // The shard of a user whose SplitMix64Mix is `hash`.
   size_t ShardIndex(uint64_t hash) const { return hash % shards_.size(); }
-  // Applies one report (its user's SplitMix64Mix is `hash`) to a shard.
-  // Caller holds the shard's lock.
-  void IngestLocked(Shard& shard, const SlotReport& report, uint64_t hash);
-  // Grows shard.slots (and the histogram rows, when enabled) to cover
-  // `end_slot` slots. Caller holds the shard's lock.
-  void GrowSlots(Shard& shard, size_t end_slot);
-  // Single-writer ingest of one run (values[first..last] are the
-  // trimmed finite span). Called by the owning thread only; takes the
-  // shard mutex solely inside GrowOwnedSlots.
-  void IngestOwnedRun(Shard& shard, uint64_t user_id, uint64_t hash,
-                      size_t base_slot, std::span<const double> values,
-                      size_t first, size_t last);
-  // Grows the owned atomic arrays to cover end_slot slots. Owner only;
-  // locks the shard mutex to exclude in-flight seqlock readers.
-  void GrowOwnedSlots(Shard& shard, size_t end_slot);
-  // Seqlock read: one consistent snapshot of an owned shard's packed
-  // aggregate words (and histogram bins when hist != nullptr and the
-  // tier is enabled). Returns the number of valid slots.
-  size_t SnapshotOwned(const Shard& shard, std::vector<uint64_t>& packed,
-                       std::vector<uint32_t>* hist) const;
+  // Grows the shard's arrays to cover end_slot slots. Caller holds the
+  // shard mutex and is the shard's run writer.
+  void Grow(Shard& shard, size_t end_slot);
+  // The one reader: copies the shard's slot count, totals and the
+  // requested `parts` (SnapshotPart bits) into `out`, consistently.
+  void Snapshot(const Shard& shard, unsigned parts, ShardSnapshot& out) const;
+  // Sums one total over every shard's snapshot.
+  uint64_t SumTotal(uint64_t ShardSnapshot::*total) const;
   // Bumps the local retry counter and its registry mirror.
   void CountSeqlockRetry() const;
 

@@ -50,14 +50,15 @@ struct TransportOptions {
   int num_consumers = 2;
   /// User runs per frame before a producer pushes it.
   size_t max_batch_runs = 64;
-  /// Run the collector's shards in single-writer mode: the shard-group
-  /// routing already gives each shard exactly one consumer, so the
-  /// collector can skip its per-shard mutex on ingest and serve
-  /// aggregate readers through a per-shard seqlock instead
-  /// (ShardedCollectorOptions::single_writer). Requires a queued kind --
-  /// under kDirect every worker thread ingests, so no shard has a single
-  /// writer. Results stay bit-identical; only the locking discipline
-  /// changes.
+  /// Run the collector's shards in single-writer mode
+  /// (ShardedCollectorOptions::single_writer): the shard-group routing
+  /// already gives each shard exactly one consumer, so that consumer
+  /// holds the shard mutex only to grow the shard's store, not for each
+  /// run, and aggregate readers retry through the store's seqlock
+  /// instead of waiting. Requires a queued kind -- under kDirect every
+  /// worker thread ingests, so no shard has a single writer. The store
+  /// and the results are the same as in mutex mode; only the run
+  /// writer's locking changes.
   bool owned_shards = false;
   /// kSocket only. Empty: the hub runs an in-process loopback collector
   /// server on an auto-generated /tmp path (single-process testing and

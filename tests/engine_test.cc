@@ -17,7 +17,6 @@
 #include "core/rng.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
-#include "engine/report_batch.h"
 #include "engine/sharded_collector.h"
 #include "engine/thread_pool.h"
 #include "storage/collector_backend.h"
@@ -356,10 +355,15 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
     SCOPED_TRACE(shards);
     auto sharded = ShardedCollector::Create({.num_shards = shards});
     ASSERT_TRUE(sharded.ok());
-    // Mix the two ingest paths: half one-by-one, half batched.
+    // Mix the two ingest shapes: half one-by-one, half as runs whose
+    // trailing NaN pad must be trimmed (the slot span below would grow
+    // past the reference's otherwise).
     const size_t half = reports.size() / 2;
     for (size_t i = 0; i < half; ++i) sharded->Ingest(reports[i]);
-    sharded->IngestBatch(std::span(reports).subspan(half));
+    for (size_t i = half; i < reports.size(); ++i) {
+      sharded->IngestUserRun(reports[i].user_id, reports[i].slot,
+                             std::vector<double>{reports[i].value, kNaN});
+    }
 
     EXPECT_EQ(sharded->user_count(), reference.raw().size());
     for (uint64_t user : users) {
@@ -388,31 +392,32 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
 }
 
 TEST(ShardedCollectorTest, ConcurrentIngestMatchesSerial) {
-  // The same reports ingested from 8 threads and from 1 thread must yield
-  // identical queryable state (ingest order may differ; last-write-wins
-  // conflicts are avoided by unique (user, slot) pairs).
+  // The same reports ingested from 8 threads, one whole-stream run per
+  // user, and from 1 thread, report by report, must yield identical
+  // queryable state (ingest order may differ; last-write-wins conflicts
+  // are avoided by unique (user, slot) pairs).
   const size_t kUsers = 64;
   const size_t kSlots = 32;
-  std::vector<SlotReport> reports;
+  std::vector<std::vector<double>> streams(kUsers);
   Rng rng(7);
   for (uint64_t u = 0; u < kUsers; ++u) {
     for (size_t t = 0; t < kSlots; ++t) {
-      reports.push_back({u, t, rng.UniformDouble()});
+      streams[u].push_back(rng.UniformDouble());
     }
   }
   auto serial = ShardedCollector::Create();
   ASSERT_TRUE(serial.ok());
-  serial->IngestBatch(reports);
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    for (size_t t = 0; t < kSlots; ++t) serial->Ingest({u, t, streams[u][t]});
+  }
 
   auto concurrent = ShardedCollector::Create();
   ASSERT_TRUE(concurrent.ok());
-  const size_t kChunk = 256;
-  const size_t n_chunks = (reports.size() + kChunk - 1) / kChunk;
-  ParallelFor(n_chunks, 8, [&](size_t c) {
-    const size_t begin = c * kChunk;
-    const size_t end = std::min(reports.size(), begin + kChunk);
-    concurrent->IngestBatch(
-        std::span(reports).subspan(begin, end - begin));
+  const size_t kUsersPerChunk = 8;
+  ParallelFor(kUsers / kUsersPerChunk, 8, [&](size_t c) {
+    for (uint64_t u = c * kUsersPerChunk; u < (c + 1) * kUsersPerChunk; ++u) {
+      concurrent->IngestUserRun(u, 0, streams[u]);
+    }
   });
 
   EXPECT_EQ(concurrent->user_count(), serial->user_count());
@@ -679,18 +684,20 @@ TEST(ShardedCollectorTest, ReserveUsersOnANonEmptyIndexKeepsFirstSeenOrder) {
 
 TEST(ShardedCollectorTest, KeptStreamsSurviveIndexGrowth) {
   // Every user reports slot 0 while the index grows through its
-  // doublings, then slot 3 in one batch; each stream must still resolve
-  // to its own dense row.
+  // doublings, then slot 3 as a run after the growth; each stream must
+  // still resolve to its own dense row.
   const std::vector<uint64_t> ids = CollidingPopulation();
   auto collector =
       ShardedCollector::Create({.num_shards = 1, .keep_streams = true});
   ASSERT_TRUE(collector.ok());
-  std::vector<SlotReport> later;
   for (size_t i = 0; i < ids.size(); ++i) {
     collector->Ingest({ids[i], 0, 0.001 * static_cast<double>(i)});
-    later.push_back({ids[i], 3, -0.002 * static_cast<double>(i)});
   }
-  collector->IngestBatch(later);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    collector->IngestUserRun(
+        ids[i], 1,
+        std::vector<double>{kNaN, kNaN, -0.002 * static_cast<double>(i)});
+  }
   for (size_t i = 0; i < ids.size(); ++i) {
     const double first = 0.001 * static_cast<double>(i);
     auto stream = collector->GapFilledStream(ids[i]);
@@ -712,22 +719,17 @@ TEST(ShardedCollectorTest, SingleWriterRequiresAggregateOnlyStorage) {
 }
 
 TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
-  // Seqlock consistency under a live writer: the owner ingests whole
-  // constant-value runs inside one write section, so with a single shard
-  // a concurrent reader must never observe a torn run -- every snapshot
+  // Snapshot consistency under live writers, in both write disciplines:
+  // every run is one whole constant-value run, so with a single shard a
+  // concurrent reader must never observe a torn run -- every snapshot
   // shows the same count in all slots, and sums that are exact integer
-  // multiples of the one-report sums. Run under TSan this is also the
-  // data-race check for the owned ingest path.
-  ShardedCollectorOptions options;
-  options.num_shards = 1;
-  options.keep_streams = false;
-  options.single_writer = true;
-  auto collector = ShardedCollector::Create(options);
-  ASSERT_TRUE(collector.ok());
-
+  // multiples of the one-report sums. A single writer is torn-proofed by
+  // the seqlock alone; mutex mode runs two writers on the one shard,
+  // serialized by the mutex the reader copies under. Run under TSan this
+  // is also the data-race check for the shared store.
   constexpr double kValue = 0.3125;  // exactly representable
   constexpr size_t kSlots = 8;
-  constexpr uint64_t kUsers = 4000;
+  constexpr uint64_t kUsers = 40000;
   SlotAggregate unit;
   unit.Add(kValue);
   const auto unit_packed = unit.ToPacked();
@@ -736,55 +738,65 @@ TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
   };
   const auto unit_sum = to128(unit_packed.sum_hi, unit_packed.sum_lo);
   const auto unit_sq = to128(unit_packed.sum_sq_hi, unit_packed.sum_sq_lo);
-
-  std::atomic<bool> done{false};
   const std::vector<double> run(kSlots, kValue);
-  std::thread owner([&] {
-    for (uint64_t user = 0; user < kUsers; ++user) {
-      collector->IngestUserRun(user, 0, run);
-    }
-    done.store(true, std::memory_order_release);
-  });
 
-  do {
+  for (bool single_writer : {true, false}) {
+    SCOPED_TRACE(single_writer ? "single writer" : "mutex, two writers");
+    ShardedCollectorOptions options;
+    options.num_shards = 1;
+    options.keep_streams = false;
+    options.single_writer = single_writer;
+    auto collector = ShardedCollector::Create(options);
+    ASSERT_TRUE(collector.ok());
+
+    const uint64_t writers = single_writer ? 1 : 2;
+    std::atomic<uint64_t> running{writers};
+    std::atomic<bool> go{false};  // starts the writers together
+    std::vector<std::thread> threads;
+    for (uint64_t w = 0; w < writers; ++w) {
+      threads.emplace_back([&, w] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (uint64_t user = w; user < kUsers; user += writers) {
+          collector->IngestUserRun(user, 0, run);
+        }
+        running.fetch_sub(1, std::memory_order_release);
+      });
+    }
+
+    // The reader stops at the first torn snapshot and reports it after
+    // the join: an ASSERT here would return with the writers unjoined.
+    bool torn = false;
+    go.store(true, std::memory_order_release);
+    do {
+      const auto aggregates = collector->PopulationSlotAggregates();
+      if (aggregates.empty()) continue;
+      torn = aggregates.size() != kSlots;
+      const uint64_t count = aggregates[0].ToPacked().count;
+      for (const SlotAggregate& agg : aggregates) {
+        const auto packed = agg.ToPacked();
+        torn = torn || packed.count != count ||  // whole runs only
+               to128(packed.sum_hi, packed.sum_lo) != count * unit_sum ||
+               to128(packed.sum_sq_hi, packed.sum_sq_lo) != count * unit_sq;
+      }
+    } while (!torn && running.load(std::memory_order_acquire) != 0);
+    for (std::thread& t : threads) t.join();
+    ASSERT_FALSE(torn) << "a reader saw a torn run";
+
     const auto aggregates = collector->PopulationSlotAggregates();
-    if (aggregates.empty()) continue;
     ASSERT_EQ(aggregates.size(), kSlots);
-    const uint64_t count = aggregates[0].ToPacked().count;
-    for (const SlotAggregate& agg : aggregates) {
-      const auto packed = agg.ToPacked();
-      ASSERT_EQ(packed.count, count);  // whole runs only, never torn
-      ASSERT_TRUE(to128(packed.sum_hi, packed.sum_lo) == count * unit_sum);
-      ASSERT_TRUE(to128(packed.sum_sq_hi, packed.sum_sq_lo) ==
-                  count * unit_sq);
+    for (const auto& agg : aggregates) EXPECT_EQ(agg.Count(), kUsers);
+    EXPECT_EQ(collector->report_count(), kUsers * kSlots);
+    EXPECT_EQ(collector->user_count(), kUsers);
+    // Retry counts are timing-dependent for a single writer (usually
+    // zero on a 1-core runner), so assert only that the counter is
+    // monotone. Mutex mode never retries: its writer holds the mutex
+    // across the whole write section.
+    const uint64_t retries = collector->seqlock_read_retries();
+    EXPECT_GE(collector->seqlock_read_retries(), retries);
+    if (!single_writer) {
+      EXPECT_EQ(retries, 0u);
     }
-  } while (!done.load(std::memory_order_acquire));
-  owner.join();
-
-  const auto aggregates = collector->PopulationSlotAggregates();
-  ASSERT_EQ(aggregates.size(), kSlots);
-  for (const auto& agg : aggregates) EXPECT_EQ(agg.Count(), kUsers);
-  EXPECT_EQ(collector->report_count(), kUsers * kSlots);
-  EXPECT_EQ(collector->user_count(), kUsers);
-  // Retry counts are timing-dependent (usually zero on a 1-core runner),
-  // so assert only what is stable: the counter is monotone.
-  const uint64_t retries = collector->seqlock_read_retries();
-  EXPECT_GE(collector->seqlock_read_retries(), retries);
-}
-
-// --------------------------------------------------------- report batch ----
-
-TEST(ReportBatchTest, FlushesWhenFullAndOnDestruction) {
-  auto collector = ShardedCollector::Create();
-  ASSERT_TRUE(collector.ok());
-  {
-    ReportBatch batch(&*collector, /*capacity=*/4);
-    for (uint64_t u = 0; u < 5; ++u) batch.Add({u, 0, 0.5});
-    // Capacity 4: the first four flushed, the fifth is still staged.
-    EXPECT_EQ(batch.pending(), 1u);
-    EXPECT_EQ(collector->report_count(), 4u);
   }
-  EXPECT_EQ(collector->report_count(), 5u);
 }
 
 // ------------------------------------------------------- engine config ----
