@@ -107,7 +107,6 @@ EngineConfig MakeConfig(const AnalyticsBenchFlags& flags, bool analytics) {
   config.num_slots = flags.slots;
   config.num_threads = flags.threads;
   config.seed = flags.seed;
-  config.keep_streams = false;  // aggregate-only: the scaling configuration
   config.analytics.enabled = analytics;
   config.analytics.histogram_buckets = flags.histogram_buckets;
   return config;

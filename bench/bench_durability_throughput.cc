@@ -131,7 +131,6 @@ EngineConfig MakeConfig(const DurabilityBenchFlags& flags) {
   config.num_slots = flags.slots;
   config.num_threads = flags.threads;
   config.seed = flags.seed;
-  config.keep_streams = false;  // aggregate-only: the scaling configuration
   return config;
 }
 
@@ -141,7 +140,6 @@ bool RecoveryMatches(const EngineConfig& config, const std::string& wal_dir,
                      uint64_t live_digest) {
   ShardedCollectorOptions collector_options;
   collector_options.num_shards = config.num_shards;
-  collector_options.keep_streams = false;
   auto collector = ShardedCollector::Create(collector_options);
   if (!collector.ok()) return false;
   DurableCollectorOptions durable_options;

@@ -142,7 +142,6 @@ EngineStats RunOnce(const EngineBenchFlags& flags, int threads) {
   config.num_slots = flags.slots;
   config.num_threads = threads;
   config.seed = flags.seed;
-  config.keep_streams = false;  // aggregate-only: the scaling configuration
   auto fleet = Fleet::Create(config);
   if (!fleet.ok()) {
     std::fprintf(stderr, "config rejected: %s\n",

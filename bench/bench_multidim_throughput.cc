@@ -113,7 +113,6 @@ EngineStats RunOnce(const MultidimBenchFlags& flags, size_t dims,
   config.seed = flags.seed;
   config.dims = dims;
   config.multidim_strategy = strategy;
-  config.keep_streams = false;
   auto fleet = Fleet::Create(config);
   if (!fleet.ok()) {
     std::fprintf(stderr, "config rejected: %s\n",

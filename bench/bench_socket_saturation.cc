@@ -141,7 +141,7 @@ void PublishAll(const SaturationFlags& flags, TransportHub& hub) {
 }
 
 uint64_t DirectDigest(const SaturationFlags& flags) {
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   if (!collector.ok()) {
     std::fprintf(stderr, "collector: %s\n",
                  collector.status().ToString().c_str());
@@ -156,7 +156,7 @@ uint64_t DirectDigest(const SaturationFlags& flags) {
 }
 
 RowResult RunRow(const SaturationFlags& flags, const SaturationRow& row) {
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   if (!collector.ok()) {
     std::fprintf(stderr, "collector: %s\n",
                  collector.status().ToString().c_str());
@@ -180,7 +180,7 @@ RowResult RunRow(const SaturationFlags& flags, const SaturationRow& row) {
 
   // Client-mode hub: publishes re-encode into wire frames and stream out
   // over connect_streams striped connections.
-  auto local = ShardedCollector::Create({.keep_streams = false});
+  auto local = ShardedCollector::Create();
   if (!local.ok()) std::exit(1);
   TransportOptions options;
   options.kind = TransportKind::kSocket;

@@ -133,7 +133,6 @@ EngineStats RunOnce(const TransportBenchFlags& flags,
   config.num_slots = flags.slots;
   config.num_threads = flags.threads;
   config.seed = flags.seed;
-  config.keep_streams = false;  // aggregate-only: the scaling configuration
   config.transport.kind = row.kind;
   config.transport.owned_shards = row.owned_shards;
   config.transport.num_consumers = flags.consumers;

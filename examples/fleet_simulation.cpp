@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
   config.num_slots = 24;
   config.num_threads = 0;  // all hardware threads
   config.signal = capp::SignalKind::kSinusoid;
-  config.keep_streams = false;
 
   std::string metrics_json;
   capp::telemetry::TelemetryConfig telemetry_config;

@@ -72,10 +72,11 @@ Status ValidateEngineConfig(const EngineConfig& config) {
         "analytics.histogram_buckets must be >= 2");
   }
   CAPP_RETURN_IF_ERROR(ValidateTransportOptions(config.transport));
-  if (config.transport.owned_shards && config.keep_streams) {
+  if (config.keep_streams) {
     return Status::InvalidArgument(
-        "owned_shards runs the collector in aggregate-only single-writer "
-        "mode; set keep_streams = false");
+        "the engine's collector keeps only per-slot aggregates; "
+        "keep_streams must be false (per-user streams live in "
+        "CollectorSession)");
   }
   if (config.durability.enabled()) {
     WalOptions wal;
@@ -84,12 +85,6 @@ Status ValidateEngineConfig(const EngineConfig& config) {
     wal.fsync_every_frames = config.durability.fsync_every_frames;
     wal.fsync_interval_ms = config.durability.fsync_interval_ms;
     CAPP_RETURN_IF_ERROR(ValidateWalOptions(wal));
-    if (config.durability.checkpoint_every_runs > 0 &&
-        config.keep_streams) {
-      return Status::InvalidArgument(
-          "checkpoints cover aggregate-only collectors; set keep_streams "
-          "= false or checkpoint_every_runs = 0");
-    }
     if (config.transport.kind == TransportKind::kSocket &&
         (!config.transport.socket_path.empty() ||
          !config.transport.tcp_host.empty())) {
@@ -127,7 +122,10 @@ uint64_t EngineConfigFingerprint(const EngineConfig& config) {
       static_cast<uint64_t>(config.signal),
       config.seed,
       static_cast<uint64_t>(config.num_shards),
-      config.keep_streams ? 1u : 0u,
+      // The retired raw-stream mode's word, pinned at its only legal
+      // value so every fingerprint, WAL segment and checkpoint stays
+      // byte-identical.
+      0u,
       config.analytics.enabled ? 1u : 0u,
       static_cast<uint64_t>(config.analytics.histogram_buckets),
       static_cast<uint64_t>(config.smoothing_window),

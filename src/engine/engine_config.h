@@ -67,9 +67,7 @@ struct DurabilityConfig {
   size_t fsync_every_frames = 1024;
   /// kTimed: max milliseconds between fdatasyncs.
   int fsync_interval_ms = 50;
-  /// Checkpoint + truncate the log every N runs; 0 = never. Requires
-  /// aggregate-only mode (keep_streams = false): raw streams are not
-  /// checkpointable.
+  /// Checkpoint + truncate the log every N runs; 0 = never.
   size_t checkpoint_every_runs = 0;
 
   bool enabled() const { return !dir.empty(); }
@@ -107,10 +105,12 @@ struct EngineConfig {
   size_t chunk_size = 4096;
   uint64_t seed = 1;
 
-  /// Collector storage. keep_streams = true retains every raw report for
-  /// per-user queries; false keeps only streaming per-slot aggregates
-  /// (required at million-user scale).
+  /// Collector storage shards (ShardedCollectorOptions::num_shards).
   size_t num_shards = 16;
+  /// Vestige of the retired raw-stream storage mode: must stay false
+  /// (ValidateEngineConfig refuses true with InvalidArgument). It remains
+  /// only because bench/pipeline/workloads.h and trial.h still assign
+  /// and read it, and goes once those are gone.
   bool keep_streams = false;
 
   /// Collector-side SMA window for published streams; 0 uses the

@@ -214,12 +214,11 @@ Result<Fleet> Fleet::Create(EngineConfig config) {
   }
   ShardedCollectorOptions collector_options;
   collector_options.num_shards = config.num_shards;
-  collector_options.keep_streams = config.keep_streams;
   collector_options.dims = config.dims;
-  // Validation already pinned the sound combination (queued kind, whose
-  // shard-group routing gives every shard one writer, and aggregate-only
-  // storage), so the transport's ownership claim translates directly
-  // into single-writer collector storage.
+  // Validation already pinned the sound combination (a queued kind, whose
+  // shard-group routing gives every shard one writer), so the transport's
+  // ownership claim translates directly into single-writer collector
+  // storage.
   collector_options.single_writer = config.transport.owned_shards;
   if (config.analytics.enabled) {
     // Histogram geometry follows the fleet's per-slot budget, so a

@@ -10,10 +10,9 @@
 #include <type_traits>
 
 #include "core/check.h"
-#include "core/math_utils.h"
 #include "core/rng.h"
-#include "stream/gap_fill.h"
 #include "telemetry/instruments.h"
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
@@ -36,14 +35,6 @@ inline uint64_t BumpBin(std::atomic<uint32_t>& bin) {
   if (count == std::numeric_limits<uint32_t>::max()) return 1;
   bin.store(count + 1, std::memory_order_relaxed);
   return 0;
-}
-
-// Reads values[slot][dense] treating short rows as missing.
-double RawValueAt(const std::vector<std::vector<double>>& values, size_t slot,
-                  uint32_t dense) {
-  if (slot >= values.size()) return kMissing;
-  const std::vector<double>& row = values[slot];
-  return dense < row.size() ? row[dense] : kMissing;
 }
 
 // The shard store keeps each SlotAggregate as its five Packed words in a
@@ -112,13 +103,10 @@ Result<ShardedCollector> ShardedCollector::Create(
   if (options.dims < 1) {
     return Status::InvalidArgument("dims must be >= 1");
   }
-  if (options.single_writer && options.keep_streams) {
-    // Raw per-user streams are owner-private dense arrays; serving them
-    // to concurrent readers would need the very mutex single-writer
-    // mode exists to elide.
+  if (options.keep_streams) {
     return Status::InvalidArgument(
-        "single_writer collectors are aggregate-only; set keep_streams "
-        "= false");
+        "ShardedCollector keeps only per-slot aggregates; per-user "
+        "streams live in CollectorSession (keep_streams must be false)");
   }
   if (options.histogram.enabled) {
     if (options.histogram.num_bins < 2) {
@@ -242,15 +230,19 @@ void ShardedCollector::ReserveUsers(size_t expected_users) {
 
 void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
                                      std::span<const double> values) {
-  // Non-finite values would collide with the NaN missing-slot sentinel
-  // and poison the aggregates; no library path produces them, so they
-  // are discarded -- before registration, so a run with no finite value
-  // must not create the user.
+  // Non-finite values would poison the aggregates; no library path
+  // produces them, so they are discarded -- before registration, so a run
+  // with no finite value must not create the user.
   size_t first = 0;
   while (first < values.size() && !std::isfinite(values[first])) ++first;
   if (first == values.size()) return;
   size_t last = values.size() - 1;
   while (!std::isfinite(values[last])) --last;  // exists: first <= last
+  // The run must end within the uint32 cell index that decode already
+  // enforces for every wire frame; past it, base_slot + last + 1 could
+  // wrap and skip the growth below, so a caller that bypasses decode
+  // aborts here instead of writing out of bounds.
+  CAPP_CHECK(base_slot < kWireMaxCells && last < kWireMaxCells - base_slot);
 
   telemetry::ScopedTimer ingest_timer;
   if (telemetry::Enabled()) {
@@ -299,49 +291,19 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
       shard.packed.get() + base_slot * kPackedWords;
   std::atomic<uint32_t>* const rows =
       hist.enabled ? shard.histogram.get() + base_slot * row_size : nullptr;
+  // The collector cannot see a previous value, so every report is new
+  // (the at-most-once contract): one exact add per slot. Saturation is
+  // accumulated branchlessly (Add's bool as 0/1) so the loop carries no
+  // data-dependent branch besides the finite check.
   size_t ingested = 0;
   uint64_t saturated = 0;
-  if (!options_.keep_streams) {
-    // Aggregate-only mode cannot see a previous value, so every report is
-    // new (the documented at-most-once contract): one exact add per slot.
-    // Saturation is accumulated branchlessly (Add's bool as 0/1) so the
-    // loop carries no data-dependent branch besides the finite check.
-    for (size_t i = first; i <= last; ++i) {
-      if (!std::isfinite(values[i])) continue;
-      std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
-      SlotAggregate aggregate = LoadPackedSlot(words);
-      saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
-      StorePackedSlot(words, aggregate);
-      ++ingested;
-    }
-  } else {
-    if (end_slot > shard.values.size()) shard.values.resize(end_slot);
-    for (size_t i = first; i <= last; ++i) {
-      if (!std::isfinite(values[i])) continue;
-      std::vector<double>& row = shard.values[base_slot + i];
-      if (dense >= row.size()) row.resize(dense + 1, kMissing);
-      const double old_value = row[dense];
-      row[dense] = values[i];
-      std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
-      SlotAggregate aggregate = LoadPackedSlot(words);
-      if (std::isnan(old_value)) {
-        saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
-        ++ingested;
-      } else {
-        saturated +=
-            static_cast<uint64_t>(aggregate.Replace(old_value, values[i]));
-        if (rows != nullptr) {
-          // Overwrite: take the old value's unit back out of its bin; the
-          // bin pass below counts the new value, as for any report. A run
-          // touches each slot once, so the order of the two is free.
-          std::atomic<uint32_t>& bin =
-              rows[i * row_size + hist.BinFor(old_value)];
-          bin.store(bin.load(std::memory_order_relaxed) - 1,
-                    std::memory_order_relaxed);
-        }
-      }
-      StorePackedSlot(words, aggregate);
-    }
+  for (size_t i = first; i <= last; ++i) {
+    if (!std::isfinite(values[i])) continue;
+    std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
+    SlotAggregate aggregate = LoadPackedSlot(words);
+    saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
+    StorePackedSlot(words, aggregate);
+    ++ingested;
   }
   if (rows != nullptr) {
     // Separate pass for the bins: keeps the aggregate loop's int128
@@ -454,53 +416,6 @@ size_t ShardedCollector::SlotSpan() const {
   return span;
 }
 
-Result<std::vector<double>> ShardedCollector::GapFilledStream(
-    uint64_t user_id) const {
-  if (!options_.keep_streams) {
-    return Status::FailedPrecondition(
-        "per-user streams require keep_streams = true");
-  }
-  const uint64_t hash = SplitMix64Mix(user_id);
-  const Shard& shard = *shards_[ShardIndex(hash)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const uint32_t dense = shard.users.Find(user_id, hash);
-  if (dense == UserIndex::kNotFound) return Status::NotFound("unknown user");
-  const size_t n = size_t{shard.users.entry(dense).last_slot} + 1;
-  std::vector<double> raw(n);
-  for (size_t t = 0; t < n; ++t) {
-    raw[t] = RawValueAt(shard.values, t, dense);
-  }
-  return FillGapsForward(raw);
-}
-
-Result<double> ShardedCollector::SubsequenceMean(uint64_t user_id,
-                                                 size_t begin,
-                                                 size_t len) const {
-  if (len == 0) return Status::InvalidArgument("len must be >= 1");
-  if (!options_.keep_streams) {
-    return Status::FailedPrecondition(
-        "per-user streams require keep_streams = true");
-  }
-  const uint64_t hash = SplitMix64Mix(user_id);
-  const Shard& shard = *shards_[ShardIndex(hash)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const uint32_t dense = shard.users.Find(user_id, hash);
-  if (dense == UserIndex::kNotFound) return Status::NotFound("unknown user");
-  KahanSum sum;
-  size_t count = 0;
-  for (size_t t = begin; t < begin + len; ++t) {
-    const double v = RawValueAt(shard.values, t, dense);
-    if (!std::isnan(v)) {
-      sum.Add(v);
-      ++count;
-    }
-  }
-  if (count == 0) {
-    return Status::NotFound("no reports in the requested interval");
-  }
-  return sum.Total() / static_cast<double>(count);
-}
-
 std::vector<SlotAggregate> ShardedCollector::PopulationSlotAggregates() const {
   std::vector<SlotAggregate> merged;
   ShardSnapshot snapshot;
@@ -558,11 +473,6 @@ Result<CollectorShardState> ShardedCollector::ExportShardState(
   if (shard_index >= shards_.size()) {
     return Status::InvalidArgument("shard index out of range");
   }
-  if (options_.keep_streams) {
-    return Status::FailedPrecondition(
-        "shard snapshots cover aggregate-only mode (keep_streams = "
-        "false); raw streams are not serialized");
-  }
   // A single writer's user entries are owner-private, so this export
   // needs the owner thread or quiescence -- which its only caller, the
   // checkpoint tier, guarantees with its exclusive lock (and recovery
@@ -586,10 +496,6 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
                                            CollectorShardState state) {
   if (shard_index >= shards_.size()) {
     return Status::InvalidArgument("shard index out of range");
-  }
-  if (options_.keep_streams) {
-    return Status::FailedPrecondition(
-        "shard snapshots cover aggregate-only mode (keep_streams = false)");
   }
   const size_t expected_histogram =
       options_.histogram.enabled

@@ -1,35 +1,29 @@
-// Sharded collector storage: the in-RAM CollectorBackend
-// behind CollectorSession and the Fleet simulator.
+// Sharded collector storage: the in-RAM CollectorBackend behind the
+// transport hub, the durable tier and the Fleet simulator.
 //
-// The seed collector stored reports in std::map<user, std::map<slot, v>>,
-// which is pointer-chasing-heavy and single-threaded. ShardedCollector
-// replaces it with:
+// The paper's collector (Fig. 1, step 3) keeps per-slot sums, and so does
+// this one. The seed collector stored reports in
+// std::map<user, std::map<slot, v>>, which is pointer-chasing-heavy and
+// single-threaded. ShardedCollector replaces it with:
 //
 //   * N independent shards, each with its own mutex; a report's shard is
 //     a splitmix64 hash of its user id, so concurrent writers touching
 //     different users rarely contend.
-//   * Flat per-shard storage: user ids map to dense indices through a
-//     flat open-addressing index (one probe sequence, no per-user heap
-//     node; see UserIndex); values live in slot-major arrays
-//     (values[slot][dense_user]) with NaN marking missing reports.
 //   * Streaming per-slot aggregates (count / fixed-point exact sums of x
-//     and x^2, including the reverse update for overwritten reports), so
-//     population means and variances are O(1) per report, bit-identical
-//     for any ingest order, and remain available in aggregate-only mode
-//     where raw streams are never materialized.
+//     and x^2), so population means and variances are O(1) per report
+//     and bit-identical for any ingest order.
+//   * ~25 B per distinct user: a 16-byte UserEntry in a flat
+//     open-addressing index (one probe sequence, no per-user heap node;
+//     see UserIndex). That per-user state cannot go: it is what answers
+//     Contains (the durable tier's resend dedup), user_count, SlotCount
+//     and the checkpoint's per-user entries.
 //
-// Aggregate-only mode (keep_streams = false) is what lets the engine run
-// million-user fleets: per-report cost and memory are independent of the
-// population's total report volume. Memory is the O(shards * slots)
-// aggregates plus ~25 B per distinct user (a 16-byte UserEntry and its
-// index table slot). That per-user state cannot go: it is what answers
-// Contains (the durable tier's resend dedup), user_count, and the
-// checkpoint's per-user entries. It is also the mode the storage
-// tier's checkpoints cover (ExportShardState / RestoreShardState): the
-// exact per-shard aggregate state round-trips through
-// storage/checkpoint.h, while raw streams are deliberately not
-// serialized (they are O(users * slots) and the durable tier exists for
-// the aggregate-only production shape).
+// Raw reports are never stored, so per-report cost and memory are
+// independent of the population's total report volume -- what lets the
+// engine run million-user fleets -- and the whole state is exact and
+// checkpointable (ExportShardState / RestoreShardState round-trip it
+// through storage/checkpoint.h). Per-user raw streams, for the scalar
+// deployment API, live in CollectorSession (stream/session.h).
 //
 // Each shard keeps its per-slot aggregates (five SlotAggregate::Packed
 // words per cell), its histogram bins and its totals in one store: flat
@@ -101,26 +95,23 @@ struct ShardedCollectorOptions {
   /// IngestUserRun overload transposes the wire's dim-major payload into
   /// cell order; per-dimension queries slice cells back out.
   size_t dims = 1;
-  /// When true, raw per-(user, slot) values are kept and per-user stream
-  /// queries work. When false only the per-slot aggregates (O(shards *
-  /// slots)) and ~25 B of bookkeeping per distinct user are kept --
-  /// memory no longer grows with the report volume -- but each (user,
-  /// slot) pair must then be ingested at most once (overwrites cannot be
-  /// detected without the raw values).
-  bool keep_streams = true;
+  /// Vestige of the retired raw-stream storage mode: must stay false
+  /// (Create refuses true with InvalidArgument). It remains only because
+  /// bench/pipeline/trial.h still assigns it, and goes once that read is
+  /// gone.
+  bool keep_streams = false;
   /// Single-writer ingest: the caller guarantees that at most one thread
   /// ever ingests into any given shard (the queued transports'
   /// shard-group routing provides exactly this). The store and its
   /// readers are the same as in mutex mode; only the run writer's locking
   /// changes -- it takes the shard mutex to grow the arrays, not for the
   /// run, and concurrent aggregate readers retry through the seqlock
-  /// (see the class comment). Requires keep_streams = false. The user
-  /// index is then owner-private: Contains / SlotCount / ReserveUsers /
-  /// ExportShardState are safe only from the shard's owning thread or
-  /// after ingest has quiesced -- which covers every existing caller: the
-  /// durable tier's dedup probe runs on the owning consumer, its
-  /// checkpoints hold an exclusive lock, and stats readers run after
-  /// Drain().
+  /// (see the class comment). The user index is then owner-private:
+  /// Contains / SlotCount / ReserveUsers / ExportShardState are safe only
+  /// from the shard's owning thread or after ingest has quiesced -- which
+  /// covers every existing caller: the durable tier's dedup probe runs on
+  /// the owning consumer, its checkpoints hold an exclusive lock, and
+  /// stats readers run after Drain().
   bool single_writer = false;
   /// Per-slot value histograms (off by default: the analytics tier).
   SlotHistogramOptions histogram = {};
@@ -140,12 +131,12 @@ class ShardedCollector : public CollectorBackend {
   ShardedCollector& operator=(ShardedCollector&&) = default;
 
   /// Ingests one report: a one-value IngestUserRun. Slots may arrive in
-  /// any order per user; a repeated (user, slot) pair overwrites (last
-  /// write wins), matching the legacy collector (overwrites require
-  /// keep_streams). Reports with non-finite values are discarded: they
-  /// cannot be represented next to the NaN missing-slot sentinel, and no
-  /// library path emits them. Raw streams store any finite value, but the
-  /// per-slot aggregates saturate report magnitudes at 2^16 (see
+  /// any order per user, but each (user, slot) pair must be ingested at
+  /// most once: the collector keeps no raw values, so a repeat cannot be
+  /// told from a new report and is counted twice. (CollectorSession keeps
+  /// raw streams with last-write-wins overwrites.) Reports with
+  /// non-finite values are discarded, and no library path emits them.
+  /// The per-slot aggregates saturate report magnitudes at 2^16 (see
   /// SlotAggregate) -- far beyond any sanitized mechanism output.
   void Ingest(const SlotReport& report) {
     IngestUserRun(report.user_id, report.slot, {&report.value, 1});
@@ -160,7 +151,10 @@ class ShardedCollector : public CollectorBackend {
   /// for slot base_slot + i. The collector's only writer: the shard hash,
   /// lock decision, user-index resolution and seqlock write section
   /// happen once for the whole run -- the fleet's per-user fast path (a
-  /// simulated device uploads its stream in one piece).
+  /// simulated device uploads its stream in one piece). The run must end
+  /// within the wire codec's cell index (base_slot + values.size() <=
+  /// kWireMaxCells, which decode enforces for every frame); a run past it
+  /// is a caller bug and aborts.
   void IngestUserRun(uint64_t user_id, size_t base_slot,
                      std::span<const double> values) override;
 
@@ -175,7 +169,7 @@ class ShardedCollector : public CollectorBackend {
   /// Number of distinct users seen so far.
   size_t user_count() const override;
 
-  /// Total reports ingested (overwrites count once).
+  /// Total reports ingested.
   size_t report_count() const override;
 
   /// Reports whose magnitude exceeded the SlotAggregate saturation bound
@@ -192,25 +186,14 @@ class ShardedCollector : public CollectorBackend {
   /// True if the user has reported at least once.
   bool Contains(uint64_t user_id) const override;
 
-  /// Number of distinct slots reported by a user (0 if unknown). In
-  /// aggregate-only mode this counts the user's ingested reports, which
-  /// equals distinct slots under that mode's at-most-once contract.
+  /// Reports ingested for a user (0 if unknown): the user's distinct
+  /// slots under Ingest's at-most-once contract.
   size_t SlotCount(uint64_t user_id) const;
 
   /// Highest slot seen + 1 over all users (0 when empty). With dims > 1
   /// this counts *cells* (time slots x dims), matching every other
   /// per-slot query; divide by dims() for the time-slot span.
   size_t SlotSpan() const override;
-
-  /// The user's raw stream over slots [0, user's last slot], with missing
-  /// slots gap-filled by the shared last-observation policy (gap_fill.h).
-  /// NotFound for unknown users; FailedPrecondition in aggregate-only mode.
-  Result<std::vector<double>> GapFilledStream(uint64_t user_id) const;
-
-  /// Mean of the user's reports over slots [begin, begin+len), counting
-  /// only slots the user actually reported. NotFound when none exist.
-  Result<double> SubsequenceMean(uint64_t user_id, size_t begin,
-                                 size_t len) const;
 
   /// Per-slot population mean over all users that reported each slot, for
   /// slots [0, SlotSpan()). Slots nobody reported yield NaN.
@@ -239,10 +222,8 @@ class ShardedCollector : public CollectorBackend {
 
   size_t num_shards() const override { return shards_.size(); }
 
-  /// Exact snapshot of one shard's aggregate-mode state, the checkpoint
-  /// serialization unit. FailedPrecondition with keep_streams = true:
-  /// raw streams are not serialized, and silently dropping them on a
-  /// restore would violate the backend's own query contract.
+  /// Exact snapshot of one shard's state, the checkpoint serialization
+  /// unit.
   Result<CollectorShardState> ExportShardState(size_t shard) const override;
 
   /// Restores a shard exported by ExportShardState. The shard must be
@@ -299,10 +280,6 @@ class ShardedCollector : public CollectorBackend {
   struct Shard {
     mutable std::mutex mu;
     UserIndex users;
-    // Slot-major raw values, values[slot][dense_index]; NaN = missing.
-    // Inner rows grow lazily, so reads must treat short rows as missing.
-    // Unused in aggregate-only mode.
-    std::vector<std::vector<double>> values;
     // Seqlock sequence: odd exactly while the run writer is inside a
     // write section mutating the atomic words below.
     std::atomic<uint64_t> seq{0};

@@ -54,8 +54,8 @@ std::string CheckpointPath(const std::string& dir, uint64_t covers_segment);
 Result<std::vector<std::string>> ListCheckpointFiles(const std::string& dir);
 
 /// Serializes every shard of `backend` and atomically writes the file.
-/// Fails (backend untouched on disk) if the backend cannot export exact
-/// state (e.g. keep_streams mode).
+/// Fails (nothing written in the file's place) if a shard export or a
+/// write fails.
 Status WriteCheckpointFile(const std::string& dir, uint64_t fingerprint,
                            uint64_t covers_segment,
                            const CollectorBackend& backend);

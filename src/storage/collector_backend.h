@@ -36,7 +36,7 @@ namespace capp {
 /// counts are integers, so merged histograms -- like the fixed-point
 /// SlotAggregates -- are bit-identical for any ingest order, transport,
 /// or thread mix. Memory is O(shards * slots * num_bins), independent of
-/// population size; the tier works in aggregate-only mode.
+/// population size.
 struct SlotHistogramOptions {
   bool enabled = false;
   /// Regular (in-range) bins. For SW-based analytics use
@@ -110,14 +110,6 @@ struct SlotAggregate {
   /// unnormalized workload would otherwise yield bad count/mean/M2 with
   /// no signal).
   bool Add(double x);
-  /// Removes a previously added report (the exact inverse of Add).
-  void Remove(double x);
-  /// Replaces a previously added report (overwrite semantics). Returns
-  /// true when the new value saturated.
-  bool Replace(double old_value, double new_value) {
-    Remove(old_value);
-    return Add(new_value);
-  }
   /// Combines two aggregates (exact, commutative, associative).
   void Merge(const SlotAggregate& other);
 
@@ -176,16 +168,6 @@ inline bool SlotAggregate::Add(double x) {
   return clamped != x;
 }
 
-inline void SlotAggregate::Remove(double x) {
-  // Exact inverse of Add(x): the quantized integers depend only on x.
-  CAPP_DCHECK(count_ > 0);
-  CAPP_DCHECK(!std::isnan(x));
-  const double clamped = ClampToRange(x);
-  --count_;
-  sum_ -= ToFixed80(clamped);
-  sum_sq_ -= ToFixed60(clamped * clamped);
-}
-
 inline SlotAggregate::Packed SlotAggregate::ToPacked() const {
   Packed packed;
   packed.count = static_cast<uint64_t>(count_);
@@ -210,7 +192,7 @@ inline SlotAggregate SlotAggregate::FromPacked(const Packed& packed) {
   return aggregate;
 }
 
-/// One shard's complete aggregate-mode state, in the storage tier's
+/// One shard's complete state, in the storage tier's
 /// exchange form: the unit of checkpoint serialization and restore.
 /// `users` is ordered by the shard's dense index (position i is dense
 /// index i), so a restored shard assigns the same dense indices and is
@@ -297,19 +279,14 @@ class CollectorBackend {
   /// Finite reports counted in a histogram under/overflow bin.
   virtual uint64_t histogram_outlier_count() const = 0;
 
-  /// Snapshot capability (checkpoint + restore). Backends that cannot
-  /// export exact state keep the Unimplemented defaults; the checkpoint
-  /// tier probes ExportShardState before relying on it.
+  /// Snapshots (checkpoint + restore): every backend's state is exact
+  /// aggregates plus per-user entries, so every backend exports and
+  /// restores it, one shard at a time.
   virtual size_t num_shards() const = 0;
-  virtual Result<CollectorShardState> ExportShardState(size_t shard) const {
-    (void)shard;
-    return Status::Unimplemented("backend does not support snapshots");
-  }
-  virtual Status RestoreShardState(size_t shard, CollectorShardState state) {
-    (void)shard;
-    (void)state;
-    return Status::Unimplemented("backend does not support snapshots");
-  }
+  virtual Result<CollectorShardState> ExportShardState(
+      size_t shard) const = 0;
+  virtual Status RestoreShardState(size_t shard,
+                                   CollectorShardState state) = 0;
 };
 
 /// Order-independent digest of a backend's aggregate state: an FNV-1a

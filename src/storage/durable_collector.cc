@@ -26,11 +26,6 @@ Result<std::unique_ptr<DurableCollector>> DurableCollector::Create(
         "DurableCollector wants an empty backend: recovery must be the "
         "first thing the backend ever ingests");
   }
-  if (options.checkpoint_every_runs > 0) {
-    // Probe snapshot support up front (the backend is empty, so this is
-    // cheap) instead of discovering mid-run that checkpoints can't work.
-    CAPP_RETURN_IF_ERROR(backend->ExportShardState(0).status());
-  }
   std::unique_ptr<DurableCollector> durable(
       new DurableCollector(backend, std::move(options)));
   CAPP_ASSIGN_OR_RETURN(const uint64_t next_seqno, durable->Recover());

@@ -60,8 +60,7 @@ namespace capp {
 struct DurableCollectorOptions {
   WalOptions wal;
   /// Write a checkpoint (and truncate covered segments) every N ingested
-  /// runs; 0 disables checkpointing. Requires a backend with snapshot
-  /// support (probed at Create).
+  /// runs; 0 disables checkpointing.
   size_t checkpoint_every_runs = 0;
   /// Skip a run whose user id is already present in the backend. This is
   /// what makes crash-resume exact: the restarted fleet re-sends every

@@ -6,8 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string_view>
+
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
@@ -126,10 +127,11 @@ Result<std::vector<SlotReport>> LoadReportsCsv(const std::string& path) {
         uint64_t slot,
         ParseId(row.substr(first_comma + 1, second_comma - first_comma - 1),
                 line_no, "slot"));
-    if constexpr (sizeof(size_t) < sizeof(uint64_t)) {
-      if (slot > std::numeric_limits<size_t>::max()) {
-        return RowError(line_no, "slot overflows size_t");
-      }
+    if (slot >= kWireMaxCells) {
+      // The bound wire decode enforces: collectors index slots in uint32.
+      return RowError(line_no, "slot " + std::to_string(slot) +
+                                   " is past the collector's slot index "
+                                   "(must be < 2^32)");
     }
     report.slot = static_cast<size_t>(slot);
     CAPP_ASSIGN_OR_RETURN(

@@ -21,9 +21,10 @@ Status SaveReportsCsv(const std::string& path,
                       const std::vector<SlotReport>& reports);
 
 /// Reads reports written by SaveReportsCsv. Strict: exactly 3 fields per
-/// row, ids as non-negative integers rejected on 64-bit overflow, finite
-/// values with no trailing garbage, and at most one header line (a
-/// duplicate header mid-file means two archives were concatenated).
+/// row, ids as non-negative integers rejected on 64-bit overflow, slots
+/// below kWireMaxCells (2^32, the collectors' slot index), finite values
+/// with no trailing garbage, and at most one header line (a duplicate
+/// header mid-file means two archives were concatenated).
 Result<std::vector<SlotReport>> LoadReportsCsv(const std::string& path);
 
 /// Feeds a batch of reports into a collector session.

@@ -6,9 +6,11 @@
 //   * CollectorSession -- runs at the untrusted collector. Ingests the
 //     per-slot reports of many users, maintains per-user published streams
 //     (with each algorithm's smoothing), per-slot population means, and
-//     subsequence statistics. Storage is delegated to the engine's
-//     ShardedCollector, so the same session scales from unit tests to
-//     concurrent million-user fleets.
+//     subsequence statistics. It is the scalar reference: it keeps every
+//     user's raw reports in a plain unsharded map, while the engine's
+//     ShardedCollector -- which scales to concurrent million-user fleets
+//     -- keeps only per-slot aggregates. Population means go through the
+//     same exact SlotAggregate sums, so the two agree bit for bit.
 //
 // The sessions are deliberately transport-agnostic: a report is just
 // (user_id, slot, value); any RPC/MQTT/file transport can carry it.
@@ -17,15 +19,16 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "algorithms/factory.h"
 #include "algorithms/perturber.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "engine/sharded_collector.h"
 #include "stream/accountant.h"
 #include "stream/report.h"
 #include "stream/smoothing.h"
@@ -131,6 +134,9 @@ class UserSession {
 };
 
 /// Collector-side session: ingest reports, publish streams and statistics.
+/// Not thread-safe for writes: it is the scalar reference, one map per
+/// user, with no sharding or locks (ShardedCollector is the concurrent
+/// collector).
 class CollectorSession {
  public:
   /// `smoothing_window` is the SMA applied to published per-user streams
@@ -138,38 +144,44 @@ class CollectorSession {
   static Result<CollectorSession> Create(int smoothing_window = 3);
 
   /// Ingests one report. Slots may arrive in any order per user; the
-  /// stream is indexed by the report's slot.
+  /// stream is indexed by the report's slot, and a repeated (user, slot)
+  /// pair overwrites (last write wins). A non-finite report is discarded
+  /// before the user is registered; no library path emits one. The slot
+  /// must be below the wire codec's cell index (kWireMaxCells, which
+  /// LoadReportsCsv and frame decode enforce); a slot past it is a caller
+  /// bug and aborts.
   void Ingest(const SlotReport& report);
 
   /// Number of users seen so far.
-  size_t user_count() const { return backend_.user_count(); }
+  size_t user_count() const { return streams_.size(); }
 
-  /// Number of slots seen for a user (0 if unknown).
-  size_t SlotCount(uint64_t user_id) const {
-    return backend_.SlotCount(user_id);
-  }
+  /// Number of distinct slots seen for a user (0 if unknown).
+  size_t SlotCount(uint64_t user_id) const;
 
-  /// The user's published (smoothed) stream. Missing slots are filled with
-  /// the user's last preceding report (0.5 if none; see stream/gap_fill.h).
+  /// The user's published (smoothed) stream over slots [0, last report].
+  /// Missing slots are filled with the user's last preceding report (0.5
+  /// if none; see stream/gap_fill.h). NotFound for unknown users.
   Result<std::vector<double>> PublishedStream(uint64_t user_id) const;
 
-  /// Mean of the user's reports over slots [begin, begin+len).
+  /// Mean of the user's reports over slots [begin, begin+len), counting
+  /// only slots the user reported; an end past SIZE_MAX saturates there
+  /// instead of wrapping. InvalidArgument for len == 0, NotFound for
+  /// unknown users and intervals holding no report.
   Result<double> SubsequenceMean(uint64_t user_id, size_t begin,
-                                 size_t len) const {
-    return backend_.SubsequenceMean(user_id, begin, len);
-  }
+                                 size_t len) const;
 
   /// Per-slot population mean over all users that reported that slot, for
-  /// slots [0, max_slot]. Slots nobody reported yield NaN.
-  std::vector<double> PopulationSlotMeans() const {
-    return backend_.PopulationSlotMeans();
-  }
+  /// slots [0, max_slot], from exact SlotAggregate sums: bit-identical to
+  /// ShardedCollector::PopulationSlotMeans over the session's current
+  /// reports (one per user and slot). Slots nobody reported yield NaN.
+  std::vector<double> PopulationSlotMeans() const;
 
  private:
-  CollectorSession(int smoothing_window, ShardedCollector backend)
-      : backend_(std::move(backend)), smoothing_window_(smoothing_window) {}
+  explicit CollectorSession(int smoothing_window)
+      : smoothing_window_(smoothing_window) {}
 
-  ShardedCollector backend_;
+  // Per user, its reports by slot.
+  std::unordered_map<uint64_t, std::map<size_t, double>> streams_;
   int smoothing_window_;
 };
 

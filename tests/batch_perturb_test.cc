@@ -576,42 +576,42 @@ TEST(UserSessionBatchTest, ReportLanesMatchesReportChunk) {
 
 TEST(IngestUserRunTest, MatchesPerReportIngest) {
   const std::vector<double> values = MakeInputs(40, 17);
-  for (bool keep_streams : {true, false}) {
-    SCOPED_TRACE(keep_streams);
-    auto per_report =
-        ShardedCollector::Create({.num_shards = 4,
-                                  .keep_streams = keep_streams});
-    auto run = ShardedCollector::Create({.num_shards = 4,
-                                         .keep_streams = keep_streams});
-    ASSERT_TRUE(per_report.ok() && run.ok());
-    for (uint64_t user : {uint64_t{1}, uint64_t{99}, uint64_t{1} << 50}) {
-      for (size_t i = 0; i < values.size(); ++i) {
-        per_report->Ingest({user, 3 + i, values[i]});
-      }
-      run->IngestUserRun(user, /*base_slot=*/3, values);
+  auto per_report = ShardedCollector::Create({.num_shards = 4});
+  auto run = ShardedCollector::Create({.num_shards = 4});
+  ASSERT_TRUE(per_report.ok() && run.ok());
+  for (uint64_t user : {uint64_t{1}, uint64_t{99}, uint64_t{1} << 50}) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      per_report->Ingest({user, 3 + i, values[i]});
     }
-    EXPECT_EQ(per_report->user_count(), run->user_count());
-    EXPECT_EQ(per_report->report_count(), run->report_count());
-    EXPECT_EQ(per_report->SlotSpan(), run->SlotSpan());
-    EXPECT_EQ(per_report->SlotCount(99), run->SlotCount(99));
-    if (keep_streams) {
-      for (uint64_t user : {uint64_t{1}, uint64_t{99}, uint64_t{1} << 50}) {
-        auto a = per_report->GapFilledStream(user);
-        auto b = run->GapFilledStream(user);
-        ASSERT_TRUE(a.ok() && b.ok());
-        ExpectBitEqual(*a, *b, "IngestUserRun stream");
-      }
-    }
-    const auto ma = per_report->PopulationSlotAggregates();
-    const auto mb = run->PopulationSlotAggregates();
-    ASSERT_EQ(ma.size(), mb.size());
-    for (size_t t = 0; t < ma.size(); ++t) {
-      EXPECT_EQ(ma[t].Count(), mb[t].Count()) << t;
-      EXPECT_EQ(std::bit_cast<uint64_t>(ma[t].Mean()),
-                std::bit_cast<uint64_t>(mb[t].Mean()))
-          << t;
+    run->IngestUserRun(user, /*base_slot=*/3, values);
+  }
+  EXPECT_EQ(per_report->user_count(), run->user_count());
+  EXPECT_EQ(per_report->report_count(), run->report_count());
+  EXPECT_EQ(per_report->SlotSpan(), run->SlotSpan());
+  EXPECT_EQ(per_report->SlotCount(99), run->SlotCount(99));
+  // Per-user entries (dense order, last slot, report count) agree shard
+  // by shard, and so do the exact aggregates.
+  for (size_t shard = 0; shard < 4; ++shard) {
+    auto a = per_report->ExportShardState(shard);
+    auto b = run->ExportShardState(shard);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->users.size(), b->users.size());
+    for (size_t u = 0; u < a->users.size(); ++u) {
+      EXPECT_EQ(a->users[u].user_id, b->users[u].user_id);
+      EXPECT_EQ(a->users[u].last_slot, b->users[u].last_slot);
+      EXPECT_EQ(a->users[u].reports, b->users[u].reports);
     }
   }
+  const auto ma = per_report->PopulationSlotAggregates();
+  const auto mb = run->PopulationSlotAggregates();
+  ASSERT_EQ(ma.size(), mb.size());
+  for (size_t t = 0; t < ma.size(); ++t) {
+    EXPECT_EQ(ma[t].Count(), mb[t].Count()) << t;
+    EXPECT_EQ(std::bit_cast<uint64_t>(ma[t].Mean()),
+              std::bit_cast<uint64_t>(mb[t].Mean()))
+        << t;
+  }
+  EXPECT_EQ(CollectorStateDigest(*per_report), CollectorStateDigest(*run));
 }
 
 TEST(IngestUserRunTest, NonFiniteValuesAreDiscardedLikeIngest) {
@@ -623,19 +623,26 @@ TEST(IngestUserRunTest, NonFiniteValuesAreDiscardedLikeIngest) {
   collector->IngestUserRun(7, 0, garbage);
   EXPECT_FALSE(collector->Contains(7));
   EXPECT_EQ(collector->report_count(), 0u);
-  // Mixed run: finite values land, NaN slots stay missing.
+  // Mixed run: finite values land, NaN slots stay empty.
   const double mixed[] = {kNaN, 0.25, kNaN, 0.75, kNaN};
   collector->IngestUserRun(7, 0, mixed);
   EXPECT_TRUE(collector->Contains(7));
   EXPECT_EQ(collector->report_count(), 2u);
-  auto stream = collector->GapFilledStream(7);
-  ASSERT_TRUE(stream.ok());
-  // Slots 0..3: gap-filled prior, 0.25, carried 0.25, 0.75 (trailing NaN
-  // is beyond the last finite slot).
-  ASSERT_EQ(stream->size(), 4u);
-  EXPECT_DOUBLE_EQ((*stream)[1], 0.25);
-  EXPECT_DOUBLE_EQ((*stream)[2], 0.25);
-  EXPECT_DOUBLE_EQ((*stream)[3], 0.75);
+  EXPECT_EQ(collector->SlotCount(7), 2u);
+  // Slots 0..3: empty, 0.25, empty, 0.75 (the trailing NaN is beyond the
+  // last finite slot, so the span stops at 4).
+  const auto aggregates = collector->PopulationSlotAggregates();
+  ASSERT_EQ(aggregates.size(), 4u);
+  EXPECT_EQ(aggregates[0].Count(), 0u);
+  EXPECT_EQ(aggregates[1].Count(), 1u);
+  EXPECT_DOUBLE_EQ(aggregates[1].Mean(), 0.25);
+  EXPECT_EQ(aggregates[2].Count(), 0u);
+  EXPECT_EQ(aggregates[3].Count(), 1u);
+  EXPECT_DOUBLE_EQ(aggregates[3].Mean(), 0.75);
+  auto state = collector->ExportShardState(collector->ShardIndexOf(7));
+  ASSERT_TRUE(state.ok());
+  ASSERT_EQ(state->users.size(), 1u);
+  EXPECT_EQ(state->users[0].last_slot, 3u);
 }
 
 // -------------------------------------------------- fleet digest pinning --
@@ -690,7 +697,6 @@ TEST(FleetBatchTest, DigestMatchesScalarOracleAndIsThreadInvariant) {
       config.chunk_size = chunk_size;
       config.seed = 2025;
       config.signal = SignalKind::kSinusoid;
-      config.keep_streams = false;
 
       uint64_t oracle = 0;
       bool have_oracle = false;

@@ -1,7 +1,8 @@
 // Tests for the sharded stream-publication engine: the gap-fill policy,
-// Welford slot aggregates, ShardedCollector equivalence with the legacy
-// map-based collector, its user index under colliding and wrapping
-// probes, its restore refusals, and the Fleet determinism contract.
+// exact slot aggregates, CollectorSession and ShardedCollector against
+// the legacy map-based collector, the user index under colliding and
+// wrapping probes, restore refusals, the engine config fingerprint, and
+// the Fleet determinism contract.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -75,27 +76,6 @@ TEST(SlotAggregateTest, AddMatchesBatchMoments) {
   EXPECT_NEAR(agg.Variance(), m2 / xs.size(), 1e-12);
 }
 
-TEST(SlotAggregateTest, ReplaceEqualsRebuild) {
-  SlotAggregate replaced;
-  for (double x : {0.3, 0.6, 0.9}) replaced.Add(x);
-  replaced.Replace(0.6, 0.1);
-
-  SlotAggregate rebuilt;
-  for (double x : {0.3, 0.1, 0.9}) rebuilt.Add(x);
-  EXPECT_EQ(replaced.Count(), rebuilt.Count());
-  EXPECT_NEAR(replaced.Mean(), rebuilt.Mean(), 1e-12);
-  EXPECT_NEAR(replaced.M2(), rebuilt.M2(), 1e-12);
-}
-
-TEST(SlotAggregateTest, RemoveToEmptyResets) {
-  SlotAggregate agg;
-  agg.Add(0.5);
-  agg.Remove(0.5);
-  EXPECT_EQ(agg.Count(), 0u);
-  EXPECT_DOUBLE_EQ(agg.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(agg.M2(), 0.0);
-}
-
 TEST(SlotAggregateTest, MergeEqualsSequential) {
   SlotAggregate a;
   SlotAggregate b;
@@ -125,14 +105,10 @@ TEST(SlotAggregateTest, AddReportsSaturation) {
   EXPECT_EQ(agg.Count(), 4u);
   // The clamped values entered as +/-2^16.
   EXPECT_DOUBLE_EQ(agg.Mean(), (0.5 + 65536.0 + 65536.0 - 65536.0) / 4.0);
-  SlotAggregate replaced;
-  replaced.Add(0.25);
-  EXPECT_TRUE(replaced.Replace(0.25, 1.0e7));
-  EXPECT_DOUBLE_EQ(replaced.Mean(), 65536.0);
 }
 
 TEST(ShardedCollectorTest, CountsSaturatedReports) {
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   EXPECT_EQ(collector->saturated_report_count(), 0u);
   // A raw (unnormalized) telemetry run: two values beyond the bound.
@@ -162,17 +138,36 @@ TEST(ShardedCollectorTest, RejectsZeroShards) {
   EXPECT_FALSE(ShardedCollector::Create({.num_shards = 0}).ok());
 }
 
-TEST(ShardedCollectorTest, OverwriteIsLastWriteWins) {
+TEST(ShardedCollectorTest, RefusesKeepStreams) {
+  // Raw streams live in CollectorSession; the vestigial option may only
+  // hold its default, in either write discipline.
+  for (const bool single_writer : {false, true}) {
+    SCOPED_TRACE(single_writer);
+    ShardedCollectorOptions options;
+    options.single_writer = single_writer;
+    EXPECT_TRUE(ShardedCollector::Create(options).ok());
+    options.keep_streams = true;
+    const auto refused = ShardedCollector::Create(options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ShardedCollectorDeathTest, RunPastTheCellIndexAborts) {
+  // base_slot + 1 wraps to 0 here, which would skip the growth and write
+  // out of bounds; the collector must abort instead.
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({7, 2, 0.1});
-  collector->Ingest({7, 2, 0.9});
-  EXPECT_EQ(collector->user_count(), 1u);
-  EXPECT_EQ(collector->SlotCount(7), 1u);
-  EXPECT_EQ(collector->report_count(), 1u);
-  const auto means = collector->PopulationSlotMeans();
-  ASSERT_EQ(means.size(), 3u);
-  EXPECT_DOUBLE_EQ(means[2], 0.9);
+  const double value = 0.5;
+  EXPECT_DEATH(collector->IngestUserRun(1, SIZE_MAX, {&value, 1}),
+               "CAPP_CHECK failed");
+  EXPECT_DEATH(collector->IngestUserRun(1, size_t{1} << 32, {&value, 1}),
+               "CAPP_CHECK failed");
+  // So does a run that starts inside the index but ends past it.
+  EXPECT_DEATH(
+      collector->IngestUserRun(1, (size_t{1} << 32) - 1,
+                               std::vector<double>{0.5, 0.5}),
+      "CAPP_CHECK failed");
 }
 
 TEST(ShardedCollectorTest, NonFiniteReportsAreDiscarded) {
@@ -192,14 +187,12 @@ TEST(ShardedCollectorTest, NonFiniteReportsAreDiscarded) {
   EXPECT_DOUBLE_EQ(means[0], 0.3);
 }
 
-TEST(ShardedCollectorTest, AggregateOnlyModeRefusesStreamQueries) {
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+TEST(ShardedCollectorTest, IngestStreamsAggregates) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   collector->Ingest({1, 0, 0.4});
   EXPECT_TRUE(collector->Contains(1));
-  EXPECT_FALSE(collector->GapFilledStream(1).ok());
-  EXPECT_FALSE(collector->SubsequenceMean(1, 0, 1).ok());
-  // Aggregates still stream.
+  EXPECT_EQ(collector->SlotCount(1), 1u);
   const auto means = collector->PopulationSlotMeans();
   ASSERT_EQ(means.size(), 1u);
   EXPECT_DOUBLE_EQ(means[0], 0.4);
@@ -207,32 +200,27 @@ TEST(ShardedCollectorTest, AggregateOnlyModeRefusesStreamQueries) {
 
 TEST(ShardedCollectorTest, AggregateOnlyEmptyRunRegistersNothing) {
   // An empty run -- and a run of only non-finite values -- must not
-  // register the user, bump SlotCount, or touch the aggregates, in either
-  // storage mode.
-  for (bool keep_streams : {false, true}) {
-    SCOPED_TRACE(keep_streams);
-    auto collector =
-        ShardedCollector::Create({.keep_streams = keep_streams});
-    ASSERT_TRUE(collector.ok());
-    collector->IngestUserRun(42, 0, {});
-    const double junk[] = {kNaN, std::numeric_limits<double>::infinity()};
-    collector->IngestUserRun(42, 3, junk);
-    EXPECT_FALSE(collector->Contains(42));
-    EXPECT_EQ(collector->SlotCount(42), 0u);
-    EXPECT_EQ(collector->user_count(), 0u);
-    EXPECT_EQ(collector->report_count(), 0u);
-    EXPECT_TRUE(collector->PopulationSlotAggregates().empty());
-    // A later real run for the same user starts from a clean slate.
-    const double run[] = {0.25, 0.5};
-    collector->IngestUserRun(42, 1, run);
-    EXPECT_TRUE(collector->Contains(42));
-    EXPECT_EQ(collector->SlotCount(42), 2u);
-    const auto aggregates = collector->PopulationSlotAggregates();
-    ASSERT_EQ(aggregates.size(), 3u);
-    EXPECT_EQ(aggregates[0].Count(), 0u);
-    EXPECT_EQ(aggregates[1].Count(), 1u);
-    EXPECT_DOUBLE_EQ(aggregates[1].Mean(), 0.25);
-  }
+  // register the user, bump SlotCount, or touch the aggregates.
+  auto collector = ShardedCollector::Create();
+  ASSERT_TRUE(collector.ok());
+  collector->IngestUserRun(42, 0, {});
+  const double junk[] = {kNaN, std::numeric_limits<double>::infinity()};
+  collector->IngestUserRun(42, 3, junk);
+  EXPECT_FALSE(collector->Contains(42));
+  EXPECT_EQ(collector->SlotCount(42), 0u);
+  EXPECT_EQ(collector->user_count(), 0u);
+  EXPECT_EQ(collector->report_count(), 0u);
+  EXPECT_TRUE(collector->PopulationSlotAggregates().empty());
+  // A later real run for the same user starts from a clean slate.
+  const double run[] = {0.25, 0.5};
+  collector->IngestUserRun(42, 1, run);
+  EXPECT_TRUE(collector->Contains(42));
+  EXPECT_EQ(collector->SlotCount(42), 2u);
+  const auto aggregates = collector->PopulationSlotAggregates();
+  ASSERT_EQ(aggregates.size(), 3u);
+  EXPECT_EQ(aggregates[0].Count(), 0u);
+  EXPECT_EQ(aggregates[1].Count(), 1u);
+  EXPECT_DOUBLE_EQ(aggregates[1].Mean(), 0.25);
 }
 
 TEST(ShardedCollectorTest, AggregatesBitIdenticalAcrossShardCounts) {
@@ -248,8 +236,7 @@ TEST(ShardedCollectorTest, AggregatesBitIdenticalAcrossShardCounts) {
   }
   std::vector<std::vector<SlotAggregate>> results;
   for (size_t shards : {size_t{1}, size_t{16}, size_t{64}}) {
-    auto collector = ShardedCollector::Create(
-        {.num_shards = shards, .keep_streams = false});
+    auto collector = ShardedCollector::Create({.num_shards = shards});
     ASSERT_TRUE(collector.ok());
     for (uint64_t user = 0; user < runs.size(); ++user) {
       collector->IngestUserRun(user, 0, runs[user]);
@@ -275,8 +262,6 @@ TEST(ShardedCollectorTest, UnknownUserIsNotFound) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   EXPECT_FALSE(collector->Contains(5));
-  EXPECT_FALSE(collector->GapFilledStream(5).ok());
-  EXPECT_FALSE(collector->SubsequenceMean(5, 0, 3).ok());
   EXPECT_EQ(collector->SlotCount(5), 0u);
 }
 
@@ -351,6 +336,43 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
   ReferenceCollector reference;
   for (const SlotReport& r : reports) reference.Ingest(r);
 
+  // CollectorSession keeps raw streams: it ingests the shuffled reports,
+  // duplicates included, and must publish the reference's gap-filled
+  // streams (window 1: no smoothing).
+  auto session = CollectorSession::Create(1);
+  ASSERT_TRUE(session.ok());
+  for (const SlotReport& r : reports) session->Ingest(r);
+  EXPECT_EQ(session->user_count(), reference.raw().size());
+  for (uint64_t user : users) {
+    SCOPED_TRACE(user);
+    EXPECT_EQ(session->SlotCount(user), reference.raw().at(user).size());
+    auto stream = session->PublishedStream(user);
+    ASSERT_TRUE(stream.ok());
+    EXPECT_EQ(*stream, reference.GapFilledStream(user));
+  }
+  const std::vector<double> expected_means = reference.PopulationSlotMeans();
+  const std::vector<double> session_means = session->PopulationSlotMeans();
+  ASSERT_EQ(session_means.size(), expected_means.size());
+  for (size_t t = 0; t < session_means.size(); ++t) {
+    if (std::isnan(expected_means[t])) {
+      EXPECT_TRUE(std::isnan(session_means[t])) << "slot " << t;
+    } else {
+      EXPECT_NEAR(session_means[t], expected_means[t], 1e-12) << "slot " << t;
+    }
+  }
+
+  // ShardedCollector keeps only aggregates under an at-most-once
+  // contract: it ingests the last-write-wins set of reports, in shuffled
+  // order, and its means must match the session's bit for bit.
+  std::vector<SlotReport> latest;
+  for (const auto& [user, slots] : reference.raw()) {
+    for (const auto& [slot, value] : slots) {
+      latest.push_back({user, slot, value});
+    }
+  }
+  for (size_t i = latest.size() - 1; i > 0; --i) {
+    std::swap(latest[i], latest[rng.UniformInt(i + 1)]);
+  }
   for (size_t shards : {size_t{1}, size_t{3}, size_t{16}}) {
     SCOPED_TRACE(shards);
     auto sharded = ShardedCollector::Create({.num_shards = shards});
@@ -358,35 +380,24 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
     // Mix the two ingest shapes: half one-by-one, half as runs whose
     // trailing NaN pad must be trimmed (the slot span below would grow
     // past the reference's otherwise).
-    const size_t half = reports.size() / 2;
-    for (size_t i = 0; i < half; ++i) sharded->Ingest(reports[i]);
-    for (size_t i = half; i < reports.size(); ++i) {
-      sharded->IngestUserRun(reports[i].user_id, reports[i].slot,
-                             std::vector<double>{reports[i].value, kNaN});
+    const size_t half = latest.size() / 2;
+    for (size_t i = 0; i < half; ++i) sharded->Ingest(latest[i]);
+    for (size_t i = half; i < latest.size(); ++i) {
+      sharded->IngestUserRun(latest[i].user_id, latest[i].slot,
+                             std::vector<double>{latest[i].value, kNaN});
     }
 
-    EXPECT_EQ(sharded->user_count(), reference.raw().size());
+    EXPECT_EQ(sharded->user_count(), session->user_count());
+    EXPECT_EQ(sharded->report_count(), latest.size());
     for (uint64_t user : users) {
-      SCOPED_TRACE(user);
-      EXPECT_EQ(sharded->SlotCount(user), reference.raw().at(user).size());
-      auto stream = sharded->GapFilledStream(user);
-      ASSERT_TRUE(stream.ok());
-      const std::vector<double> expected = reference.GapFilledStream(user);
-      ASSERT_EQ(stream->size(), expected.size());
-      for (size_t t = 0; t < expected.size(); ++t) {
-        EXPECT_DOUBLE_EQ((*stream)[t], expected[t]) << "slot " << t;
-      }
+      EXPECT_EQ(sharded->SlotCount(user), session->SlotCount(user)) << user;
     }
-    const std::vector<double> expected_means =
-        reference.PopulationSlotMeans();
     const std::vector<double> means = sharded->PopulationSlotMeans();
-    ASSERT_EQ(means.size(), expected_means.size());
+    ASSERT_EQ(means.size(), session_means.size());
     for (size_t t = 0; t < means.size(); ++t) {
-      if (std::isnan(expected_means[t])) {
-        EXPECT_TRUE(std::isnan(means[t])) << "slot " << t;
-      } else {
-        EXPECT_NEAR(means[t], expected_means[t], 1e-12) << "slot " << t;
-      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(means[t]),
+                std::bit_cast<uint64_t>(session_means[t]))
+          << "slot " << t;
     }
   }
 }
@@ -394,8 +405,8 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
 TEST(ShardedCollectorTest, ConcurrentIngestMatchesSerial) {
   // The same reports ingested from 8 threads, one whole-stream run per
   // user, and from 1 thread, report by report, must yield identical
-  // queryable state (ingest order may differ; last-write-wins conflicts
-  // are avoided by unique (user, slot) pairs).
+  // queryable state (ingest order may differ; every (user, slot) pair is
+  // ingested once, the collector's contract).
   const size_t kUsers = 64;
   const size_t kSlots = 32;
   std::vector<std::vector<double>> streams(kUsers);
@@ -423,11 +434,10 @@ TEST(ShardedCollectorTest, ConcurrentIngestMatchesSerial) {
   EXPECT_EQ(concurrent->user_count(), serial->user_count());
   EXPECT_EQ(concurrent->report_count(), serial->report_count());
   for (uint64_t u = 0; u < kUsers; ++u) {
-    auto a = serial->GapFilledStream(u);
-    auto b = concurrent->GapFilledStream(u);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "user " << u;
+    EXPECT_EQ(serial->SlotCount(u), kSlots) << "user " << u;
+    EXPECT_EQ(concurrent->SlotCount(u), kSlots) << "user " << u;
   }
+  EXPECT_EQ(CollectorStateDigest(*concurrent), CollectorStateDigest(*serial));
   const auto ma = serial->PopulationSlotMeans();
   const auto mb = concurrent->PopulationSlotMeans();
   ASSERT_EQ(ma.size(), mb.size());
@@ -460,7 +470,6 @@ TEST(ShardedCollectorTest, SingleWriterMatchesMutexIngestExactly) {
   }
   ShardedCollectorOptions options;
   options.num_shards = 8;
-  options.keep_streams = false;
   options.histogram = {.enabled = true, .num_bins = 16};
   auto mutex_mode = ShardedCollector::Create(options);
   options.single_writer = true;
@@ -529,7 +538,6 @@ TEST(ShardedCollectorTest, SingleWriterRestoreRoundTrips) {
   // an empty owned-mode collector bit-exactly (the recovery path).
   ShardedCollectorOptions options;
   options.num_shards = 4;
-  options.keep_streams = false;
   options.single_writer = true;
   auto source = ShardedCollector::Create(options);
   ASSERT_TRUE(source.ok());
@@ -556,7 +564,6 @@ TEST(ShardedCollectorTest, RestoreRefusesDuplicatedUsersAndNonEmptyShards) {
     SCOPED_TRACE(single_writer);
     ShardedCollectorOptions options;
     options.num_shards = 4;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto fresh = ShardedCollector::Create(options);
     ASSERT_TRUE(fresh.ok());
@@ -610,7 +617,6 @@ TEST(ShardedCollectorTest, UserIndexStaysExactThroughCollidingGrowth) {
     SCOPED_TRACE(single_writer);
     ShardedCollectorOptions options;
     options.num_shards = 1;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto collector = ShardedCollector::Create(options);
     ASSERT_TRUE(collector.ok());
@@ -655,7 +661,6 @@ TEST(ShardedCollectorTest, ReserveUsersOnANonEmptyIndexKeepsFirstSeenOrder) {
     SCOPED_TRACE(single_writer);
     ShardedCollectorOptions options;
     options.num_shards = 1;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto collector = ShardedCollector::Create(options);
     ASSERT_TRUE(collector.ok());
@@ -682,40 +687,49 @@ TEST(ShardedCollectorTest, ReserveUsersOnANonEmptyIndexKeepsFirstSeenOrder) {
   }
 }
 
-TEST(ShardedCollectorTest, KeptStreamsSurviveIndexGrowth) {
+TEST(ShardedCollectorTest, UserEntriesSurviveIndexGrowth) {
   // Every user reports slot 0 while the index grows through its
-  // doublings, then slot 3 as a run after the growth; each stream must
-  // still resolve to its own dense row.
+  // doublings, then slot 3 as a run after the growth; each report must
+  // still land on its own user entry and in the right slot's sums.
   const std::vector<uint64_t> ids = CollidingPopulation();
-  auto collector =
-      ShardedCollector::Create({.num_shards = 1, .keep_streams = true});
+  auto collector = ShardedCollector::Create({.num_shards = 1});
   ASSERT_TRUE(collector.ok());
+  SlotAggregate first_slot;
+  SlotAggregate last_slot;
   for (size_t i = 0; i < ids.size(); ++i) {
-    collector->Ingest({ids[i], 0, 0.001 * static_cast<double>(i)});
+    const double value = 0.001 * static_cast<double>(i);
+    collector->Ingest({ids[i], 0, value});
+    first_slot.Add(value);
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    collector->IngestUserRun(
-        ids[i], 1,
-        std::vector<double>{kNaN, kNaN, -0.002 * static_cast<double>(i)});
+    const double value = -0.002 * static_cast<double>(i);
+    collector->IngestUserRun(ids[i], 1, std::vector<double>{kNaN, kNaN, value});
+    last_slot.Add(value);
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    const double first = 0.001 * static_cast<double>(i);
-    auto stream = collector->GapFilledStream(ids[i]);
-    ASSERT_TRUE(stream.ok()) << i;
-    EXPECT_EQ(*stream, (std::vector<double>{first, first, first,
-                                            -0.002 * static_cast<double>(i)}))
-        << i;
     EXPECT_EQ(collector->SlotCount(ids[i]), 2u) << i;
   }
-}
-
-TEST(ShardedCollectorTest, SingleWriterRequiresAggregateOnlyStorage) {
-  ShardedCollectorOptions options;
-  options.keep_streams = true;
-  options.single_writer = true;
-  EXPECT_FALSE(ShardedCollector::Create(options).ok());
-  options.keep_streams = false;
-  EXPECT_TRUE(ShardedCollector::Create(options).ok());
+  auto state = collector->ExportShardState(0);
+  ASSERT_TRUE(state.ok());
+  ASSERT_EQ(state->users.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(state->users[i].user_id, ids[i]) << i;
+    EXPECT_EQ(state->users[i].last_slot, 3u) << i;
+    EXPECT_EQ(state->users[i].reports, 2u) << i;
+  }
+  ASSERT_EQ(state->slots.size(), 4u);
+  EXPECT_EQ(state->slots[1].Count(), 0u);
+  EXPECT_EQ(state->slots[2].Count(), 0u);
+  for (const auto& [got, want] :
+       {std::pair{state->slots[0], first_slot}, {state->slots[3], last_slot}}) {
+    const auto a = got.ToPacked();
+    const auto b = want.ToPacked();
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.sum_hi, b.sum_hi);
+    EXPECT_EQ(a.sum_lo, b.sum_lo);
+    EXPECT_EQ(a.sum_sq_hi, b.sum_sq_hi);
+    EXPECT_EQ(a.sum_sq_lo, b.sum_sq_lo);
+  }
 }
 
 TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
@@ -744,7 +758,6 @@ TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
     SCOPED_TRACE(single_writer ? "single writer" : "mutex, two writers");
     ShardedCollectorOptions options;
     options.num_shards = 1;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto collector = ShardedCollector::Create(options);
     ASSERT_TRUE(collector.ok());
@@ -836,20 +849,48 @@ TEST(EngineConfigTest, ValidationCatchesBadKnobs) {
   EXPECT_FALSE(ValidateEngineConfig(bad).ok());
 
   // Owned-shard (single-writer) ingest is only sound when the queued
-  // transports' shard-group routing gives every shard exactly one
-  // writer, and never composes with per-user stream storage.
+  // transports' shard-group routing gives every shard exactly one writer.
   bad = good;
   bad.transport.kind = TransportKind::kQueueFramed;
   bad.transport.owned_shards = true;
-  bad.keep_streams = false;
   EXPECT_TRUE(ValidateEngineConfig(bad).ok());  // the supported shape
   bad.transport.kind = TransportKind::kSocket;
   EXPECT_TRUE(ValidateEngineConfig(bad).ok());
   bad.transport.kind = TransportKind::kDirect;
   EXPECT_FALSE(ValidateEngineConfig(bad).ok());
-  bad.transport.kind = TransportKind::kQueueFramed;
+
+  // The engine's collector keeps only aggregates: the vestigial
+  // keep_streams may only hold its default, whatever else is set.
+  bad = good;
   bad.keep_streams = true;
-  EXPECT_FALSE(ValidateEngineConfig(bad).ok());
+  EXPECT_EQ(ValidateEngineConfig(bad).code(), StatusCode::kInvalidArgument);
+  bad.transport.kind = TransportKind::kQueueFramed;
+  bad.transport.owned_shards = true;
+  EXPECT_EQ(ValidateEngineConfig(bad).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineConfigTest, FingerprintIsPinned) {
+  // Known answers: the fingerprint seeds every WAL segment and checkpoint
+  // header, so it must never drift for an accepted config. The retired
+  // raw-stream mode's word is pinned at 0 inside the hash. If a deliberate
+  // format change lands, recompute and update these in the same commit.
+  EngineConfig config;
+  EXPECT_EQ(EngineConfigFingerprint(config), 0xe67a1b13ba49b2d0ULL);
+  config.algorithm = AlgorithmKind::kApp;
+  config.epsilon = 0.5;
+  config.window = 20;
+  config.num_users = 1000000;
+  config.num_slots = 24;
+  config.signal = SignalKind::kAr1;
+  config.seed = 7;
+  config.num_shards = 8;
+  config.analytics.enabled = true;
+  config.analytics.histogram_buckets = 16;
+  config.smoothing_window = 5;
+  EXPECT_EQ(EngineConfigFingerprint(config), 0x9e1848a6c6f86a5aULL);
+  config.dims = 4;
+  config.multidim_strategy = MultidimStrategy::kSampleSplit;
+  EXPECT_EQ(EngineConfigFingerprint(config), 0xe0786dbe8db11bffULL);
 }
 
 TEST(FleetTest, RejectsSamplingAlgorithms) {
@@ -870,14 +911,12 @@ EngineConfig SmallFleetConfig() {
   config.chunk_size = 64;
   config.seed = 99;
   config.signal = SignalKind::kSinusoid;
-  config.keep_streams = true;
   return config;
 }
 
 TEST(FleetTest, PublishedStreamsBitIdenticalAcrossThreadCounts) {
   EngineStats baseline;
-  std::vector<std::vector<double>> baseline_streams;
-  const std::vector<uint64_t> probes = {0, 1, 63, 64, 499};
+  uint64_t baseline_state = 0;
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE(threads);
@@ -890,25 +929,19 @@ TEST(FleetTest, PublishedStreamsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(stats->reports, config.num_users * config.num_slots);
     EXPECT_EQ(fleet->collector().user_count(), config.num_users);
 
-    std::vector<std::vector<double>> streams;
-    for (uint64_t user : probes) {
-      auto stream = fleet->collector().GapFilledStream(user);
-      ASSERT_TRUE(stream.ok());
-      streams.push_back(*stream);
-    }
+    const uint64_t state = CollectorStateDigest(fleet->collector());
     if (threads == 1) {
       baseline = *stats;
-      baseline_streams = streams;
+      baseline_state = state;
       continue;
     }
-    // The determinism contract: digests, error statistics, and the raw
-    // per-user streams are all bit-identical regardless of thread count.
+    // The determinism contract: the stream digest, error statistics, and
+    // the collector's exact aggregate state are all bit-identical
+    // regardless of thread count.
     EXPECT_EQ(stats->stream_digest, baseline.stream_digest);
     EXPECT_EQ(stats->mean_slot_mse, baseline.mean_slot_mse);
     EXPECT_EQ(stats->mean_abs_error, baseline.mean_abs_error);
-    for (size_t i = 0; i < probes.size(); ++i) {
-      EXPECT_EQ(streams[i], baseline_streams[i]) << "user " << probes[i];
-    }
+    EXPECT_EQ(state, baseline_state);
   }
 }
 
@@ -945,7 +978,6 @@ TEST(FleetTest, OwnedShardTransportMatchesMutexIngest) {
   // order-independent state digest must all be bit-identical -- the
   // owned mode changes the locking discipline, never the results.
   EngineConfig config = SmallFleetConfig();
-  config.keep_streams = false;  // owned mode is aggregate-only
   config.num_threads = 4;
   config.transport.kind = TransportKind::kQueueFramed;
   config.transport.num_consumers = 2;
@@ -997,7 +1029,6 @@ TEST(FleetTest, HundredThousandUserAccuracySmoke) {
   config.num_slots = 30;
   config.num_threads = 0;  // all hardware threads
   config.signal = SignalKind::kConstant;
-  config.keep_streams = false;  // aggregate-only: the scaling mode
   auto fleet = Fleet::Create(config);
   ASSERT_TRUE(fleet.ok());
   auto stats = fleet->Run();

@@ -414,7 +414,6 @@ TEST(MultidimEngineTest, FleetMatchesOfflineOraclePerAttribute) {
     config.dims = 4;
     config.multidim_strategy = strategy;
     config.smoothing_window = 3;  // pinned so the oracle smooths alike
-    config.keep_streams = false;
     auto fleet = Fleet::Create(config);
     ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
     auto stats = fleet->Run();

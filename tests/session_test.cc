@@ -1,8 +1,10 @@
 // Tests for the high-level UserSession / CollectorSession deployment API.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,39 @@ TEST(CollectorSessionTest, IngestAndCount) {
   EXPECT_EQ(collector->SlotCount(3), 0u);
 }
 
+TEST(CollectorSessionTest, OverwriteIsLastWriteWins) {
+  auto collector = CollectorSession::Create(1);
+  ASSERT_TRUE(collector.ok());
+  collector->Ingest({7, 2, 0.1});
+  collector->Ingest({7, 2, 0.9});
+  EXPECT_EQ(collector->user_count(), 1u);
+  EXPECT_EQ(collector->SlotCount(7), 1u);
+  const auto means = collector->PopulationSlotMeans();
+  ASSERT_EQ(means.size(), 3u);
+  EXPECT_DOUBLE_EQ(means[2], 0.9);
+  auto stream = collector->PublishedStream(7);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_EQ(*stream, (std::vector<double>{0.5, 0.5, 0.9}));
+}
+
+TEST(CollectorSessionTest, NonFiniteReportsAreDiscarded) {
+  auto collector = CollectorSession::Create(1);
+  ASSERT_TRUE(collector.ok());
+  collector->Ingest({1, 0, std::nan("")});
+  collector->Ingest({1, 1, -std::numeric_limits<double>::infinity()});
+  // A garbage report must not register the user or touch the means...
+  EXPECT_EQ(collector->user_count(), 0u);
+  EXPECT_EQ(collector->SlotCount(1), 0u);
+  EXPECT_FALSE(collector->PublishedStream(1).ok());
+  EXPECT_TRUE(collector->PopulationSlotMeans().empty());
+  // ...and must not shadow a later valid report for the same slot.
+  collector->Ingest({1, 0, 0.3});
+  EXPECT_EQ(collector->SlotCount(1), 1u);
+  const auto means = collector->PopulationSlotMeans();
+  ASSERT_EQ(means.size(), 1u);
+  EXPECT_DOUBLE_EQ(means[0], 0.3);
+}
+
 TEST(CollectorSessionTest, PublishedStreamFillsGaps) {
   auto collector = CollectorSession::Create(1);  // no smoothing
   ASSERT_TRUE(collector.ok());
@@ -108,6 +143,24 @@ TEST(CollectorSessionTest, SubsequenceMeanOverReports) {
   EXPECT_NEAR(*mean, 0.3, 1e-12);
   EXPECT_FALSE(collector->SubsequenceMean(1, 5, 2).ok());
   EXPECT_FALSE(collector->SubsequenceMean(1, 0, 0).ok());
+}
+
+TEST(CollectorSessionTest, SubsequenceMeanSaturatesItsInterval) {
+  // An interval whose end would pass SIZE_MAX ends there instead of
+  // wrapping, and the walk visits only the stored reports, so even a
+  // SIZE_MAX-long interval answers at once.
+  auto collector = CollectorSession::Create(1);
+  ASSERT_TRUE(collector.ok());
+  collector->Ingest({1, 0, 0.2});
+  collector->Ingest({1, 1, 0.4});
+  collector->Ingest({1, 2, 0.9});
+  auto tail = collector->SubsequenceMean(1, 1, SIZE_MAX);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_NEAR(*tail, 0.65, 1e-12);
+  auto all = collector->SubsequenceMean(1, 0, SIZE_MAX);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_NEAR(*all, 0.5, 1e-12);
+  EXPECT_FALSE(collector->SubsequenceMean(1, SIZE_MAX, SIZE_MAX).ok());
 }
 
 TEST(CollectorSessionTest, PopulationSlotMeans) {
@@ -212,6 +265,30 @@ TEST_F(ReportIoTest, RejectsNegativeIds) {
     out << "user_id,slot,value\n-1,0,0.5\n";
   }
   EXPECT_FALSE(LoadReportsCsv(path_).ok());
+}
+
+TEST_F(ReportIoTest, RejectsSlotsPastTheCellIndex) {
+  // A slot past 2^32 - 1 would overrun the collectors' uint32 slot index;
+  // the loader refuses it as a row error, like wire decode does.
+  for (const char* slot : {"18446744073709551615", "4294967296"}) {
+    SCOPED_TRACE(slot);
+    {
+      std::ofstream out(path_);
+      out << "user_id,slot,value\n1," << slot << ",0.5\n";
+    }
+    const auto loaded = LoadReportsCsv(path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  {
+    std::ofstream out(path_);
+    out << "user_id,slot,value\n1,4294967295,0.5\n";
+  }
+  const auto last = LoadReportsCsv(path_);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ((*last)[0].slot, 4294967295u);
 }
 
 TEST_F(ReportIoTest, MissingFileIsError) {

@@ -105,10 +105,9 @@ std::string WriteSealedSegment(const std::string& dir, size_t users,
   return (*segments)[0].path;
 }
 
-ShardedCollector MakeCollector(bool keep_streams = false) {
+ShardedCollector MakeCollector() {
   ShardedCollectorOptions options;
   options.num_shards = 4;
-  options.keep_streams = keep_streams;
   auto collector = ShardedCollector::Create(options);
   EXPECT_TRUE(collector.ok());
   return std::move(*collector);
@@ -428,7 +427,6 @@ TEST(CheckpointTest, CheckpointBytesArePinned) {
     SCOPED_TRACE(single_writer);
     ShardedCollectorOptions options;
     options.num_shards = 16;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto collector = ShardedCollector::Create(options);
     ASSERT_TRUE(collector.ok());
@@ -458,12 +456,6 @@ TEST(CheckpointTest, CheckpointBytesArePinned) {
         << std::hex << "0x" << hash << " over " << std::dec
         << bytes->size() << " bytes";
   }
-}
-
-TEST(CheckpointTest, ExportRefusedInKeepStreamsMode) {
-  ShardedCollector collector = MakeCollector(/*keep_streams=*/true);
-  EXPECT_EQ(collector.ExportShardState(0).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // ----------------------------------------------------- durable recovery ----
@@ -548,7 +540,6 @@ TEST(DurableCollectorTest, WalReplayDigestIsPinned) {
     SCOPED_TRACE(single_writer);
     ShardedCollectorOptions options;
     options.num_shards = 4;
-    options.keep_streams = false;
     options.single_writer = single_writer;
     auto recovered = ShardedCollector::Create(options);
     ASSERT_TRUE(recovered.ok());
@@ -593,7 +584,6 @@ TEST(DurableCollectorTest, MultiDimRunsSurviveRecoveryBitIdentically) {
   auto make_d4 = [] {
     ShardedCollectorOptions options;
     options.num_shards = 4;
-    options.keep_streams = false;
     options.dims = kDims;
     auto collector = ShardedCollector::Create(options);
     EXPECT_TRUE(collector.ok());
@@ -822,15 +812,6 @@ TEST(DurableCollectorTest, RefusesNonEmptyBackend) {
   backend.IngestUserRun(1, 0, RunValues(1, 3));
   auto durable =
       DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
-  ASSERT_FALSE(durable.ok());
-  EXPECT_EQ(durable.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(DurableCollectorTest, CheckpointingRequiresSnapshotSupport) {
-  TempDir dir;
-  ShardedCollector backend = MakeCollector(/*keep_streams=*/true);
-  auto durable = DurableCollector::Create(
-      &backend, TestDurableOptions(dir.path(), /*checkpoint_every=*/10));
   ASSERT_FALSE(durable.ok());
   EXPECT_EQ(durable.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -1492,7 +1473,6 @@ EngineConfig SmallFleetConfig() {
   config.num_slots = 12;
   config.num_threads = 2;
   config.chunk_size = 256;
-  config.keep_streams = false;
   return config;
 }
 

@@ -45,7 +45,6 @@ EngineConfig AnalyticsFleetConfig(AlgorithmKind algorithm) {
   config.num_slots = 24;
   config.signal = SignalKind::kSinusoid;
   config.seed = 77;
-  config.keep_streams = false;  // aggregate-only: the scaling mode
   config.analytics.enabled = true;
   return config;
 }
@@ -242,10 +241,8 @@ TEST(StreamingAnalyzerOracleTest, MatchesPopulationEstimatorAt10kUsers) {
 
 // ---------------------------------------------------- analyzer validation --
 
-ShardedCollector MakeAnalyticsCollector(
-    const SlotHistogramOptions& histogram, bool keep_streams = false) {
+ShardedCollector MakeAnalyticsCollector(const SlotHistogramOptions& histogram) {
   ShardedCollectorOptions options;
-  options.keep_streams = keep_streams;
   options.histogram = histogram;
   auto collector = ShardedCollector::Create(options);
   CAPP_CHECK(collector.ok());
@@ -273,7 +270,7 @@ TEST(StreamingAnalyzerTest, RequiresMatchingHistogramTier) {
   ASSERT_TRUE(analyzer.ok());
 
   // No histogram tier at all.
-  auto plain = ShardedCollector::Create({.keep_streams = false});
+  auto plain = ShardedCollector::Create();
   ASSERT_TRUE(plain.ok());
   auto no_tier = analyzer->AnalyzeCollector(*plain);
   EXPECT_FALSE(no_tier.ok());
@@ -366,34 +363,30 @@ TEST(StreamingAnalyzerTest, SkipsEmptyWindowsInCollectorSweep) {
 TEST(SlotHistogramTest, AllNaNRunRegistersNothing) {
   auto geometry = StreamingAnalyzer::CollectorHistogramOptions(0.1, 32);
   ASSERT_TRUE(geometry.ok());
-  for (bool keep_streams : {false, true}) {
-    SCOPED_TRACE(keep_streams);
-    ShardedCollector collector =
-        MakeAnalyticsCollector(*geometry, keep_streams);
-    collector.IngestUserRun(
-        7, 0,
-        std::vector<double>{kNaN, kNaN,
-                            std::numeric_limits<double>::infinity()});
-    collector.IngestUserRun(8, 0, {});
-    EXPECT_EQ(collector.user_count(), 0u);
-    EXPECT_EQ(collector.report_count(), 0u);
-    auto histograms = collector.PopulationSlotHistograms();
-    ASSERT_TRUE(histograms.ok());
-    EXPECT_TRUE(histograms->empty());
-    EXPECT_EQ(collector.histogram_outlier_count(), 0u);
+  ShardedCollector collector = MakeAnalyticsCollector(*geometry);
+  collector.IngestUserRun(
+      7, 0,
+      std::vector<double>{kNaN, kNaN,
+                          std::numeric_limits<double>::infinity()});
+  collector.IngestUserRun(8, 0, {});
+  EXPECT_EQ(collector.user_count(), 0u);
+  EXPECT_EQ(collector.report_count(), 0u);
+  auto histograms = collector.PopulationSlotHistograms();
+  ASSERT_TRUE(histograms.ok());
+  EXPECT_TRUE(histograms->empty());
+  EXPECT_EQ(collector.histogram_outlier_count(), 0u);
 
-    // A run with interior NaNs registers only the finite values.
-    collector.IngestUserRun(9, 0, std::vector<double>{0.5, kNaN, 0.25});
-    EXPECT_EQ(collector.report_count(), 2u);
-    histograms = collector.PopulationSlotHistograms();
-    ASSERT_TRUE(histograms.ok());
-    ASSERT_EQ(histograms->size(), 3u);
-    uint64_t total = 0;
-    for (const auto& row : *histograms) {
-      for (uint64_t c : row) total += c;
-    }
-    EXPECT_EQ(total, 2u);  // nothing dropped, nothing phantom
+  // A run with interior NaNs registers only the finite values.
+  collector.IngestUserRun(9, 0, std::vector<double>{0.5, kNaN, 0.25});
+  EXPECT_EQ(collector.report_count(), 2u);
+  histograms = collector.PopulationSlotHistograms();
+  ASSERT_TRUE(histograms.ok());
+  ASSERT_EQ(histograms->size(), 3u);
+  uint64_t total = 0;
+  for (const auto& row : *histograms) {
+    for (uint64_t c : row) total += c;
   }
+  EXPECT_EQ(total, 2u);  // nothing dropped, nothing phantom
 }
 
 TEST(SlotHistogramTest, SingleUserPopulationAnalyzes) {
@@ -459,24 +452,6 @@ TEST(SlotHistogramTest, OutOfRangeValuesLandInOverflowBins) {
   EXPECT_EQ(analysis->windows[0].reports, 6u);
 }
 
-TEST(SlotHistogramTest, OverwriteMovesTheBinUnderKeepStreams) {
-  auto geometry = StreamingAnalyzer::CollectorHistogramOptions(1.0, 32);
-  ASSERT_TRUE(geometry.ok());
-  ShardedCollector collector =
-      MakeAnalyticsCollector(*geometry, /*keep_streams=*/true);
-  collector.Ingest({1, 0, 0.1});
-  collector.Ingest({1, 0, 0.9});  // overwrite: last write wins
-  collector.Ingest({1, 0, 5.0});  // overwrite into the overflow bin
-  collector.Ingest({1, 0, 0.9});  // and back in range
-  EXPECT_EQ(collector.report_count(), 1u);
-  auto histograms = collector.PopulationSlotHistograms();
-  ASSERT_TRUE(histograms.ok());
-  uint64_t total = 0;
-  for (uint64_t c : (*histograms)[0]) total += c;
-  EXPECT_EQ(total, 1u);
-  EXPECT_EQ((*histograms)[0][geometry->BinFor(0.9)], 1u);
-  EXPECT_EQ(collector.histogram_outlier_count(), 0u);
-}
 
 TEST(SlotHistogramTest, RejectsBadGeometry) {
   ShardedCollectorOptions options;

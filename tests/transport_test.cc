@@ -800,9 +800,15 @@ TEST(TransportHubTest, DeliversRunsToCollector) {
     ASSERT_TRUE(drained.ok()) << drained.ToString();
     EXPECT_EQ(collector->user_count(), 10u);
     EXPECT_EQ(collector->report_count(), 30u);
-    auto stream = collector->GapFilledStream(4);
-    ASSERT_TRUE(stream.ok());
-    EXPECT_EQ(*stream, (std::vector<double>{0.5, 0.5, 0.25, 0.5, 0.75}));
+    EXPECT_EQ(collector->SlotCount(4), 3u);
+    const auto aggregates = collector->PopulationSlotAggregates();
+    ASSERT_EQ(aggregates.size(), 5u);
+    EXPECT_EQ(aggregates[1].Count(), 0u);
+    for (size_t t = 2; t < 5; ++t) {
+      EXPECT_EQ(aggregates[t].Count(), 10u) << t;
+      EXPECT_DOUBLE_EQ(aggregates[t].Mean(), 0.25 * static_cast<double>(t - 1))
+          << t;
+    }
     const TransportStats& stats = (*hub)->stats();
     EXPECT_EQ(stats.runs, 10u);
     EXPECT_EQ(stats.reports, 30u);
@@ -891,8 +897,7 @@ TEST(TransportHubTest, FramesPastTheCellIndexFailDrain) {
     for (uint64_t bad : {~uint64_t{0} - 4, uint64_t{1} << 40, kWireMaxCells}) {
       SCOPED_TRACE(owned);
       SCOPED_TRACE(bad);
-      auto collector = ShardedCollector::Create(
-          {.keep_streams = false, .single_writer = owned});
+      auto collector = ShardedCollector::Create({.single_writer = owned});
       ASSERT_TRUE(collector.ok());
       TransportOptions options;
       options.kind = TransportKind::kQueueFramed;
@@ -915,7 +920,7 @@ TEST(TransportHubTest, NoLossUnderBackpressure) {
   // A capacity-2 ring, single-run frames, and 8 concurrent producers: the
   // ring is forced to fill, so correctness here means blocking, not
   // dropping. Every report must arrive exactly once.
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   TransportOptions options;
   options.kind = TransportKind::kQueueFramed;
@@ -1593,7 +1598,7 @@ TEST(TcpTransportTest, TcpLoopbackDigestMatchesInProcess) {
   };
 
   // Oracle: the same runs through a direct hub.
-  auto oracle = ShardedCollector::Create({.keep_streams = false});
+  auto oracle = ShardedCollector::Create();
   ASSERT_TRUE(oracle.ok());
   {
     TransportOptions direct;
@@ -1605,7 +1610,7 @@ TEST(TcpTransportTest, TcpLoopbackDigestMatchesInProcess) {
   }
 
   // Server on an ephemeral TCP port.
-  auto server_collector = ShardedCollector::Create({.keep_streams = false});
+  auto server_collector = ShardedCollector::Create();
   ASSERT_TRUE(server_collector.ok());
   SocketCollectorServer::Options server_options;
   server_options.tcp_host = "127.0.0.1";
@@ -1616,7 +1621,7 @@ TEST(TcpTransportTest, TcpLoopbackDigestMatchesInProcess) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_GT((*server)->tcp_port(), 0);
 
-  auto local_collector = ShardedCollector::Create({.keep_streams = false});
+  auto local_collector = ShardedCollector::Create();
   ASSERT_TRUE(local_collector.ok());
   TransportOptions options;
   options.kind = TransportKind::kSocket;
@@ -1644,9 +1649,9 @@ TEST(ResumeTest, KilledConnectionResumesWithDigestIntact) {
   // Deterministic kill/resume: write, hard-kill the server side, write
   // more, finish. The client must redial and replay; the server's dedup
   // must keep the collector bit-identical to a never-killed run.
-  auto oracle = ShardedCollector::Create({.keep_streams = false});
+  auto oracle = ShardedCollector::Create();
   ASSERT_TRUE(oracle.ok());
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   SocketCollectorServer::Options server_options;
   server_options.socket_path = MakeLoopbackSocketPath();
@@ -1719,7 +1724,7 @@ TEST(ResumeTortureTest, StripedHubSurvivesRepeatedKills) {
     for (std::thread& t : threads) t.join();
   };
 
-  auto oracle = ShardedCollector::Create({.keep_streams = false});
+  auto oracle = ShardedCollector::Create();
   ASSERT_TRUE(oracle.ok());
   {
     TransportOptions direct;
@@ -1730,7 +1735,7 @@ TEST(ResumeTortureTest, StripedHubSurvivesRepeatedKills) {
     ASSERT_TRUE((*hub)->Drain().ok());
   }
 
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   SocketCollectorServer::Options server_options;
   server_options.socket_path = MakeLoopbackSocketPath();
@@ -1738,7 +1743,7 @@ TEST(ResumeTortureTest, StripedHubSurvivesRepeatedKills) {
   auto server = SocketCollectorServer::Create(&*collector, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  auto local = ShardedCollector::Create({.keep_streams = false});
+  auto local = ShardedCollector::Create();
   ASSERT_TRUE(local.ok());
   TransportOptions options;
   options.kind = TransportKind::kSocket;
@@ -1785,7 +1790,6 @@ EngineConfig TransportFleetConfig(AlgorithmKind algorithm) {
   config.chunk_size = 32;
   config.seed = 1234;
   config.signal = SignalKind::kSinusoid;
-  config.keep_streams = false;  // aggregate-only: the scaling mode
   // The analytics histogram tier rides along so its integer bin counts
   // are pinned by the same bit-identity matrix as the aggregates.
   config.analytics.enabled = true;
@@ -1904,7 +1908,7 @@ TEST(TransportDeterminismTest, MultiDimBitIdenticalAcrossKindsAndModes) {
 // collector was built with must count decode failures and fail Drain's
 // cross-check, never silently reinterpret cells.
 TEST(TransportDeterminismTest, FrameDimsMismatchIsLoud) {
-  auto collector = ShardedCollector::Create({.keep_streams = false});
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());  // a d=1 collector
   TransportOptions options;
   options.kind = TransportKind::kQueueFramed;
@@ -1955,7 +1959,7 @@ TEST(SaturationTest, HubDrainFailsWhenAggregatesSaturate) {
        {TransportKind::kDirect, TransportKind::kQueueFramed,
         TransportKind::kSocket}) {
     SCOPED_TRACE(TransportKindName(kind));
-    auto collector = ShardedCollector::Create({.keep_streams = false});
+    auto collector = ShardedCollector::Create();
     ASSERT_TRUE(collector.ok());
     TransportOptions options;
     options.kind = kind;

@@ -305,7 +305,6 @@ int main(int argc, char** argv) {
   // reads).
   capp::ShardedCollectorOptions collector_options;
   collector_options.num_shards = shards;
-  collector_options.keep_streams = false;
   collector_options.dims = dims;
   collector_options.single_writer = owned_shards;
   // Per-(attribute, slot) budget the fleet perturbed with: budget split
