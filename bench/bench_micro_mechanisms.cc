@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark): throughput of the LDP mechanisms and
-// the stream perturbation algorithms, plus the EM estimator and SMA
-// post-processing. These quantify the per-report cost a deployment pays on
-// user devices (mechanisms/perturbers) and at the collector (EM/SMA).
+// the stream perturbation algorithms, plus the EM estimator, SMA
+// post-processing and the sharded collector's ingest walk. These quantify
+// the per-report cost a deployment pays on user devices
+// (mechanisms/perturbers) and at the collector (ingest/EM/SMA).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algorithms/factory.h"
+#include "analysis/streaming_analytics.h"
 #include "core/rng.h"
+#include "engine/sharded_collector.h"
 #include "mechanisms/mechanism.h"
 #include "mechanisms/sw_em.h"
 #include "stream/smoothing.h"
@@ -171,6 +175,86 @@ void BM_SwEmEstimate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SwEmEstimate)->Arg(1000)->Arg(10000);
+
+// The sharded collector's ingest, one fleet-sized batch of
+// kIngestBatchRuns 100-slot runs per iteration, either run by run
+// (IngestUserRun) or as one IngestUserRuns batch. Args: batched (0/1) and
+// dims -- d = 1 with no histograms, or d = 4 with the live_d4 pipeline
+// workload's histogram geometry (epsilon 1, w = 10, budget split, 32
+// buckets). The collector is pre-registered with kIngestUsers users, so
+// the user index has a million-user footprint, and under Threads(2) two
+// writers share its 16 shards in mutex mode, as the fleet's kDirect
+// workers do. Items are reports.
+constexpr size_t kIngestBatchRuns = 64;
+constexpr uint64_t kIngestUsers = 1000000;
+constexpr size_t kIngestRunPool = 256;
+
+std::optional<ShardedCollector> g_ingest_collector;
+
+void BM_CollectorIngest(benchmark::State& state) {
+  const bool batched = state.range(0) != 0;
+  const size_t dims = static_cast<size_t>(state.range(1));
+  const size_t cells = dims * kMicroSlots;
+  if (state.thread_index() == 0) {
+    ShardedCollectorOptions options;
+    options.dims = dims;
+    if (dims > 1) {
+      auto histogram = StreamingAnalyzer::CollectorHistogramOptions(
+          1.0 / (static_cast<double>(dims) * 10), 32);
+      if (!histogram.ok()) {
+        state.SkipWithError("histogram options failed");
+        return;
+      }
+      options.histogram = *histogram;
+    }
+    auto created = ShardedCollector::Create(options);
+    if (!created.ok()) {
+      state.SkipWithError("collector creation failed");
+      return;
+    }
+    g_ingest_collector.emplace(std::move(*created));
+    g_ingest_collector->ReserveUsers(kIngestUsers);
+    const double one = 0.5;
+    for (uint64_t user = 0; user < kIngestUsers; ++user) {
+      g_ingest_collector->IngestUserRun(user, 0, {&one, 1});
+    }
+  }
+  // The loop's start barrier orders every thread after the setup above.
+  std::vector<double> pool(kIngestRunPool * cells);
+  Rng rng(55 + static_cast<uint64_t>(state.thread_index()));
+  for (double& x : pool) x = rng.UniformDouble();
+  std::vector<UserRun> batch(kIngestBatchRuns);
+  const auto threads = static_cast<uint64_t>(state.threads());
+  uint64_t user = static_cast<uint64_t>(state.thread_index());
+  size_t next_run = 0;
+  for (auto _ : state) {
+    for (UserRun& run : batch) {
+      run.user_id = user;
+      run.values = std::span<const double>(pool).subspan(next_run * cells,
+                                                         cells);
+      user = user + threads < kIngestUsers ? user + threads
+                                           : user + threads - kIngestUsers;
+      next_run = (next_run + 1) % kIngestRunPool;
+    }
+    ShardedCollector& collector = *g_ingest_collector;
+    if (batched) {
+      collector.IngestUserRuns(dims, batch);
+    } else {
+      for (const UserRun& run : batch) {
+        collector.IngestUserRun(run.user_id, run.base_slot, dims, run.values);
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kIngestBatchRuns * cells);
+  state.SetLabel(std::string(batched ? "batched" : "per-run") +
+                 " d=" + std::to_string(dims));
+  if (state.thread_index() == 0) g_ingest_collector.reset();
+}
+BENCHMARK(BM_CollectorIngest)
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->Threads(1)
+    ->Threads(2)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace capp

@@ -118,7 +118,8 @@ struct EngineConfig {
   int smoothing_window = 0;
 
   /// How reports travel from the fleet's workers to the collector:
-  /// kDirect calls ShardedCollector::IngestUserRun in place; kQueueFramed
+  /// kDirect ingests in place, each worker handing the collector batches
+  /// of transport.max_batch_runs runs (IngestUserRuns); kQueueFramed
   /// encodes every run as a wire frame onto the transport hub's bounded
   /// MPSC rings, one per consumer, drained and CRC-checked by
   /// transport.num_consumers threads; kSocket streams the same frames

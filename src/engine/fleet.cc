@@ -298,10 +298,11 @@ Result<EngineStats> Fleet::Run() {
   // durability is on, the bare collector otherwise.
   CollectorBackend* const ingest = &backend();
   ingest->ReserveUsers(users);
-  // kDirect keeps the historical in-place ingest (no hub, no branch cost
-  // beyond a null check per user); the queued kinds put the transport tier
-  // between workers and collector. Either way the published streams -- and
-  // with SlotAggregate's exact sums, the collector aggregates -- are
+  // kDirect ingests in place (no hub): each worker stages up to
+  // transport.max_batch_runs runs and hands them to the collector as one
+  // batch. The queued kinds put the transport tier between workers and
+  // collector. Either way the published streams -- and with
+  // SlotAggregate's exact sums, the collector aggregates -- are
   // bit-identical.
   std::unique_ptr<TransportHub> hub;
   if (config_.transport.kind != TransportKind::kDirect) {
@@ -365,21 +366,39 @@ Result<EngineStats> Fleet::Run() {
     std::vector<double> dim_smoothed;  // d > 1 only
     std::optional<TransportHub::Producer> producer;
     if (hub != nullptr) producer.emplace(hub->MakeProducer());
+    // kDirect staging: the users' runs, back to back, until
+    // max_batch_runs are staged or the chunk ends.
+    const size_t batch_runs = config_.transport.max_batch_runs;
+    std::vector<uint64_t> staged_users;
+    std::vector<double> staged_values;
+    std::vector<UserRun> batch;
+    auto flush_staged = [&] {
+      if (staged_users.empty()) return;
+      batch.clear();
+      for (size_t i = 0; i < staged_users.size(); ++i) {
+        batch.push_back({staged_users[i], /*base_slot=*/0,
+                         std::span<const double>(staged_values)
+                             .subspan(i * cells, cells)});
+      }
+      ingest->IngestUserRuns(dims, batch);
+      staged_users.clear();
+      staged_values.clear();
+    };
 
     // Everything after perturbation, for one user, in uid order.
     auto finish_user = [&](uint64_t uid, const std::vector<double>& truth,
                            const std::vector<double>& report_values) {
-      // The device's whole stream is delivered as one run: one shard
-      // lookup and lock acquisition per user instead of per-report
-      // staging through SlotReport buffers. Queued transports stage the
-      // run into a pooled frame instead of touching the collector here.
-      // A d-dimensional device's run is its full dim-major block.
+      // The device's whole stream is delivered as one run (a
+      // d-dimensional device's is its full dim-major block). Queued
+      // transports stage the run into a pooled frame; kDirect stages it
+      // for the next collector batch.
       if (producer.has_value()) {
         producer->Publish(uid, /*base_slot=*/0, dims, report_values);
-      } else if (dims == 1) {
-        ingest->IngestUserRun(uid, /*base_slot=*/0, report_values);
       } else {
-        ingest->IngestUserRun(uid, /*base_slot=*/0, dims, report_values);
+        staged_users.push_back(uid);
+        staged_values.insert(staged_values.end(), report_values.begin(),
+                             report_values.end());
+        if (staged_users.size() >= batch_runs) flush_staged();
       }
       sums.reports += cells;
       if (dims == 1) {
@@ -449,6 +468,7 @@ Result<EngineStats> Fleet::Run() {
       }
       finish_user(uid, truths[0], reports[0]);
     }
+    flush_staged();
   });
 
   EngineStats stats;

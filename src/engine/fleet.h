@@ -7,7 +7,8 @@
 // -- never of thread scheduling. The population is split into fixed-size
 // chunks of users; worker threads claim chunks, perturb every session in
 // the chunk, and deliver each user's stream to the collector as one run
-// (IngestUserRun, or a frame through the transport). Per-chunk
+// (staged into IngestUserRuns batches, or a frame through the
+// transport). Per-chunk
 // accumulators are reduced in chunk order afterwards, so the reported
 // statistics (and the published-stream digest) are bit-identical for any
 // thread count.

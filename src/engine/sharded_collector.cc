@@ -43,19 +43,19 @@ inline uint64_t BumpBin(std::atomic<uint32_t>& bin) {
 // ordering, the atomics only keep the racing word accesses defined.
 constexpr size_t kPackedWords = 5;
 
-inline SlotAggregate LoadPackedSlot(const std::atomic<uint64_t>* words) {
+inline SlotAggregate::Packed LoadPackedSlot(
+    const std::atomic<uint64_t>* words) {
   SlotAggregate::Packed packed;
   packed.count = words[0].load(std::memory_order_relaxed);
   packed.sum_hi = words[1].load(std::memory_order_relaxed);
   packed.sum_lo = words[2].load(std::memory_order_relaxed);
   packed.sum_sq_hi = words[3].load(std::memory_order_relaxed);
   packed.sum_sq_lo = words[4].load(std::memory_order_relaxed);
-  return SlotAggregate::FromPacked(packed);
+  return packed;
 }
 
 inline void StorePackedSlot(std::atomic<uint64_t>* words,
-                            const SlotAggregate& aggregate) {
-  const SlotAggregate::Packed packed = aggregate.ToPacked();
+                            const SlotAggregate::Packed& packed) {
   words[0].store(packed.count, std::memory_order_relaxed);
   words[1].store(packed.sum_hi, std::memory_order_relaxed);
   words[2].store(packed.sum_lo, std::memory_order_relaxed);
@@ -229,51 +229,140 @@ void ShardedCollector::ReserveUsers(size_t expected_users) {
 }
 
 void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
+                                     size_t dims,
                                      std::span<const double> values) {
-  // Non-finite values would poison the aggregates; no library path
-  // produces them, so they are discarded -- before registration, so a run
-  // with no finite value must not create the user.
-  size_t first = 0;
-  while (first < values.size() && !std::isfinite(values[first])) ++first;
-  if (first == values.size()) return;
-  size_t last = values.size() - 1;
-  while (!std::isfinite(values[last])) --last;  // exists: first <= last
-  // The run must end within the uint32 cell index that decode already
-  // enforces for every wire frame; past it, base_slot + last + 1 could
-  // wrap and skip the growth below, so a caller that bypasses decode
-  // aborts here instead of writing out of bounds.
-  CAPP_CHECK(base_slot < kWireMaxCells && last < kWireMaxCells - base_slot);
+  // Mismatched dimensionality is caught earlier with a real error
+  // (transport decode failure, WAL replay refusal); reaching here with
+  // the wrong count is a programming error, not a data error.
+  CAPP_CHECK(dims == options_.dims);
+  const UserRun run{user_id, base_slot, values};
+  IngestUserRuns(dims, {&run, 1});
+}
 
+void ShardedCollector::IngestUserRuns(size_t dims,
+                                      std::span<const UserRun> runs) {
+  CAPP_CHECK(dims == 1 || dims == options_.dims);
+  if (runs.size() > kMaxBatchRuns) {
+    for (size_t i = 0; i < runs.size(); i += kMaxBatchRuns) {
+      IngestUserRuns(dims, runs.subspan(i, std::min(kMaxBatchRuns,
+                                                    runs.size() - i)));
+    }
+    return;
+  }
   telemetry::ScopedTimer ingest_timer;
   if (telemetry::Enabled()) {
-    telemetry::metrics::IngestRunsTotal().Add(1);
-    telemetry::metrics::IngestReportsTotal().Add(last - first + 1);
+    if (dims > 1) {
+      telemetry::metrics::IngestDimRowsTotal().Add(dims * runs.size());
+    }
     if (telemetry::ShouldSample()) {
-      ingest_timer.Arm(&telemetry::metrics::IngestRunSeconds());
+      ingest_timer.Arm(&telemetry::metrics::IngestBatchSeconds());
     }
   }
 
-  // One hash per run: its low bits pick the shard, its high bits the
-  // user index's probe start.
-  const uint64_t hash = SplitMix64Mix(user_id);
-  Shard& shard = *shards_[ShardIndex(hash)];
+  // Plan every run before touching a shard. Non-finite values would
+  // poison the aggregates; no library path produces them, so they are
+  // discarded -- and a run with no finite value is dropped here, before
+  // registration, so it never creates its user.
+  thread_local std::vector<RunPlan> plans;
+  plans.clear();
+  const size_t max_base_slot =
+      dims == 1 ? kWireMaxCells : kWireMaxCells / dims;
+  for (const UserRun& run : runs) {
+    // The dims == 1 tests keep divisions off the common path.
+    CAPP_CHECK(dims == 1 || run.values.size() % dims == 0);
+    const size_t slots =
+        dims == 1 ? run.values.size() : run.values.size() / dims;
+    // One past the last finite cell, in interleaved cell order.
+    size_t cells = 0;
+    for (size_t k = 0; k < dims; ++k) {
+      const double* row = run.values.data() + k * slots;
+      size_t reach = slots;
+      while (reach > 0 && !std::isfinite(row[reach - 1])) --reach;
+      if (reach > 0) cells = std::max(cells, (reach - 1) * dims + k + 1);
+    }
+    if (cells == 0) continue;
+    // The run must end within the uint32 cell index that decode already
+    // enforces for every wire frame; past it, the end cell could wrap and
+    // skip the growth below, so a caller that bypasses decode aborts here
+    // instead of writing out of bounds.
+    CAPP_CHECK(run.base_slot < max_base_slot &&
+               cells <= kWireMaxCells - run.base_slot * dims);
+    // One hash per run: its low bits pick the shard, its high bits the
+    // user index's probe start.
+    const uint64_t hash = SplitMix64Mix(run.user_id);
+    plans.push_back({.user_id = run.user_id,
+                     .hash = hash,
+                     .values = run.values.data(),
+                     .slots = slots,
+                     .base_slot = run.base_slot,
+                     .cells = cells,
+                     .reach = dims == 1 ? cells : (cells + dims - 1) / dims,
+                     .shard = ShardIndex(hash)});
+  }
+  if (plans.empty()) return;
+
+  // Stable counting sort by shard: each group keeps batch order, so a
+  // shard registers its users in the order one-by-one ingest would.
+  uint64_t reports = 0;
+  if (plans.size() == 1) {
+    reports = IngestShardRuns(*shards_[plans[0].shard], dims, plans);
+  } else {
+    thread_local std::vector<size_t> group_end;
+    thread_local std::vector<RunPlan> grouped;
+    group_end.assign(shards_.size() + 1, 0);
+    for (const RunPlan& plan : plans) ++group_end[plan.shard + 1];
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      group_end[s + 1] += group_end[s];
+    }
+    grouped.resize(plans.size());
+    for (const RunPlan& plan : plans) grouped[group_end[plan.shard]++] = plan;
+    // The scatter advanced each shard's start to its end.
+    size_t begin = 0;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const size_t end = group_end[s];
+      if (end > begin) {
+        reports += IngestShardRuns(
+            *shards_[s], dims,
+            std::span<RunPlan>(grouped).subspan(begin, end - begin));
+      }
+      begin = end;
+    }
+  }
+  if (telemetry::Enabled()) {
+    telemetry::metrics::IngestRunsTotal().Add(plans.size());
+    telemetry::metrics::IngestReportsTotal().Add(reports);
+  }
+}
+
+uint64_t ShardedCollector::IngestShardRuns(Shard& shard, size_t dims,
+                                           std::span<RunPlan> group) {
   // The one difference between the write disciplines: mutex mode holds
-  // the shard mutex for the whole run, while a single writer owns its
-  // shard (user index included) and takes the mutex only to grow.
+  // the shard mutex for the whole section, while a single writer owns
+  // its shard (user index included) and takes the mutex only to grow.
   std::unique_lock<std::mutex> lock(shard.mu, std::defer_lock);
   if (!options_.single_writer) lock.lock();
-  const auto [dense, inserted] = shard.users.FindOrInsert(user_id, hash);
-  UserEntry& user = shard.users.entry(dense);
-  user.last_slot =
-      std::max(user.last_slot, static_cast<uint32_t>(base_slot + last));
-  const size_t end_slot = base_slot + last + 1;  // one past the run
-  if (end_slot > shard.slots) {
+  uint64_t users_seen = 0;
+  size_t first_slot = group[0].base_slot;
+  size_t end_cell = 0;  // one past the group's last finite cell
+  for (RunPlan& run : group) {
+    const auto [dense, inserted] = shard.users.FindOrInsert(run.user_id,
+                                                            run.hash);
+    run.dense = dense;
+    const size_t run_end = run.base_slot * dims + run.cells;
+    UserEntry& user = shard.users.entry(dense);
+    user.last_slot =
+        std::max(user.last_slot, static_cast<uint32_t>(run_end - 1));
+    users_seen += inserted ? 1 : 0;
+    first_slot = std::min(first_slot, run.base_slot);
+    end_cell = std::max(end_cell, run_end);
+  }
+  if (end_cell > shard.slots) {
     // Growth reallocates the arrays, so it always excludes snapshots.
     if (lock.owns_lock()) {
-      Grow(shard, end_slot);
+      Grow(shard, end_cell);
     } else {
       std::lock_guard<std::mutex> grow_lock(shard.mu);
-      Grow(shard, end_slot);
+      Grow(shard, end_cell);
     }
   }
 
@@ -285,40 +374,89 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
   const uint64_t seq = shard.seq.load(std::memory_order_relaxed);
   shard.seq.store(seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  const SlotHistogramOptions& hist = options_.histogram;
-  const size_t row_size = hist.row_size();
-  std::atomic<uint64_t>* const slots_base =
-      shard.packed.get() + base_slot * kPackedWords;
-  std::atomic<uint32_t>* const rows =
-      hist.enabled ? shard.histogram.get() + base_slot * row_size : nullptr;
-  // The collector cannot see a previous value, so every report is new
-  // (the at-most-once contract): one exact add per slot. Saturation is
-  // accumulated branchlessly (Add's bool as 0/1) so the loop carries no
-  // data-dependent branch besides the finite check.
-  size_t ingested = 0;
   uint64_t saturated = 0;
-  for (size_t i = first; i <= last; ++i) {
-    if (!std::isfinite(values[i])) continue;
-    std::atomic<uint64_t>* words = slots_base + i * kPackedWords;
-    SlotAggregate aggregate = LoadPackedSlot(words);
-    saturated += static_cast<uint64_t>(aggregate.Add(values[i]));
-    StorePackedSlot(words, aggregate);
-    ++ingested;
+  // The aggregate walk, cell by cell: each cell's reports from every run
+  // of the group are summed exactly in a local SlotAggregate::Partial (in
+  // registers; a group holds at most kMaxBatchRuns runs) and the cell's
+  // five stored words are loaded and stored once. The collector cannot
+  // see a previous value, so every report is new (the at-most-once
+  // contract). A run reaches the slots up to its last finite cell's; a
+  // cell no run reached finitely is never touched, so no store lands
+  // past the grown end. The walk visits each value a run reaches once
+  // and counts the non-finite ones, which is how the run's report count
+  // is known without a pass of its own. At dims > 1 cell (slot, k) reads
+  // dimension k's row of the dim-major payload in place. The loop is
+  // instantiated with d = 1 and with one run as compile-time constants,
+  // so a lone run (WAL replay, per-run callers) walks straight-line code.
+  std::atomic<uint64_t>* const packed = shard.packed.get();
+  const auto walk = [&](auto one_dim, auto one_run) {
+    const size_t d = decltype(one_dim)::value ? 1 : dims;
+    const size_t runs = decltype(one_run)::value ? 1 : group.size();
+    const size_t end_slot = (end_cell + d - 1) / d;
+    for (size_t slot = first_slot; slot < end_slot; ++slot) {
+      for (size_t k = 0; k < d; ++k) {
+        SlotAggregate::Partial sum;
+        for (size_t r = 0; r < runs; ++r) {
+          RunPlan& run = group[r];
+          const size_t offset = slot - run.base_slot;  // wraps before it
+          if (offset >= run.reach) continue;
+          const double v = run.values[k * run.slots + offset];
+          if (!std::isfinite(v)) [[unlikely]] {
+            ++run.skipped;
+            continue;
+          }
+          saturated += sum.Add(v) ? 1 : 0;
+        }
+        if (sum.Count() == 0) continue;
+        std::atomic<uint64_t>* words = packed + (slot * d + k) * kPackedWords;
+        SlotAggregate::Packed stored = LoadPackedSlot(words);
+        sum.AddTo(stored);
+        StorePackedSlot(words, stored);
+      }
+    }
+  };
+  if (dims == 1 && group.size() == 1) {
+    walk(std::true_type{}, std::true_type{});
+  } else if (dims == 1) {
+    walk(std::true_type{}, std::false_type{});
+  } else if (group.size() == 1) {
+    walk(std::false_type{}, std::true_type{});
+  } else {
+    walk(std::false_type{}, std::false_type{});
   }
-  if (rows != nullptr) {
-    // Separate pass for the bins: keeps the aggregate loop's int128
-    // dependency chain free of the bin math and the strided row stores,
-    // which measurably beats a fused loop at 1M users.
-    for (size_t i = first; i <= last; ++i) {
-      if (!std::isfinite(values[i])) continue;
-      saturated += BumpBin(rows[i * row_size + hist.BinFor(values[i])]);
+  const SlotHistogramOptions& hist = options_.histogram;
+  if (hist.enabled) {
+    // Bins are bumped per report, run by run, in a separate pass: keeps
+    // the aggregate loop's int128 dependency chain free of the bin math
+    // and the strided row stores, which measurably beats a fused loop at
+    // 1M users. Cells past a run's last finite one are non-finite, so
+    // the walk skips them before indexing a row.
+    const size_t row_size = hist.row_size();
+    for (const RunPlan& run : group) {
+      std::atomic<uint32_t>* const rows =
+          shard.histogram.get() + run.base_slot * dims * row_size;
+      for (size_t k = 0; k < dims; ++k) {
+        const double* row = run.values + k * run.slots;
+        for (size_t t = 0; t < run.slots; ++t) {
+          if (!std::isfinite(row[t])) continue;
+          saturated +=
+              BumpBin(rows[(t * dims + k) * row_size + hist.BinFor(row[t])]);
+        }
+      }
     }
   }
-  if (inserted) AddRelaxed<uint64_t>(shard.users_seen, 1);
-  AddRelaxed<uint64_t>(shard.reports, ingested);
+  uint64_t reports = 0;
+  for (const RunPlan& run : group) {
+    const uint64_t run_reports = run.reach * dims - run.skipped;
+    shard.users.entry(run.dense).reports +=
+        static_cast<uint32_t>(run_reports);
+    reports += run_reports;
+  }
+  if (users_seen > 0) AddRelaxed<uint64_t>(shard.users_seen, users_seen);
+  AddRelaxed<uint64_t>(shard.reports, reports);
   AddRelaxed<uint64_t>(shard.saturated, saturated);
   shard.seq.store(seq + 2, std::memory_order_release);
-  user.reports += static_cast<uint32_t>(ingested);
+  return reports;
 }
 
 void ShardedCollector::Snapshot(const Shard& shard, unsigned parts,
@@ -534,7 +672,8 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
   const size_t slots = state.slots.size();
   shard.packed = MakeAlignedZeroed<std::atomic<uint64_t>>(slots * kPackedWords);
   for (size_t t = 0; t < slots; ++t) {
-    StorePackedSlot(shard.packed.get() + t * kPackedWords, state.slots[t]);
+    StorePackedSlot(shard.packed.get() + t * kPackedWords,
+                    state.slots[t].ToPacked());
   }
   if (options_.histogram.enabled) {
     shard.histogram =

@@ -27,20 +27,26 @@
 //
 // Each shard keeps its per-slot aggregates (five SlotAggregate::Packed
 // words per cell), its histogram bins and its totals in one store: flat
-// 64-byte-aligned atomic arrays written by one run writer inside a
-// per-shard seqlock write section. Two write disciplines share it:
+// 64-byte-aligned atomic arrays written by one batch writer inside a
+// per-shard seqlock write section. Every ingest is a batch of runs
+// (IngestUserRuns; a lone run is a one-run batch): the batch is grouped
+// by shard, and each shard's group is written in one section that sums
+// every touched cell over the group's runs in registers and stores the
+// cell's words once. Two writers sharing shards -- the fleet's kDirect
+// workers -- then trade a shard's cache lines once per batch, not once
+// per run. Two write disciplines share the store:
 //
 //   * Mutex mode (the default): any thread may ingest; the writer holds
-//     the shard mutex for the whole run.
+//     the shard mutex for its whole section.
 //   * Single-writer mode (single_writer = true), for the queued transport
 //     shape: the transport routes every shard group to exactly one
 //     consumer thread, so the owner takes the mutex only to grow the
-//     arrays and never blocks on a reader during a run.
+//     arrays and never blocks on a reader during a section.
 //
 // Every aggregate reader takes one snapshot per shard: it copies the
 // words under the shard mutex (which excludes growth, and the whole run
 // in mutex mode), retries if the sequence was odd or moved (a torn copy
-// of a single writer's run), and merges outside the mutex. Aggregates
+// of a single writer's section), and merges outside the mutex. Aggregates
 // are exact integer sums, so the two disciplines are bit-identical for
 // the same ingested multiset.
 //
@@ -91,9 +97,9 @@ struct ShardedCollectorOptions {
   /// "cells" -- cell = slot * dims + dim, the interleaved layout -- so
   /// every ingest, aggregate, digest, and checkpoint path is untouched
   /// arithmetic over cells and dims = 1 is bit-identical to a collector
-  /// that never heard of dimensions (cell == slot). The dims-aware
-  /// IngestUserRun overload transposes the wire's dim-major payload into
-  /// cell order; per-dimension queries slice cells back out.
+  /// that never heard of dimensions (cell == slot). The ingest walk reads
+  /// the wire's dim-major payload in cell order directly; per-dimension
+  /// queries slice cells back out.
   size_t dims = 1;
   /// Vestige of the retired raw-stream storage mode: must stay false
   /// (Create refuses true with InvalidArgument). It remains only because
@@ -103,7 +109,7 @@ struct ShardedCollectorOptions {
   /// Single-writer ingest: the caller guarantees that at most one thread
   /// ever ingests into any given shard (the queued transports'
   /// shard-group routing provides exactly this). The store and its
-  /// readers are the same as in mutex mode; only the run writer's locking
+  /// readers are the same as in mutex mode; only the writer's locking
   /// changes -- it takes the shard mutex to grow the arrays, not for the
   /// run, and concurrent aggregate readers retry through the seqlock
   /// (see the class comment). The user index is then owner-private:
@@ -147,21 +153,36 @@ class ShardedCollector : public CollectorBackend {
   /// rehash stalls while a large fleet registers its users.
   void ReserveUsers(size_t expected_users) override;
 
-  /// Ingests one user's run of consecutive slots: values[i] is the report
-  /// for slot base_slot + i. The collector's only writer: the shard hash,
-  /// lock decision, user-index resolution and seqlock write section
-  /// happen once for the whole run -- the fleet's per-user fast path (a
-  /// simulated device uploads its stream in one piece). The run must end
-  /// within the wire codec's cell index (base_slot + values.size() <=
-  /// kWireMaxCells, which decode enforces for every frame); a run past it
-  /// is a caller bug and aborts.
+  /// Ingests one user's run of consecutive cells: values[i] is the report
+  /// for cell base_slot + i. A one-run IngestUserRuns batch.
   void IngestUserRun(uint64_t user_id, size_t base_slot,
+                     std::span<const double> values) override {
+    const UserRun run{user_id, base_slot, values};
+    IngestUserRuns(1, {&run, 1});
+  }
+
+  /// Ingests one user's dim-major d-dimensional run (dims == dims()):
+  /// a one-run IngestUserRuns batch.
+  void IngestUserRun(uint64_t user_id, size_t base_slot, size_t dims,
                      std::span<const double> values) override;
 
-  /// Re-exposes the base class's dims-aware overload (dim-major payload,
-  /// transposed to cells); the 3-arg override above would otherwise hide
-  /// it under C++ name lookup.
-  using CollectorBackend::IngestUserRun;
+  /// The collector's only writer. Runs are grouped by shard with a stable
+  /// counting sort, so each shard registers its users in batch order (the
+  /// same dense order, and checkpoint bytes, as one-by-one ingest). Per
+  /// shard it takes the lock decision, grows the arrays and opens the
+  /// seqlock write section once; each touched cell is summed over the
+  /// group's runs in a local SlotAggregate::Partial and stored once, and
+  /// the histogram bins are bumped per report. At dims > 1 the walk reads
+  /// the dim-major payload in cell order directly. Every run must end within
+  /// the wire codec's cell index (base cell + cells <= kWireMaxCells,
+  /// which decode enforces for every frame); a run past it is a caller
+  /// bug and aborts. A batch of more than kMaxBatchRuns runs is ingested
+  /// kMaxBatchRuns at a time.
+  void IngestUserRuns(size_t dims, std::span<const UserRun> runs) override;
+
+  /// Runs one shard section may sum per cell (SlotAggregate::Partial).
+  static constexpr size_t kMaxBatchRuns = 64;
+  static_assert(kMaxBatchRuns <= SlotAggregate::Partial::kMaxReports);
 
   /// Values per slot (ShardedCollectorOptions::dims).
   size_t dims() const override { return options_.dims; }
@@ -236,7 +257,7 @@ class ShardedCollector : public CollectorBackend {
   /// Total seqlock snapshot retries across shards: how often an
   /// aggregate reader observed a write in progress (odd sequence) or a
   /// torn copy (sequence moved) and re-read. Always 0 in mutex mode
-  /// (the run writer holds the mutex the reader copies under), and 0 in
+  /// (the writer holds the mutex the reader copies under), and 0 in
   /// single-writer mode when nobody read during ingest.
   uint64_t seqlock_read_retries() const;
 
@@ -280,7 +301,7 @@ class ShardedCollector : public CollectorBackend {
   struct Shard {
     mutable std::mutex mu;
     UserIndex users;
-    // Seqlock sequence: odd exactly while the run writer is inside a
+    // Seqlock sequence: odd exactly while the writer is inside a
     // write section mutating the atomic words below.
     std::atomic<uint64_t> seq{0};
     // Per-slot aggregates as their SlotAggregate::Packed words (5 per
@@ -301,7 +322,7 @@ class ShardedCollector : public CollectorBackend {
     AlignedAtomicArray<std::atomic<uint32_t>> histogram;
     size_t slots = 0;
     size_t capacity = 0;
-    // Totals, written by the run writer inside the write section so a
+    // Totals, written by the writer inside the write section so a
     // snapshot's totals match its aggregates. `saturated` counts reports
     // clamped by SlotAggregate and pinned histogram bins.
     std::atomic<uint64_t> users_seen{0};
@@ -331,10 +352,31 @@ class ShardedCollector : public CollectorBackend {
 
   explicit ShardedCollector(ShardedCollectorOptions options);
 
+  // One batch run with a finite report, ready for its shard's section.
+  // Its interleaved cells start at base_slot * walk dims; `cells` is one
+  // past its last finite cell, so the cells it reaches are exactly the
+  // ones the section may store to. The section fills in the rest.
+  struct RunPlan {
+    uint64_t user_id = 0;
+    uint64_t hash = 0;               // SplitMix64Mix(user_id)
+    const double* values = nullptr;  // the payload, in the batch's layout
+    size_t slots = 0;                // payload values per dimension
+    size_t base_slot = 0;            // in the batch's slot unit
+    size_t cells = 0;  // one past the last finite cell, from its first
+    size_t reach = 0;  // slots up to the last finite cell's, inclusive
+    size_t shard = 0;
+    uint32_t dense = 0;    // set by the section: the user's dense index
+    uint64_t skipped = 0;  // set by the section: non-finite values reached
+  };
+
   // The shard of a user whose SplitMix64Mix is `hash`.
   size_t ShardIndex(uint64_t hash) const { return hash % shards_.size(); }
+  // Writes one shard's group of a batch: registration, growth and one
+  // seqlock write section for all of them. Returns the reports ingested.
+  uint64_t IngestShardRuns(Shard& shard, size_t dims,
+                           std::span<RunPlan> group);
   // Grows the shard's arrays to cover end_slot slots. Caller holds the
-  // shard mutex and is the shard's run writer.
+  // shard mutex and is the shard's writer.
   void Grow(Shard& shard, size_t end_slot);
   // The one reader: copies the shard's slot count, totals and the
   // requested `parts` (SnapshotPart bits) into `out`, consistently.

@@ -1,8 +1,5 @@
 #include "storage/collector_backend.h"
 
-#include "telemetry/instruments.h"
-#include "telemetry/metrics.h"
-
 namespace capp {
 namespace {
 
@@ -37,41 +34,15 @@ double SlotAggregate::M2() const {
   return m2 < 0.0 ? 0.0 : m2;
 }
 
-void SlotAggregate::Merge(const SlotAggregate& other) {
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-}
-
-void CollectorBackend::IngestUserRun(uint64_t user_id, size_t base_slot,
-                                     size_t dims,
-                                     std::span<const double> values) {
-  // Mismatched dimensionality is caught earlier with a real error
-  // (transport decode failure, WAL replay refusal); reaching here with
-  // the wrong count is a programming error, not a data error.
-  CAPP_CHECK(dims >= 1 && dims == this->dims());
-  CAPP_CHECK(values.size() % dims == 0);
-  if (dims == 1) {
-    IngestUserRun(user_id, base_slot, values);
-    return;
-  }
-  // Transpose the wire's dim-major payload into the interleaved cell
-  // order (cell = slot * dims + dim) and hand the flat cell run to the
-  // scalar path: one bookkeeping pass, one contiguous aggregate walk,
-  // and bit-identical state to ingesting the cells directly.
-  const size_t slots = values.size() / dims;
-  if (telemetry::Enabled()) {
-    telemetry::metrics::IngestDimRowsTotal().Add(dims);
-  }
-  thread_local std::vector<double> cells;
-  cells.resize(values.size());
-  for (size_t k = 0; k < dims; ++k) {
-    const double* dim_run = values.data() + k * slots;
-    for (size_t t = 0; t < slots; ++t) {
-      cells[t * dims + k] = dim_run[t];
+void CollectorBackend::IngestUserRuns(size_t dims,
+                                      std::span<const UserRun> runs) {
+  for (const UserRun& run : runs) {
+    if (dims == 1) {
+      IngestUserRun(run.user_id, run.base_slot, run.values);
+    } else {
+      IngestUserRun(run.user_id, run.base_slot, dims, run.values);
     }
   }
-  IngestUserRun(user_id, base_slot * dims, cells);
 }
 
 uint64_t CollectorStateDigest(const CollectorBackend& backend) {

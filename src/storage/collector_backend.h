@@ -113,6 +113,47 @@ struct SlotAggregate {
   /// Combines two aggregates (exact, commutative, associative).
   void Merge(const SlotAggregate& other);
 
+  /// A few reports summed for a hot loop that folds them into a stored
+  /// aggregate at once (the sharded collector's ingest walk sums one
+  /// cell over a batch's runs). Each report's fixed-point value is split
+  /// into two int64 parts, and the parts are pre-summed in int64 --
+  /// exact for up to kMaxReports clamped reports -- so a report costs
+  /// int64 adds instead of 128-bit ones. AddTo adds the same exact
+  /// integers a run of Add() calls would.
+  class Partial {
+   public:
+    /// Reports one Partial may hold: 127 * 2^56 < 2^63 (see ToFixed).
+    static constexpr size_t kMaxReports = 127;
+
+    /// SlotAggregate::Add's contract, for at most kMaxReports reports.
+    bool Add(double x);
+    size_t Count() const { return count_; }
+    /// Adds the reports to an aggregate's Packed words, in 64-bit word
+    /// arithmetic.
+    void AddTo(Packed& packed) const;
+
+   private:
+    // Adds v * 2^shift to the 128-bit two's-complement value stored as
+    // (hi, lo) words, in 64-bit arithmetic: GCC bounces 128-bit temporaries
+    // through the stack inside a register-hungry loop.
+    static void AddShifted(uint64_t& hi, uint64_t& lo, int64_t v,
+                           int shift) {
+      const uint64_t add_lo = static_cast<uint64_t>(v) << shift;
+      const uint64_t add_hi = static_cast<uint64_t>(v >> (63 - shift) >> 1);
+      const uint64_t sum_lo = lo + add_lo;
+      hi += add_hi + (sum_lo < add_lo ? 1 : 0);
+      lo = sum_lo;
+    }
+
+    size_t count_ = 0;
+    // trunc(x * 2^80) = sum_hi * 2^40 + sum_lo and
+    // trunc(x^2 * 2^60) = sq_hi * 2^40 + sq_lo, summed over the reports.
+    int64_t sum_hi_ = 0;
+    int64_t sum_lo_ = 0;
+    int64_t sq_hi_ = 0;
+    int64_t sq_lo_ = 0;
+  };
+
   /// Exact state export / import (checkpoints, digests).
   Packed ToPacked() const;
   static SlotAggregate FromPacked(const Packed& packed);
@@ -128,30 +169,28 @@ struct SlotAggregate {
   static constexpr double kSqScale = 0x1p60;     // squared grid 2^-60
   static constexpr double kFxLimit = 65536.0;    // saturation bound, 2^16
 
-  static double ClampToRange(double x) {
-    return x < -kFxLimit ? -kFxLimit : x > kFxLimit ? kFxLimit : x;
-  }
-
-  // trunc(x * 2^80) for |x| <= 2^16, as two int64 truncations instead of
-  // one double->int128 conversion (which compilers expand to a ~4x slower
-  // fixup sequence on the ingest hot path). hi = trunc(x * 2^46) fits 62
-  // bits; the remainder is exact -- hi's integer part is representable
-  // and the subtraction falls under Sterbenz's lemma -- so lo < 2^34
-  // recovers the missing low bits. Verified bit-identical to the direct
-  // cast across the full clamped range.
-  static __int128 ToFixed80(double x) {
-    const int64_t hi = static_cast<int64_t>(x * 0x1p46);
-    const double rem = x - static_cast<double>(hi) * 0x1p-46;
-    const int64_t lo = static_cast<int64_t>(rem * 0x1p80);
-    return (static_cast<__int128>(hi) << 34) + lo;
-  }
-
-  // trunc(x * 2^60) for x in [0, 2^32] (squared clamped reports).
-  static __int128 ToFixed60(double x) {
-    const int64_t hi = static_cast<int64_t>(x * 0x1p27);
-    const double rem = x - static_cast<double>(hi) * 0x1p-27;
-    const int64_t lo = static_cast<int64_t>(rem * 0x1p60);
-    return (static_cast<__int128>(hi) << 33) + lo;
+  // trunc(x * 2^(high_bits + low_bits)) as hi * 2^low_bits + lo, with two
+  // int64 truncations instead of one double->int128 conversion (which
+  // compilers expand to a ~4x slower fixup sequence). hi =
+  // trunc(x * 2^high_bits) is exact as a double -- below 2^52 it is a
+  // small integer, above it x * 2^high_bits already is one -- so the
+  // remainder is exact too (Sterbenz: hi * 2^-high_bits lies within a
+  // factor of two of x, or is 0), and lo = trunc(rem * 2^(high + low))
+  // recovers the missing low bits with hi's sign. The parts' bounds for
+  // clamped reports: the value (x <= 2^16, 40 + 40 bits) gives |hi| <=
+  // 2^56 and |lo| < 2^40; the square (x^2 <= 2^32, 20 + 40 bits) gives
+  // hi <= 2^52 and lo < 2^40. So Partial's int64 sums hold 127 reports.
+  struct FixedParts {
+    int64_t hi;
+    int64_t lo;
+  };
+  template <int kHighBits, int kLowBits>
+  static FixedParts ToFixed(double x) {
+    constexpr double kHigh = static_cast<double>(int64_t{1} << kHighBits);
+    constexpr double kAll = kHigh * static_cast<double>(int64_t{1} << kLowBits);
+    const int64_t hi = static_cast<int64_t>(x * kHigh);
+    const double rem = x - static_cast<double>(hi) / kHigh;
+    return {hi, static_cast<int64_t>(rem * kAll)};
   }
 
   size_t count_ = 0;
@@ -159,13 +198,46 @@ struct SlotAggregate {
   __int128 sum_sq_ = 0;  // sum of quantized squared reports, scale 2^-60
 };
 
-inline bool SlotAggregate::Add(double x) {
+inline bool SlotAggregate::Partial::Add(double x) {
   CAPP_DCHECK(!std::isnan(x));  // NaN would reach an undefined fp->int cast
-  const double clamped = ClampToRange(x);
+  CAPP_DCHECK(count_ < kMaxReports);
+  double clamped = x;
+  bool saturated = false;
+  if (std::abs(x) > kFxLimit) [[unlikely]] {
+    clamped = x < 0 ? -kFxLimit : kFxLimit;
+    saturated = true;
+  }
+  const FixedParts sum = ToFixed<40, 40>(clamped);
+  const FixedParts sq = ToFixed<20, 40>(clamped * clamped);
   ++count_;
-  sum_ += ToFixed80(clamped);
-  sum_sq_ += ToFixed60(clamped * clamped);
-  return clamped != x;
+  sum_hi_ += sum.hi;
+  sum_lo_ += sum.lo;
+  sq_hi_ += sq.hi;
+  sq_lo_ += sq.lo;
+  return saturated;
+}
+
+inline void SlotAggregate::Partial::AddTo(Packed& packed) const {
+  packed.count += count_;
+  AddShifted(packed.sum_hi, packed.sum_lo, sum_hi_, 40);
+  AddShifted(packed.sum_hi, packed.sum_lo, sum_lo_, 0);
+  AddShifted(packed.sum_sq_hi, packed.sum_sq_lo, sq_hi_, 40);
+  AddShifted(packed.sum_sq_hi, packed.sum_sq_lo, sq_lo_, 0);
+}
+
+inline bool SlotAggregate::Add(double x) {
+  Partial one;
+  const bool clamped = one.Add(x);
+  Packed packed = ToPacked();
+  one.AddTo(packed);
+  *this = FromPacked(packed);
+  return clamped;
+}
+
+inline void SlotAggregate::Merge(const SlotAggregate& other) {
+  count_ += other.count_;
+  sum_ += other.sum_;
+  sum_sq_ += other.sum_sq_;
 }
 
 inline SlotAggregate::Packed SlotAggregate::ToPacked() const {
@@ -212,6 +284,15 @@ struct CollectorShardState {
   uint64_t saturated_reports = 0;
 };
 
+/// One user's run in an ingest batch (CollectorBackend::IngestUserRuns):
+/// `values` holds the reports for slots base_slot, base_slot + 1, ...
+/// in the batch's layout -- cells at dims == 1, dim-major above.
+struct UserRun {
+  uint64_t user_id = 0;
+  size_t base_slot = 0;
+  std::span<const double> values;
+};
+
 /// The storage seam: everything the transport hub, the durable tier, and
 /// the tools need from a collector. All methods must be safe to call
 /// concurrently (the hub's consumer threads ingest in parallel).
@@ -235,12 +316,21 @@ class CollectorBackend {
   /// dim-major (all of dimension 0's slots, then dimension 1's, ...;
   /// size a multiple of `dims` -- the 0xC6 wire payload order), starting
   /// at slot `base_slot` in every dimension. `dims` must equal the
-  /// backend's dims(). The default implementation transposes into the
-  /// interleaved cell order and delegates to the cell-level overload, so
-  /// every backend stays bit-identical to a direct cell ingest; dims == 1
-  /// forwards without copying.
+  /// backend's dims(); the state must be bit-identical to ingesting the
+  /// interleaved cells (cell = slot * dims + dim) through the cell-level
+  /// overload.
   virtual void IngestUserRun(uint64_t user_id, size_t base_slot,
-                             size_t dims, std::span<const double> values);
+                             size_t dims, std::span<const double> values) = 0;
+
+  /// Ingests a batch of runs, with the same result -- state, user entry
+  /// order, counters -- as ingesting them one by one in batch order:
+  /// dims == 1 through the cell-level overload, otherwise (dims must
+  /// then equal dims()) through the dims-aware one. A backend may regroup
+  /// the batch's work (the exact sums make any grouping bit-identical),
+  /// which is what lets the sharded collector store each touched cell
+  /// once per batch instead of once per run. The default implementation
+  /// is that one-by-one loop.
+  virtual void IngestUserRuns(size_t dims, std::span<const UserRun> runs);
 
   /// Pre-sizes per-user bookkeeping for an expected population (a hint).
   virtual void ReserveUsers(size_t expected_users) = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "storage/checkpoint.h"
@@ -176,36 +177,93 @@ void DurableCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
 void DurableCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
                                      size_t dims,
                                      std::span<const double> values) {
+  const UserRun run{user_id, base_slot, values};
+  IngestUserRuns(dims, {&run, 1});
+}
+
+namespace {
+
+bool HasFiniteValue(const UserRun& run) {
+  return std::any_of(run.values.begin(), run.values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+}  // namespace
+
+void DurableCollector::IngestUserRuns(size_t dims,
+                                      std::span<const UserRun> runs) {
+  // The log records every frame's dims, and replay refuses a frame whose
+  // dims differ from the backend's, so a run logged any other way could
+  // never be recovered.
+  CAPP_CHECK(dims == backend_->dims());
+  size_t kept = 0;
   {
     std::shared_lock<std::shared_mutex> quiesce(checkpoint_mu_);
-    if (options_.dedup_user_runs && backend_->Contains(user_id)) {
-      runs_deduped_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::Enabled()) {
-        telemetry::metrics::WalRunsDedupedTotal().Add(1);
+    // Dedup exactly as one-by-one ingest would: a run is resent when its
+    // user is already in the backend, or when an earlier run of the batch
+    // registers the user (has a finite value -- a run without one
+    // registers nothing, so it does not shadow a later run).
+    std::span<const UserRun> batch = runs;
+    std::vector<UserRun> survivors;
+    if (options_.dedup_user_runs) {
+      survivors.reserve(runs.size());
+      thread_local std::vector<uint64_t> ids;
+      ids.clear();
+      for (const UserRun& run : runs) ids.push_back(run.user_id);
+      std::sort(ids.begin(), ids.end());
+      const bool repeats =
+          std::adjacent_find(ids.begin(), ids.end()) != ids.end();
+      uint64_t deduped = 0;
+      for (size_t i = 0; i < runs.size(); ++i) {
+        const uint64_t user_id = runs[i].user_id;
+        const bool resent =
+            backend_->Contains(user_id) ||
+            (repeats &&
+             std::any_of(runs.begin(), runs.begin() + i,
+                         [user_id](const UserRun& earlier) {
+                           return earlier.user_id == user_id &&
+                                  HasFiniteValue(earlier);
+                         }));
+        if (resent) {
+          ++deduped;
+        } else {
+          survivors.push_back(runs[i]);
+        }
       }
-      return;
+      if (deduped > 0) {
+        runs_deduped_.fetch_add(deduped, std::memory_order_relaxed);
+        if (telemetry::Enabled()) {
+          telemetry::metrics::WalRunsDedupedTotal().Add(deduped);
+        }
+      }
+      batch = survivors;
     }
-    // WAL before backend: queue the run, and under kPerRun wait until
-    // the log thread has appended and synced it.
-    const uint64_t position = QueueRun(user_id, base_slot, dims, values);
+    if (batch.empty()) return;
+    kept = batch.size();
+    // WAL before backend: queue the batch, and under kPerRun wait until
+    // the log thread has appended and synced its last run.
+    const uint64_t position = QueueRuns(dims, batch);
     if (position != 0 &&
         options_.wal.fsync_policy == WalFsyncPolicy::kPerRun) {
       std::unique_lock<std::mutex> lock(wal_mu_);
       done_cv_.wait(lock, [&] { return runs_logged_ >= position; });
     }
-    backend_->IngestUserRun(user_id, base_slot, dims, values);
+    backend_->IngestUserRuns(dims, batch);
   }
   if (options_.checkpoint_every_runs > 0 &&
-      runs_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+      runs_since_checkpoint_.fetch_add(kept, std::memory_order_relaxed) +
+              kept >=
           options_.checkpoint_every_runs) {
     MaybeCheckpoint();  // failures latch into wal_status_
   }
 }
 
-uint64_t DurableCollector::QueueRun(uint64_t user_id, size_t base_slot,
-                                    size_t dims,
-                                    std::span<const double> values) {
-  const size_t bytes = sizeof(QueuedRun) + values.size_bytes();
+uint64_t DurableCollector::QueueRuns(size_t dims,
+                                     std::span<const UserRun> runs) {
+  size_t bytes = 0;
+  for (const UserRun& run : runs) {
+    bytes += sizeof(QueuedRun) + run.values.size_bytes();
+  }
   std::unique_lock<std::mutex> lock(wal_mu_);
   const auto can_proceed = [&] {
     return stopping_ || !wal_status_.ok() || open_batch_.runs.empty() ||
@@ -226,14 +284,18 @@ uint64_t DurableCollector::QueueRun(uint64_t user_id, size_t base_slot,
   }
   if (!wal_status_.ok()) return 0;
   const bool was_empty = open_batch_.runs.empty();
-  open_batch_.runs.push_back({user_id, base_slot, dims, values.size()});
-  open_batch_.values.insert(open_batch_.values.end(), values.begin(),
-                            values.end());
+  for (const UserRun& run : runs) {
+    open_batch_.runs.push_back(
+        {run.user_id, run.base_slot, dims, run.values.size()});
+    open_batch_.values.insert(open_batch_.values.end(), run.values.begin(),
+                              run.values.end());
+  }
   open_batch_.bytes += bytes;
-  const uint64_t position = ++runs_queued_;
+  runs_queued_ += runs.size();
+  const uint64_t position = runs_queued_;
   lock.unlock();
-  // The log thread only sleeps on an empty batch, so only the first run
-  // of a batch needs to wake it.
+  // The log thread only sleeps on an empty batch, so only a batch that
+  // fills an empty one needs to wake it.
   if (was_empty) log_cv_.notify_one();
   return position;
 }

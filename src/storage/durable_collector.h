@@ -26,13 +26,14 @@
 //
 // Concurrency: one log thread, started by Create after recovery and
 // joined by Seal, is the only code that touches the WalWriter. An ingest
-// (a fleet worker or transport-hub consumer) takes the checkpoint lock
-// shared, copies its run into the open batch under wal_mu_ -- blocking
-// while that batch holds kLogBatchBytes -- and goes on to the backend.
+// (a fleet worker's or transport-hub consumer's batch of runs) takes the
+// checkpoint lock shared, copies its runs into the open batch under one
+// wal_mu_ hold -- blocking while that batch holds kLogBatchBytes -- and
+// goes on to the backend.
 // The log thread swaps the batch out, then encodes, writes and fdatasyncs
 // it with no lock held, so workers never wait on the disk. Callers that
 // need the disk wait for the log thread: a kPerRun ingest until its own
-// run is appended and synced, Flush until everything queued before it
+// runs are appended and synced, Flush until everything queued before it
 // is synced, a checkpoint until the log has caught up and rotated. A
 // checkpoint takes the lock exclusive, so its snapshot sees a quiescent
 // backend whose rotation point exactly covers it.
@@ -78,22 +79,29 @@ class DurableCollector : public CollectorBackend {
   static Result<std::unique_ptr<DurableCollector>> Create(
       CollectorBackend* backend, DurableCollectorOptions options);
 
-  /// WAL-first ingest: the run is queued for the log thread before the
-  /// backend sees it, and the log thread appends the queued runs in queue
-  /// order. Under kPerRun the call also waits until the run is appended
-  /// and synced, so nothing is visible before it is durable. A WAL write
-  /// failure latches and is reported by Flush()/CheckHealthy(), as is an
-  /// ingest after Seal() -- durability errors must fail a run loudly, not
-  /// degrade it to in-RAM-only silently.
+  /// A one-run IngestUserRuns batch at dims == 1 (the backend's dims
+  /// must be 1: a cell-level run could not be replayed).
   void IngestUserRun(uint64_t user_id, size_t base_slot,
                      std::span<const double> values) override;
 
-  /// The dims-aware variant: the run is logged as one 0xC6 frame
-  /// (dim-major, exactly the bytes the transport would carry) and then
-  /// handed to the backend's dims-aware ingest. dims == 1 logs the 0xC5
-  /// frame byte-for-byte, so d=1 WAL files are unchanged.
+  /// A one-run IngestUserRuns batch.
   void IngestUserRun(uint64_t user_id, size_t base_slot, size_t dims,
                      std::span<const double> values) override;
+
+  /// WAL-first batch ingest (dims must equal dims()). Under the shared
+  /// checkpoint lock, each run is deduped as one-by-one ingest would
+  /// dedup it -- a repeat of a user registered before the batch or by an
+  /// earlier run of it is skipped. The rest are queued for the log thread
+  /// under one wal_mu_ hold with one wake, then handed to the backend as
+  /// one batch; the log thread appends the queued runs in queue order,
+  /// one frame each (0xC5 at d = 1, 0xC6 dim-major above: the bytes the
+  /// transport would carry), so the log is byte-identical to one-by-one
+  /// ingest. Under kPerRun the call also waits until the batch's last run
+  /// is appended and synced, so nothing is visible before it is durable.
+  /// A WAL write failure latches and is reported by Flush()/
+  /// CheckHealthy(), as is an ingest after Seal() -- durability errors
+  /// must fail a run loudly, not degrade it to in-RAM-only silently.
+  void IngestUserRuns(size_t dims, std::span<const UserRun> runs) override;
 
   /// Values per slot of the wrapped backend.
   size_t dims() const override { return backend_->dims(); }
@@ -191,10 +199,10 @@ class DurableCollector : public CollectorBackend {
   // Scan-validate-replay of the directory's checkpoint + segments;
   // returns the seqno the writer should start at.
   Result<uint64_t> Recover();
-  // Copies a run into the open batch; returns its queue position, or 0
-  // when the WAL is failed or sealed and the run was not queued.
-  uint64_t QueueRun(uint64_t user_id, size_t base_slot, size_t dims,
-                    std::span<const double> values);
+  // Copies the runs into the open batch; returns the last one's queue
+  // position, or 0 when the WAL is failed or sealed and nothing was
+  // queued.
+  uint64_t QueueRuns(size_t dims, std::span<const UserRun> runs);
   // Queues `ops` behind every run queued so far, waits until the log
   // thread has done them, and returns the latched status.
   Status AwaitLog(unsigned ops);

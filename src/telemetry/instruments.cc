@@ -117,13 +117,15 @@ Counter& IngestRunsTotal() {
 
 Counter& IngestReportsTotal() {
   static Counter& c = C("capp_ingest_reports_total",
-                        "Per-slot reports ingested by the sharded collector");
+                        "Finite per-slot reports ingested by the sharded "
+                        "collector");
   return c;
 }
 
-Histogram& IngestRunSeconds() {
-  static Histogram& h = Hs("capp_ingest_run_seconds",
-                           "Collector ingest time per user run (sampled)");
+Histogram& IngestBatchSeconds() {
+  static Histogram& h = Hs("capp_ingest_batch_seconds",
+                           "Collector ingest time per batch of runs "
+                           "(sampled)");
   return h;
 }
 

@@ -38,7 +38,7 @@ Gauge& SocketOpenConnections();
 // --- collector -------------------------------------------------------------
 Counter& IngestRunsTotal();
 Counter& IngestReportsTotal();
-Histogram& IngestRunSeconds();     // one user's run through IngestUserRun
+Histogram& IngestBatchSeconds();   // one IngestUserRuns batch
 Counter& SeqlockReadRetriesTotal();
 Gauge& CollectorDims();            // attributes per report (last collector)
 Counter& IngestDimRowsTotal();     // per-attribute rows via the d-dim path

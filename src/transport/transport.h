@@ -35,7 +35,7 @@ Result<TransportKind> ParseTransportKind(std::string_view name);
 
 /// Knobs for the queued transports. Validated for every kind (a config
 /// should not become invalid by flipping the kind); only the queued kinds
-/// exercise them at runtime.
+/// exercise them at runtime, except max_batch_runs.
 struct TransportOptions {
   TransportKind kind = TransportKind::kDirect;
   /// Ring capacity in frames. Small values exercise backpressure; the
@@ -48,7 +48,9 @@ struct TransportOptions {
   /// owning its shard group (shard_index % num_consumers), so no two
   /// consumers ever write the same collector shard.
   int num_consumers = 2;
-  /// User runs per frame before a producer pushes it.
+  /// User runs per frame before a producer pushes it. Also sizes the
+  /// collector batches (CollectorBackend::IngestUserRuns) each kDirect
+  /// fleet worker stages, the one knob read under kDirect.
   size_t max_batch_runs = 64;
   /// Run the collector's shards in single-writer mode
   /// (ShardedCollectorOptions::single_writer): the shard-group routing

@@ -240,7 +240,8 @@ void TransportHub::MergeProducerCounters(const Producer& producer) {
 
 void TransportHub::ConsumerMain(size_t consumer_index) {
   MpscQueue<std::unique_ptr<ReportFrame>>& queue = *queues_[consumer_index];
-  std::vector<double> scratch;
+  IngestScratch scratch;
+  scratch.values.resize(kIngestBatchRuns);
   for (;;) {
     std::optional<std::unique_ptr<ReportFrame>> frame = queue.Pop();
     if (!frame.has_value()) return;  // closed: abnormal teardown
@@ -253,28 +254,44 @@ void TransportHub::ConsumerMain(size_t consumer_index) {
 
 void TransportHub::IngestFrame(const ReportFrame& frame,
                                size_t consumer_index,
-                               std::vector<double>& scratch) {
+                               IngestScratch& scratch) {
   ConsumerCounters& counters = consumer_counters_[consumer_index];
+  const size_t dims = collector_->dims();
   std::span<const uint8_t> bytes(frame.bytes);
   size_t cursor = 0;
-  while (cursor < bytes.size()) {
-    uint64_t user_id = 0;
-    uint64_t base_slot = 0;
-    uint64_t dims = 1;
-    auto used = DecodeUserRunFrame(bytes.subspan(cursor), &user_id,
-                                   &base_slot, &dims, scratch);
-    if (!used.ok() || dims != collector_->dims()) {
-      // A corrupted frame cannot be resynchronized; count it and drop the
-      // rest of the batch. Drain() turns a nonzero count into an error. A
-      // dimensionality mismatch is the same class of wrongness: the
-      // payload's cells would be silently reinterpreted, so it counts as
-      // a decode failure rather than reaching the collector.
-      ++counters.decode_failures;
-      return;
+  bool failed = false;
+  while (cursor < bytes.size() && !failed) {
+    // Decode up to kIngestBatchRuns runs, each into its own pooled
+    // buffer, and ingest them as one collector batch.
+    scratch.runs.clear();
+    while (cursor < bytes.size() &&
+           scratch.runs.size() < kIngestBatchRuns) {
+      const size_t k = scratch.runs.size();
+      UserRun run;
+      uint64_t base_slot = 0;
+      uint64_t run_dims = 1;
+      auto used = DecodeUserRunFrame(bytes.subspan(cursor), &run.user_id,
+                                     &base_slot, &run_dims,
+                                     scratch.values[k]);
+      if (!used.ok() || run_dims != dims) {
+        // A corrupted frame cannot be resynchronized; count it and drop
+        // the rest of the batch, after ingesting the runs decoded before
+        // it. Drain() turns a nonzero count into an error. A
+        // dimensionality mismatch is the same class of wrongness: the
+        // payload's cells would be silently reinterpreted, so it counts
+        // as a decode failure rather than reaching the collector.
+        ++counters.decode_failures;
+        failed = true;
+        break;
+      }
+      run.base_slot = base_slot;
+      run.values = scratch.values[k];
+      scratch.runs.push_back(run);
+      cursor += *used;
     }
-    collector_->IngestUserRun(user_id, base_slot, dims, scratch);
-    ++counters.runs;
-    cursor += *used;
+    if (scratch.runs.empty()) break;
+    collector_->IngestUserRuns(dims, scratch.runs);
+    counters.runs += scratch.runs.size();
   }
 }
 

@@ -1,8 +1,8 @@
 // TransportHub: the broker tier between report producers and the sharded
 // collector. Producers encode user runs as wire frames into pooled
 // batches and push them onto bounded MPSC rings; N consumer threads
-// CRC-check and decode the frames and ingest every run via
-// ShardedCollector::IngestUserRun, so the in-process queue (kQueueFramed)
+// CRC-check and decode the frames and ingest their runs in batches via
+// CollectorBackend::IngestUserRuns, so the in-process queue (kQueueFramed)
 // carries exactly the bytes a socket transport would. Under kSocket the
 // frames really do cross a socket: producers write handshaked,
 // sequence-stamped chunks over connect_streams striped connections to a
@@ -161,11 +161,24 @@ class TransportHub {
     uint64_t decode_failures = 0;
   };
 
+  // Runs a consumer decodes into one collector batch.
+  static constexpr size_t kIngestBatchRuns = 64;
+  // A consumer's decode buffers, reused across frames: one values buffer
+  // per run of a batch (kIngestBatchRuns of them), and the batch itself.
+  struct IngestScratch {
+    std::vector<std::vector<double>> values;
+    std::vector<UserRun> runs;
+  };
+
   TransportHub(CollectorBackend* collector, const TransportOptions& options);
 
   void ConsumerMain(size_t consumer_index);
+  // Decodes a frame's runs into batches of up to kIngestBatchRuns and
+  // ingests each batch. A frame that fails to decode stops there: the
+  // runs before it are ingested, the rest of the frame is dropped and
+  // counted as one decode failure.
   void IngestFrame(const ReportFrame& frame, size_t consumer_index,
-                   std::vector<double>& scratch);
+                   IngestScratch& scratch);
 
   // The routing group of one user's runs: the owning consumer's index
   // (0 with a single ring or under kSocket).

@@ -1,8 +1,9 @@
 // Tests for the sharded stream-publication engine: the gap-fill policy,
 // exact slot aggregates, CollectorSession and ShardedCollector against
 // the legacy map-based collector, the user index under colliding and
-// wrapping probes, restore refusals, the engine config fingerprint, and
-// the Fleet determinism contract.
+// wrapping probes, restore refusals, batched ingest against one-by-one
+// ingest and against a serial oracle under two writers, the engine
+// config fingerprint, and the Fleet determinism contract.
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "storage/collector_backend.h"
 #include "stream/gap_fill.h"
 #include "stream/session.h"
+#include "telemetry/instruments.h"
+#include "telemetry/metrics.h"
 
 namespace capp {
 namespace {
@@ -92,6 +97,63 @@ TEST(SlotAggregateTest, MergeEqualsSequential) {
   EXPECT_EQ(a.Count(), all.Count());
   EXPECT_NEAR(a.Mean(), all.Mean(), 1e-12);
   EXPECT_NEAR(a.M2(), all.M2(), 1e-12);
+}
+
+// The exact sums as one 128-bit value, from the Packed words.
+__int128 Sum128(uint64_t hi, uint64_t lo) {
+  return static_cast<__int128>(static_cast<unsigned __int128>(hi) << 64 |
+                               lo);
+}
+
+TEST(SlotAggregateTest, FixedPointSplitMatchesTheDirectCast) {
+  // Each report adds trunc(x * 2^80) and trunc(x^2 * 2^60), computed as
+  // two int64 truncations; they must equal the direct double -> int128
+  // casts bit for bit across the clamped range, from subnormals through
+  // the 2^-40 and 2^-20 split points up to the 2^16 bound.
+  std::vector<double> xs = {0.0, -0.0, 0x1p-1074, 0x1p-1022, 0x1p-80,
+                            0x1p-60, 0x1p-41, 0x1p-40, 0x1p-39, 0x1p-21,
+                            0x1p-20, 0x1p-19, 0.5, 1.0, 65535.99999999999,
+                            65536.0};
+  Rng rng(91);
+  for (int i = 0; i < 20000; ++i) {
+    const int exponent = static_cast<int>(rng.UniformInt(99)) - 83;
+    xs.push_back(std::ldexp(1.0 + rng.UniformDouble(), exponent));
+  }
+  for (double magnitude : xs) {
+    for (double x : {magnitude, -magnitude}) {
+      SlotAggregate one;
+      one.Add(x);
+      const auto packed = one.ToPacked();
+      EXPECT_EQ(Sum128(packed.sum_hi, packed.sum_lo),
+                static_cast<__int128>(x * 0x1p80))
+          << x;
+      EXPECT_EQ(Sum128(packed.sum_sq_hi, packed.sum_sq_lo),
+                static_cast<__int128>(x * x * 0x1p60))
+          << x;
+    }
+  }
+}
+
+TEST(SlotAggregateTest, PartialHoldsItsMaximumAtTheSaturationBound) {
+  // A Partial pre-sums the fixed-point parts in int64; at kMaxReports
+  // reports of the largest magnitude (and with every saturating value
+  // clamped there) the sums must still equal the 128-bit sums.
+  for (double x : {65536.0, -65536.0, 1.0e9, -1.0e9, 65535.75}) {
+    SCOPED_TRACE(x);
+    SlotAggregate::Partial partial;
+    SlotAggregate added;
+    for (size_t i = 0; i < SlotAggregate::Partial::kMaxReports; ++i) {
+      EXPECT_EQ(partial.Add(x), added.Add(x));
+    }
+    SlotAggregate::Packed summed = SlotAggregate().ToPacked();
+    partial.AddTo(summed);
+    const auto expected = added.ToPacked();
+    EXPECT_EQ(summed.count, expected.count);
+    EXPECT_EQ(summed.sum_hi, expected.sum_hi);
+    EXPECT_EQ(summed.sum_lo, expected.sum_lo);
+    EXPECT_EQ(summed.sum_sq_hi, expected.sum_sq_hi);
+    EXPECT_EQ(summed.sum_sq_lo, expected.sum_sq_lo);
+  }
 }
 
 TEST(SlotAggregateTest, AddReportsSaturation) {
@@ -810,6 +872,231 @@ TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
       EXPECT_EQ(retries, 0u);
     }
   }
+}
+
+// ------------------------------------------------------ batched ingest ----
+
+// Expects two collectors' exported shards to be equal word for word:
+// user entries in dense order, every aggregate's Packed words, the
+// histogram rows and the totals.
+void ExpectSameShards(const ShardedCollector& expected,
+                      const ShardedCollector& actual) {
+  ASSERT_EQ(actual.num_shards(), expected.num_shards());
+  for (size_t shard = 0; shard < expected.num_shards(); ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    auto a = expected.ExportShardState(shard);
+    auto b = actual.ExportShardState(shard);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(b->users.size(), a->users.size());
+    for (size_t i = 0; i < a->users.size(); ++i) {
+      EXPECT_EQ(b->users[i].user_id, a->users[i].user_id) << i;
+      EXPECT_EQ(b->users[i].last_slot, a->users[i].last_slot) << i;
+      EXPECT_EQ(b->users[i].reports, a->users[i].reports) << i;
+    }
+    ASSERT_EQ(b->slots.size(), a->slots.size());
+    for (size_t t = 0; t < a->slots.size(); ++t) {
+      const auto pa = a->slots[t].ToPacked();
+      const auto pb = b->slots[t].ToPacked();
+      EXPECT_EQ(pb.count, pa.count) << t;
+      EXPECT_EQ(pb.sum_hi, pa.sum_hi) << t;
+      EXPECT_EQ(pb.sum_lo, pa.sum_lo) << t;
+      EXPECT_EQ(pb.sum_sq_hi, pa.sum_sq_hi) << t;
+      EXPECT_EQ(pb.sum_sq_lo, pa.sum_sq_lo) << t;
+    }
+    EXPECT_EQ(b->histogram, a->histogram);
+    EXPECT_EQ(b->report_count, a->report_count);
+    EXPECT_EQ(b->saturated_reports, a->saturated_reports);
+  }
+}
+
+// A random batch: repeated user ids (inside a batch and across batches),
+// mixed base slots and lengths (empty runs included), NaN and infinity
+// holes, all-NaN runs and saturating outliers, dim-major at `dims`.
+struct RandomBatch {
+  std::vector<uint64_t> users;
+  std::vector<size_t> bases;
+  std::vector<std::vector<double>> values;
+
+  RandomBatch(Rng& rng, size_t dims, size_t runs) {
+    for (size_t r = 0; r < runs; ++r) {
+      users.push_back(rng.UniformInt(150));
+      bases.push_back(rng.UniformInt(10));
+      std::vector<double> run(dims * rng.UniformInt(13));
+      const bool all_nan = rng.UniformInt(12) == 0;
+      for (double& x : run) {
+        const uint64_t pick = rng.UniformInt(100);
+        x = all_nan || pick < 8 ? kNaN
+            : pick < 10         ? std::numeric_limits<double>::infinity()
+            : pick < 12         ? 1.0e6
+                                : rng.UniformDouble();
+      }
+      values.push_back(std::move(run));
+    }
+  }
+  std::vector<UserRun> Runs() const {
+    std::vector<UserRun> runs;
+    for (size_t i = 0; i < users.size(); ++i) {
+      runs.push_back({users[i], bases[i], values[i]});
+    }
+    return runs;
+  }
+};
+
+TEST(ShardedCollectorTest, BatchedIngestMatchesPerRunIngest) {
+  // Random batches -- some longer than kMaxBatchRuns -- through
+  // IngestUserRuns must leave every exported word, user entry order and
+  // counter exactly as the same runs ingested one by one, at d = 1 and
+  // d = 4 (dim-major, and cell-level at d = 4), with histograms on and
+  // off, in both locking modes.
+  for (size_t dims : {size_t{1}, size_t{4}}) {
+    for (bool histogram : {false, true}) {
+      for (bool single_writer : {false, true}) {
+        SCOPED_TRACE("dims " + std::to_string(dims) +
+                     (histogram ? " histogram" : "") +
+                     (single_writer ? " single writer" : " mutex"));
+        ShardedCollectorOptions options;
+        options.num_shards = 8;
+        options.dims = dims;
+        options.single_writer = single_writer;
+        options.histogram = {.enabled = histogram, .num_bins = 16};
+        auto one_by_one = ShardedCollector::Create(options);
+        auto batched = ShardedCollector::Create(options);
+        auto cells_one_by_one = ShardedCollector::Create(options);
+        auto cells_batched = ShardedCollector::Create(options);
+        ASSERT_TRUE(one_by_one.ok() && batched.ok() &&
+                    cells_one_by_one.ok() && cells_batched.ok());
+        Rng rng(71 + dims);
+        for (int b = 0; b < 40; ++b) {
+          const RandomBatch batch(rng, dims, 1 + rng.UniformInt(90));
+          const std::vector<UserRun> runs = batch.Runs();
+          for (const UserRun& run : runs) {
+            one_by_one->IngestUserRun(run.user_id, run.base_slot, dims,
+                                      run.values);
+            cells_one_by_one->IngestUserRun(run.user_id, run.base_slot,
+                                            run.values);
+          }
+          batched->IngestUserRuns(dims, runs);
+          cells_batched->IngestUserRuns(1, runs);
+        }
+        EXPECT_GT(one_by_one->saturated_report_count(), 0u);
+        for (const auto& [expected, actual] :
+             {std::pair{&*one_by_one, &*batched},
+              std::pair{&*cells_one_by_one, &*cells_batched}}) {
+          EXPECT_EQ(actual->user_count(), expected->user_count());
+          EXPECT_EQ(actual->report_count(), expected->report_count());
+          EXPECT_EQ(actual->saturated_report_count(),
+                    expected->saturated_report_count());
+          EXPECT_EQ(actual->SlotSpan(), expected->SlotSpan());
+          EXPECT_EQ(actual->histogram_outlier_count(),
+                    expected->histogram_outlier_count());
+          EXPECT_EQ(CollectorStateDigest(*actual),
+                    CollectorStateDigest(*expected));
+          ExpectSameShards(*expected, *actual);
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedCollectorTest, TwoBatchWritersMatchASerialOracle) {
+  // The fleet's kDirect shape: two threads, started together, ingest
+  // batches of 64 runs of disjoint users into one mutex-mode collector,
+  // so both write every shard. The state must equal a serial one-by-one
+  // oracle's; only each shard's user entry order may differ, as it does
+  // between any two thread interleavings. Under TSan this is the data
+  // race check for the batch writer.
+  constexpr uint64_t kUsers = 6000;
+  constexpr size_t kSlots = 12;
+  constexpr size_t kBatchRuns = 64;
+  ShardedCollectorOptions options;
+  options.histogram = {.enabled = true, .num_bins = 16};
+  auto oracle = ShardedCollector::Create(options);
+  auto shared = ShardedCollector::Create(options);
+  ASSERT_TRUE(oracle.ok() && shared.ok());
+  std::vector<std::vector<double>> streams(kUsers);
+  Rng rng(77);
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    for (size_t t = 0; t < kSlots; ++t) {
+      streams[u].push_back(rng.UniformInt(20) == 0 ? kNaN
+                                                   : rng.UniformDouble());
+    }
+    oracle->IngestUserRun(u, u % 3, streams[u]);
+  }
+  std::atomic<bool> go{false};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::vector<UserRun> batch;
+      for (uint64_t u = w; u < kUsers; u += 2) {
+        batch.push_back({u, u % 3, streams[u]});
+        if (batch.size() == kBatchRuns) {
+          shared->IngestUserRuns(1, batch);
+          batch.clear();
+        }
+      }
+      shared->IngestUserRuns(1, batch);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& writer : writers) writer.join();
+
+  EXPECT_EQ(shared->user_count(), oracle->user_count());
+  EXPECT_EQ(shared->report_count(), oracle->report_count());
+  EXPECT_EQ(CollectorStateDigest(*shared), CollectorStateDigest(*oracle));
+  const auto by_id = [](const CollectorShardState::UserEntry& a,
+                        const CollectorShardState::UserEntry& b) {
+    return a.user_id < b.user_id;
+  };
+  for (size_t shard = 0; shard < oracle->num_shards(); ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    auto a = oracle->ExportShardState(shard);
+    auto b = shared->ExportShardState(shard);
+    ASSERT_TRUE(a.ok() && b.ok());
+    std::sort(a->users.begin(), a->users.end(), by_id);
+    std::sort(b->users.begin(), b->users.end(), by_id);
+    ASSERT_EQ(b->users.size(), a->users.size());
+    for (size_t i = 0; i < a->users.size(); ++i) {
+      EXPECT_EQ(b->users[i].user_id, a->users[i].user_id);
+      EXPECT_EQ(b->users[i].last_slot, a->users[i].last_slot);
+      EXPECT_EQ(b->users[i].reports, a->users[i].reports);
+    }
+    ASSERT_EQ(b->slots.size(), a->slots.size());
+    for (size_t t = 0; t < a->slots.size(); ++t) {
+      const auto pa = a->slots[t].ToPacked();
+      const auto pb = b->slots[t].ToPacked();
+      EXPECT_TRUE(pb.count == pa.count && pb.sum_hi == pa.sum_hi &&
+                  pb.sum_lo == pa.sum_lo && pb.sum_sq_hi == pa.sum_sq_hi &&
+                  pb.sum_sq_lo == pa.sum_sq_lo)
+          << t;
+    }
+    EXPECT_EQ(b->histogram, a->histogram);
+  }
+}
+
+TEST(ShardedCollectorTest, ReportCounterCountsOnlyIngestedReports) {
+  // capp_ingest_reports_total counts the finite reports a run lands, not
+  // the span between its first and last finite value.
+  const telemetry::TelemetryConfig saved = telemetry::CurrentConfig();
+  telemetry::TelemetryConfig config;
+  config.enabled = true;
+  telemetry::Configure(config);
+  auto collector = ShardedCollector::Create();
+  ASSERT_TRUE(collector.ok());
+  telemetry::Counter& reports = telemetry::metrics::IngestReportsTotal();
+  telemetry::Counter& runs = telemetry::metrics::IngestRunsTotal();
+  const uint64_t reports_before = reports.Value();
+  const uint64_t runs_before = runs.Value();
+  collector->IngestUserRun(1, 0, std::vector<double>{0.1, kNaN, 0.3});
+  const std::vector<double> holes = {kNaN, 0.2, kNaN, kNaN, 0.4, kNaN};
+  const std::vector<double> empty = {kNaN, kNaN};
+  const std::vector<UserRun> batch = {
+      {2, 0, holes}, {3, 5, empty}, {4, 1, holes}};
+  collector->IngestUserRuns(1, batch);
+  telemetry::Configure(saved);
+  EXPECT_EQ(collector->report_count(), 6u);
+  EXPECT_EQ(reports.Value() - reports_before, collector->report_count());
+  EXPECT_EQ(runs.Value() - runs_before, 3u);  // the all-NaN run lands none
 }
 
 // ------------------------------------------------------- engine config ----

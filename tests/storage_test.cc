@@ -9,7 +9,9 @@
 // checkpoint+WAL both), or fails loudly with the backend untouched;
 // never a half-applied log -- and the DurableCollector's log thread:
 // idle kTimed syncs, kPerRun visibility, ingest after Seal, log-thread
-// write errors, and a concurrent hammer.
+// write errors, and a concurrent hammer -- and its batched ingest, which
+// must log, dedup and apply exactly what one-by-one ingest would.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -1440,6 +1443,229 @@ TEST(DurableLogThreadTest, IngestAfterSealLatchesFailedPrecondition) {
   const WalSegmentScan scan = ScanOnlySegment(dir.path());
   EXPECT_TRUE(scan.sealed);
   EXPECT_EQ(scan.frames, 1u);
+}
+
+// ------------------------------------------------------ batched ingest --
+
+// Owns the values of a batch of runs and hands out the UserRun view.
+struct TestBatch {
+  std::vector<std::vector<double>> values;
+  std::vector<uint64_t> users;
+
+  void Add(uint64_t user, std::vector<double> run) {
+    users.push_back(user);
+    values.push_back(std::move(run));
+  }
+  std::vector<UserRun> Runs() const {
+    std::vector<UserRun> runs;
+    for (size_t i = 0; i < users.size(); ++i) {
+      runs.push_back({users[i], 0, values[i]});
+    }
+    return runs;
+  }
+};
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+// Batches of 7 runs -- with a NaN hole, an all-NaN run, and repeats of a
+// user inside a batch and across batches -- leave the same WAL segment
+// bytes, dedup count and backend state as the same runs one by one.
+TEST(DurableBatchTest, BatchedIngestWritesTheSameSegmentBytes) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  TestBatch all;
+  for (uint64_t u = 0; u < 200; ++u) {
+    std::vector<double> run = RunValues(u, 3 + u % 5);
+    if (u % 11 == 0) run[1] = kNaN;
+    if (u % 37 == 5) run.assign(run.size(), kNaN);  // registers nothing
+    all.Add(u, std::move(run));
+    if (u % 13 == 0) all.Add(u, RunValues(u, 2));      // within a batch
+    if (u % 17 == 3) all.Add(u / 2, RunValues(u, 4));  // an earlier user
+  }
+  const std::vector<UserRun> runs = all.Runs();
+
+  TempDir one_by_one_dir;
+  TempDir batched_dir;
+  ShardedCollector one_by_one = MakeCollector();
+  ShardedCollector batched = MakeCollector();
+  WalStats one_by_one_stats;
+  WalStats batched_stats;
+  {
+    auto log = DurableCollector::Create(
+        &one_by_one, TestDurableOptions(one_by_one_dir.path()));
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (const UserRun& run : runs) {
+      (*log)->IngestUserRun(run.user_id, run.base_slot, run.values);
+    }
+    ASSERT_TRUE((*log)->Seal().ok());
+    one_by_one_stats = (*log)->wal_stats();
+  }
+  {
+    auto log = DurableCollector::Create(
+        &batched, TestDurableOptions(batched_dir.path()));
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (size_t i = 0; i < runs.size(); i += 7) {
+      (*log)->IngestUserRuns(
+          1, std::span<const UserRun>(runs).subspan(
+                 i, std::min<size_t>(7, runs.size() - i)));
+    }
+    ASSERT_TRUE((*log)->Seal().ok());
+    batched_stats = (*log)->wal_stats();
+  }
+  EXPECT_GT(one_by_one_stats.runs_deduped, 0u);
+  EXPECT_EQ(batched_stats.runs_deduped, one_by_one_stats.runs_deduped);
+  EXPECT_EQ(batched_stats.frames_appended, one_by_one_stats.frames_appended);
+  EXPECT_EQ(batched_stats.bytes_appended, one_by_one_stats.bytes_appended);
+  const WalSegmentScan a = ScanOnlySegment(one_by_one_dir.path());
+  const WalSegmentScan b = ScanOnlySegment(batched_dir.path());
+  EXPECT_EQ(ReadFileBytes(b.path), ReadFileBytes(a.path));
+  EXPECT_EQ(CollectorStateDigest(batched), CollectorStateDigest(one_by_one));
+  for (size_t shard = 0; shard < one_by_one.num_shards(); ++shard) {
+    auto x = one_by_one.ExportShardState(shard);
+    auto y = batched.ExportShardState(shard);
+    ASSERT_TRUE(x.ok() && y.ok());
+    ASSERT_EQ(y->users.size(), x->users.size());
+    for (size_t i = 0; i < x->users.size(); ++i) {
+      EXPECT_EQ(y->users[i].user_id, x->users[i].user_id);
+      EXPECT_EQ(y->users[i].reports, x->users[i].reports);
+    }
+  }
+}
+
+// runs_deduped counts a repeat inside one batch and a repeat of an
+// earlier batch's user alike; a run with no finite value registers
+// nothing, so it shadows no later run of its user.
+TEST(DurableBatchTest, DedupCountsRepeatsWithinAndAcrossBatches) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  auto log = DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  TestBatch first;
+  first.Add(1, RunValues(1, 4));
+  first.Add(2, RunValues(2, 4));
+  first.Add(1, RunValues(1, 4));  // repeat within the batch
+  first.Add(6, {kNaN, kNaN});     // logged, registers nothing
+  first.Add(6, RunValues(6, 4));  // so this one lands
+  (*log)->IngestUserRuns(1, first.Runs());
+  EXPECT_EQ((*log)->wal_stats().runs_deduped, 1u);
+  TestBatch second;
+  second.Add(2, RunValues(2, 4));  // repeat of the first batch
+  second.Add(4, RunValues(4, 4));
+  second.Add(4, RunValues(4, 4));  // repeat within the batch
+  second.Add(5, RunValues(5, 4));
+  (*log)->IngestUserRuns(1, second.Runs());
+  ASSERT_TRUE((*log)->Flush().ok());
+  const WalStats stats = (*log)->wal_stats();
+  EXPECT_EQ(stats.runs_deduped, 3u);
+  EXPECT_EQ(stats.frames_appended, 6u);
+  EXPECT_EQ(backend.user_count(), 5u);
+  EXPECT_EQ(backend.report_count(), 5u * 4);
+}
+
+// kPerRun keeps durable-before-visible for a batch too: once
+// IngestUserRuns returns, every frame of the batch is on disk and synced.
+TEST(DurableBatchTest, PerRunBatchReturnsOnlyOnceItsFramesAreOnDisk) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  DurableCollectorOptions options = TestDurableOptions(dir.path());
+  options.wal.fsync_policy = WalFsyncPolicy::kPerRun;
+  auto log = DurableCollector::Create(&backend, options);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (uint64_t b = 0; b < 4; ++b) {
+    TestBatch batch;
+    for (uint64_t u = b * 5; u < b * 5 + 5; ++u) {
+      batch.Add(u, RunValues(u, 5));
+    }
+    (*log)->IngestUserRuns(1, batch.Runs());
+    EXPECT_EQ(ScanOnlySegment(dir.path()).frames, (b + 1) * 5);
+    EXPECT_EQ((*log)->wal_stats().fsyncs, (b + 1) * 5);
+  }
+}
+
+TEST(DurableBatchTest, BatchAfterSealLatchesFailedPrecondition) {
+  TempDir dir;
+  ShardedCollector backend = MakeCollector();
+  auto log = DurableCollector::Create(&backend, TestDurableOptions(dir.path()));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  TestBatch before;
+  before.Add(1, RunValues(1, 4));
+  before.Add(2, RunValues(2, 4));
+  (*log)->IngestUserRuns(1, before.Runs());
+  ASSERT_TRUE((*log)->Seal().ok());
+  TestBatch after;
+  after.Add(3, RunValues(3, 4));
+  after.Add(4, RunValues(4, 4));
+  (*log)->IngestUserRuns(1, after.Runs());
+  EXPECT_EQ((*log)->CheckHealthy().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*log)->Flush().code(), StatusCode::kFailedPrecondition);
+  const WalSegmentScan scan = ScanOnlySegment(dir.path());
+  EXPECT_TRUE(scan.sealed);
+  EXPECT_EQ(scan.frames, 2u);
+}
+
+// ConcurrentIngestFlushAndCheckpointRecover with every ingest a batch:
+// four threads ingest batches of 16 runs (the resends as batches too)
+// against one thread that keeps flushing and checkpointing.
+TEST(DurableBatchTest, ConcurrentBatchIngestFlushAndCheckpointRecover) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kUsersPerThread = 4000;
+  constexpr uint64_t kResentPerThread = 1000;
+  constexpr uint64_t kBatchRuns = 16;
+  constexpr size_t kSlots = 8;
+  TempDir dir;
+  uint64_t live_digest = 0;
+  {
+    ShardedCollector backend = MakeCollector();
+    auto durable = DurableCollector::Create(
+        &backend, TestDurableOptions(dir.path(), /*checkpoint_every=*/3000));
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    DurableCollector* const log = durable->get();
+    std::atomic<bool> done{false};
+    std::thread control([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        EXPECT_TRUE(log->Flush().ok());
+        (void)log->wal_stats();
+        EXPECT_TRUE(log->Checkpoint().ok());
+      }
+    });
+    const auto ingest_range = [log](uint64_t first, uint64_t end) {
+      for (uint64_t u = first; u < end; u += kBatchRuns) {
+        TestBatch batch;
+        for (uint64_t v = u; v < std::min(end, u + kBatchRuns); ++v) {
+          batch.Add(v, RunValues(v, kSlots));
+        }
+        log->IngestUserRuns(1, batch.Runs());
+      }
+    };
+    std::vector<std::thread> ingest;
+    for (int t = 0; t < kThreads; ++t) {
+      ingest.emplace_back([&, t] {
+        const uint64_t first = static_cast<uint64_t>(t) * kUsersPerThread;
+        ingest_range(first, first + kUsersPerThread);
+        ingest_range(first, first + kResentPerThread);  // all deduped
+      });
+    }
+    for (std::thread& thread : ingest) thread.join();
+    done.store(true, std::memory_order_relaxed);
+    control.join();
+    ASSERT_TRUE(log->Flush().ok());
+    const WalStats stats = log->wal_stats();
+    EXPECT_EQ(stats.frames_appended + stats.runs_deduped,
+              kThreads * (kUsersPerThread + kResentPerThread));
+    EXPECT_EQ(stats.runs_deduped, kThreads * kResentPerThread);
+    EXPECT_GE(stats.checkpoints, 1u);
+    live_digest = CollectorStateDigest(backend);
+    EXPECT_EQ(live_digest, OracleDigest(kThreads * kUsersPerThread, kSlots));
+    ASSERT_TRUE(log->Seal().ok());
+  }
+  ShardedCollector recovered = MakeCollector();
+  auto durable = DurableCollector::Create(
+      &recovered, TestDurableOptions(dir.path(), /*checkpoint_every=*/3000));
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  EXPECT_EQ(CollectorStateDigest(recovered), live_digest);
 }
 
 // A write error raised on the log thread -- here the next rotation's

@@ -916,6 +916,44 @@ TEST(TransportHubTest, FramesPastTheCellIndexFailDrain) {
   }
 }
 
+TEST(TransportHubTest, CorruptRunIngestsExactlyTheRunsBeforeIt) {
+  // A consumer decodes a frame's runs into collector batches of up to 64.
+  // When run k fails its CRC, runs 0..k-1 -- in earlier batches or in the
+  // batch being decoded -- are ingested, k and everything after it are
+  // dropped, and the one decode failure fails Drain.
+  constexpr uint64_t kRuns = 100;
+  const std::vector<double> run = {0.25, 0.5, 0.75};
+  for (uint64_t bad : {uint64_t{0}, uint64_t{3}, uint64_t{63}, uint64_t{64},
+                       uint64_t{70}, kRuns - 1}) {
+    SCOPED_TRACE(bad);
+    auto collector = ShardedCollector::Create();
+    ASSERT_TRUE(collector.ok());
+    TransportOptions options;
+    options.kind = TransportKind::kQueueFramed;
+    options.num_consumers = 1;
+    options.max_batch_runs = kRuns;  // all of them in one frame
+    auto hub = TransportHub::Create(&*collector, options);
+    ASSERT_TRUE(hub.ok());
+    {
+      auto producer = (*hub)->MakeProducer();
+      std::vector<uint8_t> bytes;
+      for (uint64_t user = 0; user < kRuns; ++user) {
+        bytes.clear();
+        AppendUserRunFrame(user, 0, run, bytes);
+        if (user == bad) bytes[bytes.size() - 6] ^= 0x40;  // payload bit
+        producer.PublishEncoded(bytes, user, run.size());
+      }
+    }
+    EXPECT_FALSE((*hub)->Drain().ok());
+    EXPECT_EQ((*hub)->stats().decode_failures, 1u);
+    EXPECT_EQ(collector->user_count(), bad);
+    EXPECT_EQ(collector->report_count(), bad * run.size());
+    for (uint64_t user = 0; user < kRuns; ++user) {
+      EXPECT_EQ(collector->Contains(user), user < bad) << user;
+    }
+  }
+}
+
 TEST(TransportHubTest, NoLossUnderBackpressure) {
   // A capacity-2 ring, single-run frames, and 8 concurrent producers: the
   // ring is forced to fill, so correctness here means blocking, not
