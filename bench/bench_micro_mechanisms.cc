@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): throughput of the LDP mechanisms and
-// the stream perturbation algorithms, plus the EM estimator, SMA
-// post-processing and the sharded collector's ingest walk. These quantify
+// the stream perturbation algorithms (d = 1 and budget-split d = 4 lane
+// groups), plus the EM estimator, SMA post-processing, the wire CRC32 and
+// the sharded collector's ingest walk. These quantify
 // the per-report cost a deployment pays on user devices
 // (mechanisms/perturbers) and at the collector (ingest/EM/SMA).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,7 +18,9 @@
 #include "engine/sharded_collector.h"
 #include "mechanisms/mechanism.h"
 #include "mechanisms/sw_em.h"
+#include "multidim/multidim_perturber.h"
 #include "stream/smoothing.h"
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
@@ -135,6 +139,69 @@ void BM_PerturberLanes(benchmark::State& state) {
   state.SetLabel(std::string(AlgorithmKindName(kind)));
 }
 BENCHMARK(BM_PerturberLanes)->Apply(SwAlgorithmArgs);
+
+// A budget-split d = 4 CAPP user's 100-slot stream per iteration for
+// each of kLanes / 4 users: one MultidimPerturber::PerturbStream call per
+// user (arg 0), or the users as one PerturbLanes group (arg 1), the two
+// paths of the fleet's d > 1 workers. Items are reports (cells).
+void BM_MultidimLanes(benchmark::State& state) {
+  constexpr size_t kDims = 4;
+  constexpr size_t kUsers = StreamPerturber::kLanes / kDims;
+  const bool grouped = state.range(0) != 0;
+  std::vector<MultidimPerturber> group;
+  for (size_t u = 0; u < kUsers; ++u) {
+    auto created =
+        MultidimPerturber::Create(kDims, MultidimStrategy::kBudgetSplit,
+                                  {1.0, 10}, AlgorithmKind::kCapp);
+    if (!created.ok()) {
+      state.SkipWithError("multidim perturber creation failed");
+      return;
+    }
+    group.push_back(std::move(*created));
+  }
+  Rng rng(56);
+  std::vector<std::vector<double>> truths(kUsers);
+  std::vector<std::vector<double>> out(kUsers);
+  for (std::vector<double>& truth : truths) {
+    truth.resize(kDims * kMicroSlots);
+    for (double& x : truth) x = rng.UniformDouble();
+  }
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    for (MultidimPerturber& user : group) user.ResetForUser(++seed);
+    if (grouped) {
+      MultidimPerturber::PerturbLanes(group, truths, kMicroSlots, out);
+    } else {
+      for (size_t u = 0; u < kUsers; ++u) {
+        group[u].PerturbStream(truths[u], kMicroSlots, out[u]);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kUsers * kDims * kMicroSlots);
+  state.SetLabel(grouped ? "lanes d=4" : "per-user d=4");
+}
+BENCHMARK(BM_MultidimLanes)->Arg(0)->Arg(1);
+
+// CRC32 of one buffer per iteration: the portable slice-by-8 path (arg 0)
+// or Crc32, which folds with carry-less multiplies where the host has
+// them (arg 1). 64 bytes is the shortest input the fold takes; 3212 is a
+// d = 4, 100-slot wire frame. Items are bytes.
+void BM_Crc32(benchmark::State& state) {
+  const bool folded = state.range(0) != 0;
+  const size_t bytes = static_cast<size_t>(state.range(1));
+  Rng rng(57);
+  std::vector<uint8_t> buffer(bytes);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextUint64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(folded ? Crc32(buffer)
+                                    : internal::Crc32Slice8(buffer));
+  }
+  state.SetItemsProcessed(state.iterations() * bytes);
+  state.SetLabel(folded ? "Crc32" : "slice-by-8");
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {64, 3212}});
 
 void BM_SmaSmoothing(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -61,10 +61,12 @@ void App::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
 }
 
 void App::DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
-                           const double* uniforms, size_t count) {
+                           const double* uniforms, size_t lanes_per_rng,
+                           size_t count) {
   const SwBatchPlan plan = sw_plan();
   ForEachSwLaneSlotWithState(
-      lanes, &App::accumulated_deviation_, in, out, uniforms, count,
+      lanes, &App::accumulated_deviation_, in, out, uniforms, lanes_per_rng,
+      count,
       [&](internal::SwLanePair raw, internal::SwLanePair& deviation,
           internal::SwLanePair u1, internal::SwLanePair u2) {
         return AppSlot(plan, raw, deviation, u1, u2);

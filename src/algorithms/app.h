@@ -40,7 +40,8 @@ class App final : public StreamPerturber {
   void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                         const double* uniforms, size_t stride) override;
   void DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
-                        const double* uniforms, size_t count) override;
+                        const double* uniforms, size_t lanes_per_rng,
+                        size_t count) override;
   void DoReset() override { accumulated_deviation_ = 0.0; }
 
  private:

@@ -86,7 +86,8 @@ void Capp::DoProcessSwChunk(std::span<const double> in, std::span<double> out,
 }
 
 void Capp::DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
-                            const double* uniforms, size_t count) {
+                            const double* uniforms, size_t lanes_per_rng,
+                            size_t count) {
   // Equal options fix the Eq.-11 bounds, but an explicit delta may differ.
   for (StreamPerturber* lane : lanes) {
     const ClipBounds& lane_bounds = static_cast<const Capp*>(lane)->bounds_;
@@ -95,7 +96,8 @@ void Capp::DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
   const SwBatchPlan plan = sw_plan();
   const ClipBounds bounds = bounds_;
   ForEachSwLaneSlotWithState(
-      lanes, &Capp::accumulated_deviation_, in, out, uniforms, count,
+      lanes, &Capp::accumulated_deviation_, in, out, uniforms, lanes_per_rng,
+      count,
       [&](internal::SwLanePair raw, internal::SwLanePair& deviation,
           internal::SwLanePair u1, internal::SwLanePair u2) {
         return CappSlot(plan, bounds, raw, deviation, u1, u2);

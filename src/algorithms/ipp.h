@@ -39,7 +39,8 @@ class Ipp final : public StreamPerturber {
   void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                         const double* uniforms, size_t stride) override;
   void DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
-                        const double* uniforms, size_t count) override;
+                        const double* uniforms, size_t lanes_per_rng,
+                        size_t count) override;
   void DoReset() override { last_deviation_ = 0.0; }
 
  private:

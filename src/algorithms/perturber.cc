@@ -61,10 +61,11 @@ void StreamPerturber::ProcessChunkFromUniforms(std::span<const double> in,
 }
 
 void StreamPerturber::ProcessSwLanes(LaneGroup lanes,
-                                     std::span<Rng* const, kLanes> rngs,
+                                     std::span<Rng* const> rngs,
                                      std::span<const double> in,
                                      std::span<double> out) {
   CAPP_CHECK(in.size() == out.size() && in.size() % kLanes == 0);
+  CAPP_CHECK(!rngs.empty() && kLanes % rngs.size() == 0);
   StreamPerturber& first = *lanes[0];
   CAPP_CHECK(first.supports_online() && first.consumes_sw_uniforms());
   const SwBatchPlan& plan = first.sw_plan();
@@ -80,20 +81,24 @@ void StreamPerturber::ProcessSwLanes(LaneGroup lanes,
                lane.options_.window == first.options_.window);
     for (size_t k = 0; k < l; ++k) CAPP_CHECK(lanes[k] != lanes[l]);
   }
+  for (size_t u = 0; u < rngs.size(); ++u) {
+    for (size_t v = 0; v < u; ++v) CAPP_CHECK(rngs[v] != rngs[u]);
+  }
   const size_t slots = in.size() / kLanes;
   for (StreamPerturber* lane : lanes) lane->RecordSpendRun(slots, plan.epsilon);
-  // Lane l's pairs fill row l of the block, drawn from its own generator
-  // exactly as ProcessChunk would draw them.
+  // Each generator fills its own run of the block with the pairs its d
+  // lanes consume, in the order the per-stream path draws them.
   constexpr size_t kBlock = internal::kSwBlockSlots;
+  const size_t d = kLanes / rngs.size();
   double uniforms[kLanes * 2 * kBlock];
   for (size_t done = 0; done < slots; done += kBlock) {
     const size_t count = std::min(slots - done, kBlock);
-    for (size_t l = 0; l < kLanes; ++l) {
-      rngs[l]->FillUniform(std::span<double>(uniforms + l * 2 * kBlock,
-                                             2 * count));
+    for (size_t u = 0; u < rngs.size(); ++u) {
+      rngs[u]->FillUniform(
+          std::span<double>(uniforms + u * d * 2 * kBlock, d * 2 * count));
     }
     first.DoProcessSwLanes(lanes, in.data() + done * kLanes,
-                           out.data() + done * kLanes, uniforms, count);
+                           out.data() + done * kLanes, uniforms, d, count);
   }
   for (StreamPerturber* lane : lanes) lane->AdvanceSlots(slots);
 }
@@ -105,7 +110,7 @@ void StreamPerturber::DoProcessSwChunk(std::span<const double>,
 }
 
 void StreamPerturber::DoProcessSwLanes(LaneGroup, const double*, double*,
-                                       const double*, size_t) {
+                                       const double*, size_t, size_t) {
   CAPP_CHECK(false && "consumes_sw_uniforms() without an SW lanes body");
 }
 

@@ -11,8 +11,9 @@
 // The algorithms whose every slot is one Square Wave draw (sw-direct, IPP,
 // APP, CAPP) write that slot once, as a template over the value type: at
 // double it is their chunk loop, at internal::SwLanePair it runs kLanes
-// independent users in lockstep (ProcessSwLanes), bit-identical to the
-// per-user loop by construction.
+// independent streams in lockstep (ProcessSwLanes: eight users at d = 1,
+// or the d budget-split dimensions of 8 / d users), bit-identical to the
+// per-stream loop by construction.
 #ifndef CAPP_ALGORITHMS_PERTURBER_H_
 #define CAPP_ALGORITHMS_PERTURBER_H_
 
@@ -115,16 +116,21 @@ class StreamPerturber {
 
   /// Perturbs the next `in.size() / kLanes` slots of kLanes independent
   /// streams in lockstep. `in` and `out` are [slot][lane] blocks: in[t *
-  /// kLanes + l] is slot t of lanes[l]'s stream, and out[t * kLanes + l]
-  /// receives exactly what lanes[l]->ProcessChunk would have reported for
-  /// it with rngs[l] -- same RNG draws (each lane draws its own uniforms
-  /// in scalar order), ledger runs and slot counters afterwards. The
-  /// algorithm's one SW slot formula runs two lanes per SwLanePair, with
-  /// no branch on the data. Requires kLanes distinct perturbers of one
-  /// concrete type with equal options and SW plans, all
-  /// consumes_sw_uniforms(); in and out must not overlap.
-  static void ProcessSwLanes(LaneGroup lanes,
-                             std::span<Rng* const, kLanes> rngs,
+  /// kLanes + l] is slot t of lanes[l]'s stream. Each of the `rngs` (one,
+  /// two, four or eight of them) feeds d = kLanes / rngs.size()
+  /// consecutive lanes: lane u * d + k is stream k of the d that draw
+  /// from rngs[u], which fills its block exactly as d such streams draw
+  /// one slot at a time, stream by stream (slot t of stream k takes pair
+  /// t * d + k). At d = 1 that is each lane's own ProcessChunk; at d > 1
+  /// it is budget split's slot order, so lanes[u * d + k] can be user u's
+  /// inner perturber k (BudgetSplitPerturber::inner). out[t * kLanes + l]
+  /// receives exactly what the per-stream path reports, with the same RNG
+  /// draws, ledger runs and slot counters afterwards. The algorithm's one
+  /// SW slot formula runs two lanes per SwLanePair, with no branch on the
+  /// data. Requires kLanes distinct perturbers of one concrete type with
+  /// equal options and SW plans, all consumes_sw_uniforms(), and distinct
+  /// RNGs; in and out must not overlap.
+  static void ProcessSwLanes(LaneGroup lanes, std::span<Rng* const> rngs,
                              std::span<const double> in,
                              std::span<double> out);
 
@@ -179,13 +185,13 @@ class StreamPerturber {
 
   /// The lane-interleaved loop of the same algorithm, called on lanes[0]
   /// with `count` <= internal::kSwBlockSlots slots of [slot][lane] input
-  /// and output, and lane l's uniform pairs at uniforms + l * 2 *
-  /// internal::kSwBlockSlots (see internal::ForEachSwLaneSlot). Loads each
+  /// and output, and the uniform blocks of the group's RNGs, one per
+  /// `lanes_per_rng` lanes (see internal::ForEachSwLaneSlot). Loads each
   /// lane's feedback state, runs the slot formula at SwLanePair, and
   /// stores the state back; ProcessSwLanes does the rest.
   virtual void DoProcessSwLanes(LaneGroup lanes, const double* in,
                                 double* out, const double* uniforms,
-                                size_t count);
+                                size_t lanes_per_rng, size_t count);
 
   /// internal::ForEachSwLaneSlot for an algorithm with one double of
   /// feedback state: loads `state` of the kLanes perturbers (all of type
@@ -194,7 +200,8 @@ class StreamPerturber {
   template <typename Algo, typename Slot>
   static void ForEachSwLaneSlotWithState(LaneGroup lanes, double Algo::*state,
                                          const double* in, double* out,
-                                         const double* uniforms, size_t count,
+                                         const double* uniforms,
+                                         size_t lanes_per_rng, size_t count,
                                          Slot&& slot) {
     internal::SwLanePair pairs[kLanes / 2] = {};
     for (size_t p = 0; p < kLanes / 2; ++p) {
@@ -203,7 +210,7 @@ class StreamPerturber {
           static_cast<const Algo*>(lanes[2 * p + 1])->*state};
     }
     internal::ForEachSwLaneSlot(
-        in, out, uniforms, count,
+        in, out, uniforms, lanes_per_rng, count,
         [&](size_t p, internal::SwLanePair raw, internal::SwLanePair u1,
             internal::SwLanePair u2) { return slot(raw, pairs[p], u1, u2); });
     for (size_t p = 0; p < kLanes / 2; ++p) {

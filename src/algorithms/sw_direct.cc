@@ -49,10 +49,10 @@ void MechanismDirect::DoProcessSwChunk(std::span<const double> in,
 
 void MechanismDirect::DoProcessSwLanes(LaneGroup, const double* in,
                                        double* out, const double* uniforms,
-                                       size_t count) {
+                                       size_t lanes_per_rng, size_t count) {
   const SwBatchPlan plan = sw_plan();
   internal::ForEachSwLaneSlot(
-      in, out, uniforms, count,
+      in, out, uniforms, lanes_per_rng, count,
       [&](size_t, internal::SwLanePair raw, internal::SwLanePair u1,
           internal::SwLanePair u2) { return SwDirectSlot(plan, raw, u1, u2); });
 }

@@ -57,7 +57,8 @@ class MechanismDirect final : public StreamPerturber {
   void DoProcessSwChunk(std::span<const double> in, std::span<double> out,
                         const double* uniforms, size_t stride) override;
   void DoProcessSwLanes(LaneGroup lanes, const double* in, double* out,
-                        const double* uniforms, size_t count) override;
+                        const double* uniforms, size_t lanes_per_rng,
+                        size_t count) override;
   /// Every other mechanism: no cross-slot state, so the whole chunk goes
   /// through Mechanism::PerturbBatch on a reused scratch buffer. Both
   /// paths are bit-identical to the scalar loop.

@@ -329,36 +329,43 @@ Result<EngineStats> Fleet::Run() {
     // mechanism construction on the per-user path) and preallocated
     // signal/report/smoothing buffers. The per-report hot path is
     // allocation-free after the first group. Multi-dimensional runs pool
-    // a MultidimPerturber the same way (reseeded per user).
+    // MultidimPerturbers the same way (reseeded per user).
     //
-    // At d = 1, an algorithm whose every slot is one Square Wave draw
-    // perturbs users in groups of kLanes in lockstep (UserSession::
-    // ReportLanes), which overlaps their feedback chains; the chunk's
-    // last users (fewer than kLanes) and every other algorithm take the
-    // per-user ReportChunk path. Both are bit-identical to per-slot
-    // Report, so the grouping is invisible in the results.
+    // When every slot is one Square Wave draw, users go through the
+    // perturbation in lane groups of kLanes streams in lockstep, which
+    // overlaps their feedback chains: kLanes users at d = 1
+    // (UserSession::ReportLanes), or kLanes / d budget-split users at d
+    // dividing kLanes, one lane per (user, dimension)
+    // (MultidimPerturber::PerturbLanes). The chunk's last users (fewer
+    // than a group) and every other algorithm, strategy or d take the
+    // per-user path. Both are bit-identical to per-slot Report, so the
+    // grouping is invisible in the results.
     constexpr size_t kLanes = StreamPerturber::kLanes;
     std::vector<UserSession> sessions;
-    auto add_session = [&] {
-      auto created = UserSession::Create(begin, config_.algorithm,
-                                         {config_.epsilon, config_.window},
-                                         /*seed=*/0);
-      CAPP_CHECK(created.ok());  // Config was validated in Create.
-      sessions.push_back(std::move(*created));
+    std::vector<MultidimPerturber> multidims;
+    auto add_user_state = [&] {
+      if (dims == 1) {
+        auto created = UserSession::Create(begin, config_.algorithm,
+                                           {config_.epsilon, config_.window},
+                                           /*seed=*/0);
+        CAPP_CHECK(created.ok());  // Config was validated in Create.
+        sessions.push_back(std::move(*created));
+      } else {
+        auto created = MultidimPerturber::Create(
+            dims, config_.multidim_strategy,
+            {config_.epsilon, config_.window}, config_.algorithm);
+        CAPP_CHECK(created.ok());  // Probed in Create.
+        multidims.push_back(std::move(*created));
+      }
     };
-    add_session();
-    const bool lanes = dims == 1 && sessions[0].consumes_sw_uniforms();
-    while (lanes && sessions.size() < kLanes) add_session();
-    std::optional<MultidimPerturber> multidim;
-    if (dims > 1) {
-      auto created = MultidimPerturber::Create(
-          dims, config_.multidim_strategy,
-          {config_.epsilon, config_.window}, config_.algorithm);
-      CAPP_CHECK(created.ok());  // Probed in Create.
-      multidim.emplace(std::move(*created));
-    }
-    std::vector<std::vector<double>> truths(sessions.size());
-    std::vector<std::vector<double>> reports(sessions.size(),
+    add_user_state();
+    const bool lanes = dims == 1 ? sessions[0].consumes_sw_uniforms()
+                                 : multidims[0].supports_lanes();
+    // Users per lane group (one per session or adapter).
+    const size_t group = lanes ? kLanes / dims : 1;
+    for (size_t u = 1; u < group; ++u) add_user_state();
+    std::vector<std::vector<double>> truths(group);
+    std::vector<std::vector<double>> reports(group,
                                              std::vector<double>(cells));
     std::vector<double> published;
     std::vector<double> sma_scratch;
@@ -434,37 +441,48 @@ Result<EngineStats> Fleet::Run() {
       sums.digest ^= UserStreamDigest(uid, published);
     };
 
-    uint64_t uid = begin;
-    for (; lanes && end - uid >= kLanes; uid += kLanes) {
-      std::array<std::span<const double>, kLanes> values;
-      std::array<std::span<double>, kLanes> out;
-      for (size_t l = 0; l < kLanes; ++l) {
-        Rng signal_rng(UserStreamSeed(config_.seed, uid + l, 0));
-        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[l]);
-        sessions[l].ResetForUser(uid + l,
-                                 UserStreamSeed(config_.seed, uid + l, 1));
-        values[l] = truths[l];
-        out[l] = reports[l];
+    // Synthesizes user uid's signal into truths[u] and reseeds pooled
+    // session or adapter u for it.
+    auto start_user = [&](size_t u, uint64_t uid) {
+      Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
+      const uint64_t perturb_seed = UserStreamSeed(config_.seed, uid, 1);
+      if (dims == 1) {
+        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[u]);
+        sessions[u].ResetForUser(uid, perturb_seed);
+      } else {
+        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
+                                    truths[u]);
+        multidims[u].ResetForUser(perturb_seed);
       }
-      UserSession::ReportLanes(std::span<UserSession, kLanes>(sessions),
-                               values, out);
-      for (size_t l = 0; l < kLanes; ++l) {
-        finish_user(uid + l, truths[l], reports[l]);
+    };
+
+    uint64_t uid = begin;
+    for (; lanes && end - uid >= group; uid += group) {
+      for (size_t u = 0; u < group; ++u) start_user(u, uid + u);
+      if (dims == 1) {
+        std::array<std::span<const double>, kLanes> values;
+        std::array<std::span<double>, kLanes> out;
+        for (size_t l = 0; l < kLanes; ++l) {
+          values[l] = truths[l];
+          out[l] = reports[l];
+        }
+        UserSession::ReportLanes(std::span<UserSession, kLanes>(sessions),
+                                 values, out);
+      } else {
+        MultidimPerturber::PerturbLanes(multidims, truths, slots, reports);
+      }
+      for (size_t u = 0; u < group; ++u) {
+        finish_user(uid + u, truths[u], reports[u]);
       }
     }
     for (; uid < end; ++uid) {
-      Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
+      start_user(0, uid);
+      // All of the user's slots go through the batched perturbation
+      // pipeline in one call (bit-identical to per-slot Report).
       if (dims == 1) {
-        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[0]);
-        sessions[0].ResetForUser(uid, UserStreamSeed(config_.seed, uid, 1));
-        // All of the user's slots go through the batched perturbation
-        // pipeline in one call (bit-identical to per-slot Report).
         sessions[0].ReportChunk(truths[0], reports[0]);
       } else {
-        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
-                                    truths[0]);
-        multidim->ResetForUser(UserStreamSeed(config_.seed, uid, 1));
-        multidim->PerturbStream(truths[0], slots, reports[0]);
+        multidims[0].PerturbStream(truths[0], slots, reports[0]);
       }
       finish_user(uid, truths[0], reports[0]);
     }

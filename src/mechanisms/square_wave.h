@@ -179,19 +179,31 @@ inline constexpr size_t kSwLanes = 8;
 
 /// The lane-interleaved SW slot loop shared by the direct/IPP/APP/CAPP
 /// lane bodies (StreamPerturber::DoProcessSwLanes): `in` and `out` hold
-/// `count` slots of kSwLanes streams laid out [slot][lane], and lane l's
-/// uniform pairs sit at uniforms + l * 2 * kSwBlockSlots. For each slot t
-/// in order and each lane pair p, runs out[t][2p, 2p+1] = step(p,
-/// in[t][2p, 2p+1], u1, u2), with u1 and u2 from pair t of lanes 2p and
-/// 2p+1. The pairs of one slot are independent.
+/// `count` slots of kSwLanes streams laid out [slot][lane]. Each run of
+/// `lanes_per_rng` (d, dividing kSwLanes) consecutive lanes shares one
+/// block of 2 * d * kSwBlockSlots uniforms, drawn slot-major: lane l = u *
+/// d + k takes pair t * d + k of block u for slot t, so d = 1 is one lane
+/// per block and d > 1 is one user's d budget-split dimensions
+/// (multidim/budget_split.h). For each slot t in order and each lane pair
+/// p, runs out[t][2p, 2p+1] = step(p, in[t][2p, 2p+1], u1, u2), with u1
+/// and u2 from pair t of lanes 2p and 2p+1. The pairs of one slot are
+/// independent.
 template <typename Step>
 void ForEachSwLaneSlot(const double* in, double* out, const double* uniforms,
-                       size_t count, Step&& step) {
-  constexpr size_t kLaneUniforms = 2 * kSwBlockSlots;
+                       size_t lanes_per_rng, size_t count, Step&& step) {
+  const size_t d = lanes_per_rng;
+  // Pair t of lane 2p sits at first[p] + t * 2d and lane 2p + 1's right
+  // after it (same block, next dimension) or, at d = 1, one block on.
+  const size_t next_lane = d == 1 ? 2 * kSwBlockSlots : 2;
+  const double* first[kSwLanes / 2];
+  for (size_t p = 0; p < kSwLanes / 2; ++p) {
+    const size_t k = (2 * p) % d;
+    first[p] = uniforms + 2 * ((2 * p - k) * kSwBlockSlots + k);
+  }
   for (size_t t = 0; t < count; ++t) {
     for (size_t p = 0; p < kSwLanes / 2; ++p) {
-      const double* a = uniforms + 2 * p * kLaneUniforms + 2 * t;
-      const double* b = a + kLaneUniforms;
+      const double* a = first[p] + 2 * d * t;
+      const double* b = a + next_lane;
       SwLanePair x{};
       std::memcpy(&x, in + t * kSwLanes + 2 * p, sizeof x);
       const SwLanePair report =

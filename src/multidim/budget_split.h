@@ -11,7 +11,10 @@
 // that same sequence in blocks of 128 slots (2*d*128 uniforms) and hands
 // dimension k the view at offset 2k, stride 2d: the whole stream runs
 // dim-major through each inner's SW chunk loop, bit-identical to the
-// per-slot loop.
+// per-slot loop. StreamPerturber::ProcessSwLanes draws the same blocks
+// when d divides its 8 lanes, so the d inners of 8 / d users can run as
+// one lane group, inner k of user u on lane u*d + k (see inner(); the
+// fleet's grouping is MultidimPerturber::PerturbLanes).
 #ifndef CAPP_MULTIDIM_BUDGET_SPLIT_H_
 #define CAPP_MULTIDIM_BUDGET_SPLIT_H_
 
@@ -81,6 +84,11 @@ class BudgetSplitPerturber final : public MultiDimPerturber {
                      std::span<double> out, Rng& rng) override;
   void Reset() override;
   void AttachAccountant(WEventAccountant* accountant) override;
+
+  /// Dimension k's inner perturber: lane u*d + k of a ProcessSwLanes
+  /// group that draws user u's uniforms from the RNG PerturbStream would
+  /// take.
+  StreamPerturber& inner(size_t k) { return *inner_[k]; }
 
  private:
   BudgetSplitPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,

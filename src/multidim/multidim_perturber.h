@@ -14,11 +14,18 @@
 // without an SW batch plan (BA-SW, say) run the per-slot ProcessVector
 // loop itself; that is decided once, at Create.
 //
+// Budget split with Square Wave inners and d dividing 8 also runs 8 / d
+// users at once (PerturbLanes): their d * (8 / d) inner perturbers are
+// the eight lanes of one StreamPerturber::ProcessSwLanes group, each user
+// drawing its block from its own RNG in the order above, so the group is
+// bit-identical to per-user PerturbStream calls.
+//
 // This adapter owns the per-user RNG, so a fleet worker's per-user path
 // is ResetForUser + one PerturbStream call, mirroring UserSession's
 // ResetForUser + ReportChunk on the scalar path. Like UserSession, one
-// adapter is pooled per worker chunk and reseeded per user, so the SW
-// per-user path is allocation-free after the first user.
+// adapter is pooled per worker chunk (8 / d of them for lane groups) and
+// reseeded per user, so the SW per-user path is allocation-free after the
+// first user.
 #ifndef CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 #define CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 
@@ -77,12 +84,32 @@ class MultidimPerturber {
   void PerturbStream(std::span<const double> truth, size_t slots,
                      std::vector<double>& out);
 
+  /// True when PerturbLanes can run this adapter: budget split, inner
+  /// algorithms that consume SW uniforms, and d dividing
+  /// StreamPerturber::kLanes. Fixed at Create.
+  bool supports_lanes() const { return budget_split_lanes_ != nullptr; }
+
+  /// PerturbStream for kLanes / d users at once: group[u] perturbs
+  /// truths[u] into out[u] (all of `slots` slots), bit for bit as
+  /// group[u].PerturbStream would, leaving the same RNG, ledger and
+  /// per-inner state. Every adapter must supports_lanes() with equal
+  /// dims, strategy, options and inner algorithm. group[0] holds the
+  /// [slot][lane] staging block.
+  static void PerturbLanes(std::span<MultidimPerturber> group,
+                           std::span<const std::vector<double>> truths,
+                           size_t slots,
+                           std::span<std::vector<double>> out);
+
  private:
-  explicit MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl)
-      : impl_(std::move(impl)) {}
+  explicit MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl,
+                             BudgetSplitPerturber* budget_split_lanes)
+      : impl_(std::move(impl)), budget_split_lanes_(budget_split_lanes) {}
 
   std::unique_ptr<MultiDimPerturber> impl_;
+  // impl_ itself when supports_lanes(), else null.
+  BudgetSplitPerturber* budget_split_lanes_;
   Rng rng_{0};
+  std::vector<double> lane_scratch_;  // PerturbLanes' staging, in group[0]
 };
 
 }  // namespace capp

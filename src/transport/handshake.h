@@ -24,11 +24,12 @@
 // never double-ingest) and treats a gap as a protocol violation. The FIN
 // carries the stream's final sequence as a cross-check: a stream is clean
 // only if the server's contiguously-ingested sequence matches it. Every
-// kStreamAckEveryChunks ingested chunks the server sends a 16-byte
+// kStreamAckEveryChunks (8) ingested chunks the server sends a 16-byte
 // StreamAck back over the same connection so the client can trim its
-// retained replay window; after ingesting a valid FIN it sends one final
-// 16-byte ack under the distinct kStreamFinAckMagic, which is the only
-// frame that lets the client declare the stream complete.
+// retained replay window to the chunks in flight or not yet acked; after
+// ingesting a valid FIN it sends one final 16-byte ack under the distinct
+// kStreamFinAckMagic, which is the only frame that lets the client
+// declare the stream complete.
 //
 // A connection that closes after zero bytes is a benign probe (liveness
 // checks, port scans, the server's own shutdown wake-up) and is ignored.
@@ -74,9 +75,12 @@ inline constexpr size_t kHandshakeAckBytes = 41;
 inline constexpr size_t kStreamAckBytes = 16;
 
 /// Server -> client ack cadence: one StreamAck per this many ingested
-/// chunks. Bounds the client's retained replay window without an ack per
-/// chunk.
-inline constexpr uint64_t kStreamAckEveryChunks = 32;
+/// chunks. The client's retained replay window holds the chunks in flight
+/// (socket buffers and the server's consumer ring) plus up to this many
+/// ingested but not yet acked, so the cadence is what keeps a fast
+/// producer's resident memory low; an ack costs 16 bytes per 8 chunks of
+/// up to a few hundred KB.
+inline constexpr uint64_t kStreamAckEveryChunks = 8;
 
 /// Why a server refused a Hello.
 enum class HandshakeRefusal : uint32_t {

@@ -17,7 +17,8 @@
 // the sequence number makes a dropped connection *resumable*: the server
 // remembers the last contiguously-ingested sequence per stream (keyed by
 // client id + stream index, surviving reconnects), acks it back in the
-// handshake and every kStreamAckEveryChunks chunks mid-stream, skips any
+// handshake and every kStreamAckEveryChunks (8) chunks mid-stream, so the
+// client retains only the chunks in flight or not yet acked, skips any
 // replayed chunk at or below it, and treats a gap as a protocol
 // violation. The FIN carries the stream's final sequence as an
 // end-to-end cross-check. A stream that never FINs cleanly by Finish()

@@ -82,9 +82,10 @@ int BackoffDelayMs(int backoff_ms, int attempt, uint64_t jitter_seed);
 /// concurrent fleet processes (even across hosts) do not collide.
 uint64_t GenerateTransportClientId();
 
-/// The retained window of sent-but-unacked chunks, oldest first. Bounded
-/// in practice by the server's ack cadence (kStreamAckEveryChunks):
-/// every ack trims everything at or below the acked sequence.
+/// The retained window of sent-but-unacked chunks, oldest first: the
+/// chunks still in flight to the server plus those it ingested since its
+/// last ack, which comes every kStreamAckEveryChunks chunks and trims
+/// everything at or below the acked sequence.
 class ResumeBuffer {
  public:
   void Retain(uint64_t seq, std::span<const uint8_t> bytes);

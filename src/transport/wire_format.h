@@ -71,8 +71,20 @@ void AppendVarint(uint64_t value, std::vector<uint8_t>& out);
 /// 0x80 0x00). Every value has exactly one accepted wire representation.
 size_t DecodeVarint(std::span<const uint8_t> bytes, uint64_t* value);
 
-/// CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) of `bytes`.
+/// CRC32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) of `bytes`. On
+/// x86-64 hosts with PCLMULQDQ and SSE4.1 (checked once, at the first
+/// call) inputs of 64 bytes or more fold 16 bytes per carry-less
+/// multiply; the value is the same on every path.
 uint32_t Crc32(std::span<const uint8_t> bytes);
+
+namespace internal {
+
+/// Crc32 through the portable slice-by-8 tables alone: the path of hosts
+/// without carry-less multiply, and the reference the folded path is
+/// tested against.
+uint32_t Crc32Slice8(std::span<const uint8_t> bytes);
+
+}  // namespace internal
 
 /// Appends one framed user run to `out`. Any double bit pattern
 /// round-trips exactly.

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <thread>
@@ -18,14 +19,18 @@
 
 #include <gtest/gtest.h>
 
+#include "core/check.h"
 #include "core/rng.h"
+#include "core/stream_digest.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
 #include "engine/sharded_collector.h"
 #include "engine/thread_pool.h"
 #include "storage/collector_backend.h"
 #include "stream/gap_fill.h"
+#include "multidim/multidim_perturber.h"
 #include "stream/session.h"
+#include "stream/smoothing.h"
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
 
@@ -1296,6 +1301,78 @@ TEST(FleetTest, DifferentSeedsDiffer) {
   auto stats_b = fleet_b->Run();
   ASSERT_TRUE(stats_a.ok() && stats_b.ok());
   EXPECT_NE(stats_a->stream_digest, stats_b->stream_digest);
+}
+
+// The fleet's d > 1 digest from one MultidimPerturber per user, each
+// attribute smoothed on its own: the per-user path the lane groups must
+// reproduce.
+uint64_t PerUserMultidimDigest(const EngineConfig& config, int smoothing) {
+  const size_t slots = config.num_slots;
+  auto perturber = MultidimPerturber::Create(
+      config.dims, config.multidim_strategy,
+      {config.epsilon, config.window}, config.algorithm);
+  CAPP_CHECK(perturber.ok());
+  std::vector<double> truth;
+  std::vector<double> reports;
+  std::vector<double> published(config.dims * slots);
+  uint64_t digest = 0;
+  for (uint64_t uid = 0; uid < config.num_users; ++uid) {
+    Rng signal_rng(UserStreamSeed(config.seed, uid, 0));
+    GenerateUserSignalMultiInto(config.signal, config.dims, slots,
+                                signal_rng, truth);
+    perturber->ResetForUser(UserStreamSeed(config.seed, uid, 1));
+    perturber->PerturbStream(truth, slots, reports);
+    for (size_t k = 0; k < config.dims; ++k) {
+      const std::vector<double> row(
+          reports.begin() + static_cast<ptrdiff_t>(k * slots),
+          reports.begin() + static_cast<ptrdiff_t>((k + 1) * slots));
+      auto smoothed = SimpleMovingAverage(row, smoothing);
+      CAPP_CHECK(smoothed.ok());
+      std::copy(smoothed->begin(), smoothed->end(),
+                published.begin() + static_cast<ptrdiff_t>(k * slots));
+    }
+    digest ^= UserStreamDigest(uid, published);
+  }
+  return digest;
+}
+
+TEST(FleetTest, MultidimLaneGroupsMatchPerUserPath) {
+  // Budget split at d = 4 perturbs two users per lane group; d = 3 does
+  // not divide the eight lanes and keeps the per-user path. 203 users in
+  // chunks of 13 leave a per-user tail in every d = 4 chunk. Each must
+  // give the per-user digest and one collector state at every thread
+  // count, in process and over the socket.
+  for (size_t dims : {size_t{4}, size_t{3}}) {
+    SCOPED_TRACE(dims);
+    EngineConfig config = SmallFleetConfig();
+    config.num_users = 203;
+    config.chunk_size = 13;
+    config.dims = dims;
+    config.multidim_strategy = MultidimStrategy::kBudgetSplit;
+    std::optional<uint64_t> oracle;
+    std::optional<uint64_t> state;
+    for (TransportKind kind :
+         {TransportKind::kDirect, TransportKind::kSocket}) {
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(TransportKindName(kind));
+        SCOPED_TRACE(threads);
+        config.transport.kind = kind;
+        config.num_threads = threads;
+        auto fleet = Fleet::Create(config);
+        ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+        if (!oracle.has_value()) {
+          oracle = PerUserMultidimDigest(config, fleet->smoothing_window());
+        }
+        auto stats = fleet->Run();
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(stats->reports, config.num_users * dims * config.num_slots);
+        EXPECT_EQ(stats->stream_digest, *oracle);
+        const uint64_t got = CollectorStateDigest(fleet->collector());
+        if (!state.has_value()) state = got;
+        EXPECT_EQ(got, *state);
+      }
+    }
+  }
 }
 
 TEST(FleetTest, RunIsOneShot) {

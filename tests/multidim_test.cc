@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -284,6 +285,157 @@ TEST(MultidimBulkTest, PooledAdapterMatchesPerSlotReferenceAcrossUsers) {
       Rng reference_rng(9000 + user);
       ExpectBitEqual(out,
                      PerSlotReference(*reference, truth, slots, reference_rng));
+    }
+  }
+}
+
+// ------------------------------------------------ budget-split lanes ----
+
+const AlgorithmKind kSwInners[] = {AlgorithmKind::kSwDirect,
+                                   AlgorithmKind::kIpp, AlgorithmKind::kApp,
+                                   AlgorithmKind::kCapp};
+
+// 8 / d budget-split users as one ProcessSwLanes group, lane u*d + k being
+// user u's inner k, against each user's own PerturbStream: the reports,
+// each user's next draw, every inner's slot counter and one ledger shared
+// by all of them. Each stream is followed by a 37-slot continuation, so
+// the lanes must also have stored each inner's feedback state back.
+TEST(MultidimLaneTest, LaneGroupMatchesPerUserPerturbStream) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  const PerturberOptions options{2.0, 10};
+  for (AlgorithmKind inner : kSwInners) {
+    for (size_t dims : {size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t slots : {size_t{1}, size_t{127}, size_t{128}, size_t{129},
+                           size_t{300}}) {
+        SCOPED_TRACE(testing::Message() << AlgorithmKindName(inner)
+                                        << " d=" << dims
+                                        << " slots=" << slots);
+        const size_t users = kLanes / dims;
+        std::vector<std::unique_ptr<BudgetSplitPerturber>> per_user;
+        std::vector<std::unique_ptr<BudgetSplitPerturber>> laned;
+        WEventAccountant per_user_ledger;
+        WEventAccountant lane_ledger;
+        std::vector<Rng> per_user_rngs;
+        std::vector<Rng> lane_rngs;
+        for (size_t u = 0; u < users; ++u) {
+          auto a = BudgetSplitPerturber::Create(dims, options, inner);
+          auto b = BudgetSplitPerturber::Create(dims, options, inner);
+          ASSERT_TRUE(a.ok() && b.ok());
+          per_user.push_back(std::move(*a));
+          laned.push_back(std::move(*b));
+          per_user.back()->AttachAccountant(&per_user_ledger);
+          laned.back()->AttachAccountant(&lane_ledger);
+          per_user_rngs.emplace_back(500 + 31 * u + slots);
+          lane_rngs.emplace_back(500 + 31 * u + slots);
+        }
+        StreamPerturber* lanes[kLanes] = {};
+        Rng* rngs[kLanes] = {};
+        for (size_t u = 0; u < users; ++u) {
+          rngs[u] = &lane_rngs[u];
+          for (size_t k = 0; k < dims; ++k) {
+            lanes[u * dims + k] = &laned[u]->inner(k);
+          }
+        }
+        for (size_t run : {slots, size_t{37}}) {
+          std::vector<double> lane_in(kLanes * run);
+          std::vector<double> lane_out(kLanes * run);
+          std::vector<std::vector<double>> expected;
+          for (size_t u = 0; u < users; ++u) {
+            const std::vector<double> truth =
+                MakeHostileStream(dims, run, 13 * run + u);
+            expected.emplace_back(dims * run);
+            per_user[u]->PerturbStream(truth, run, expected.back(),
+                                       per_user_rngs[u]);
+            for (size_t k = 0; k < dims; ++k) {
+              for (size_t t = 0; t < run; ++t) {
+                lane_in[t * kLanes + u * dims + k] = truth[k * run + t];
+              }
+            }
+          }
+          StreamPerturber::ProcessSwLanes(
+              lanes, std::span<Rng* const>(rngs, users), lane_in, lane_out);
+          for (size_t u = 0; u < users; ++u) {
+            SCOPED_TRACE(u);
+            std::vector<double> got(dims * run);
+            for (size_t k = 0; k < dims; ++k) {
+              for (size_t t = 0; t < run; ++t) {
+                got[k * run + t] = lane_out[t * kLanes + u * dims + k];
+              }
+            }
+            ExpectBitEqual(got, expected[u]);
+          }
+        }
+        for (size_t u = 0; u < users; ++u) {
+          EXPECT_EQ(lane_rngs[u].NextUint64(), per_user_rngs[u].NextUint64());
+          for (size_t k = 0; k < dims; ++k) {
+            EXPECT_EQ(laned[u]->inner(k).slots_processed(),
+                      per_user[u]->inner(k).slots_processed());
+          }
+        }
+        ASSERT_EQ(lane_ledger.num_slots(), per_user_ledger.num_slots());
+        for (size_t t = 0; t < lane_ledger.num_slots(); ++t) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(lane_ledger.SlotSpend(t)),
+                    std::bit_cast<uint64_t>(per_user_ledger.SlotSpend(t)))
+              << "ledger slot " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(MultidimLaneTest, AdapterLanesOnlyForBudgetSplitSwInnersAndDDividing8) {
+  auto supports = [](size_t dims, MultidimStrategy strategy,
+                     AlgorithmKind inner) {
+    auto adapter = MultidimPerturber::Create(dims, strategy, {1.0, 10}, inner);
+    EXPECT_TRUE(adapter.ok());
+    return adapter->supports_lanes();
+  };
+  for (AlgorithmKind inner : kSwInners) {
+    for (size_t dims : {size_t{2}, size_t{4}, size_t{8}}) {
+      EXPECT_TRUE(supports(dims, MultidimStrategy::kBudgetSplit, inner));
+      EXPECT_FALSE(supports(dims, MultidimStrategy::kSampleSplit, inner));
+    }
+    for (size_t dims : {size_t{3}, size_t{5}, size_t{16}}) {
+      EXPECT_FALSE(supports(dims, MultidimStrategy::kBudgetSplit, inner));
+    }
+  }
+  EXPECT_FALSE(
+      supports(4, MultidimStrategy::kBudgetSplit, AlgorithmKind::kBaSw));
+}
+
+// The engine adapter's group call against its per-user call, over two
+// pooled users per adapter (ResetForUser between them).
+TEST(MultidimLaneTest, PerturbLanesMatchesPerturbStream) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  const size_t slots = 100;
+  for (size_t dims : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(dims);
+    const size_t users = kLanes / dims;
+    auto make = [&] {
+      auto created =
+          MultidimPerturber::Create(dims, MultidimStrategy::kBudgetSplit,
+                                    {1.0, 10}, AlgorithmKind::kCapp);
+      EXPECT_TRUE(created.ok());
+      return std::move(*created);
+    };
+    std::vector<MultidimPerturber> group;
+    for (size_t u = 0; u < users; ++u) group.push_back(make());
+    MultidimPerturber per_user = make();
+    for (uint64_t round = 0; round < 2; ++round) {
+      std::vector<std::vector<double>> truths;
+      std::vector<std::vector<double>> out(users);
+      for (size_t u = 0; u < users; ++u) {
+        truths.push_back(MakeHostileStream(dims, slots, 40 * round + u));
+        group[u].ResetForUser(7000 + 10 * round + u);
+      }
+      MultidimPerturber::PerturbLanes(group, truths, slots, out);
+      std::vector<double> expected;
+      for (size_t u = 0; u < users; ++u) {
+        SCOPED_TRACE(u);
+        per_user.ResetForUser(7000 + 10 * round + u);
+        per_user.PerturbStream(truths[u], slots, expected);
+        ExpectBitEqual(out[u], expected);
+      }
     }
   }
 }

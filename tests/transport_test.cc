@@ -122,6 +122,51 @@ TEST(Crc32Test, MatchesKnownVector) {
   EXPECT_EQ(Crc32({}), 0x00000000u);
 }
 
+// Crc32 folds inputs of 64 bytes or more with carry-less multiplies where
+// the host has them and finishes the sub-16-byte tail through the tables;
+// both paths must give the table path's value on every length and
+// alignment, including each fold boundary (64-byte blocks, 16-byte
+// steps, the tail).
+TEST(Crc32Test, FoldedPathMatchesSlice8) {
+  Rng rng(23);
+  std::vector<uint8_t> buffer(5000 + 16);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextUint64());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (size_t n = 301; n <= 5000; n += 97) lengths.push_back(n);
+  for (size_t n : {1023, 1024, 1025, 3212, 4095, 4096, 5000}) {
+    lengths.push_back(n);
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n : lengths) {
+      const std::span<const uint8_t> bytes(buffer.data() + offset, n);
+      ASSERT_EQ(Crc32(bytes), internal::Crc32Slice8(bytes))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, BothPathsGiveTheCheckValues) {
+  const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(internal::Crc32Slice8(digits), 0xCBF43926u);
+  EXPECT_EQ(Crc32(digits), 0xCBF43926u);
+  // Independent of either implementation: a message followed by its own
+  // CRC (little-endian) has the CRC-32 residue 0x2144DF1C, here at
+  // lengths that reach the 64-byte folds.
+  Rng rng(29);
+  for (size_t n : {60, 64, 65, 79, 80, 127, 128, 1000, 3208}) {
+    SCOPED_TRACE(n);
+    std::vector<uint8_t> message(n);
+    for (uint8_t& b : message) b = static_cast<uint8_t>(rng.NextUint64());
+    const uint32_t crc = Crc32(message);
+    for (int k = 0; k < 4; ++k) {
+      message.push_back(static_cast<uint8_t>(crc >> (8 * k)));
+    }
+    EXPECT_EQ(Crc32(message), 0x2144DF1Cu);
+    EXPECT_EQ(internal::Crc32Slice8(message), 0x2144DF1Cu);
+  }
+}
+
 // ----------------------------------------------------------- wire frames ----
 
 TEST(WireFormatTest, RoundTripsArbitraryRuns) {
