@@ -161,16 +161,20 @@ void BM_MultidimLanes(benchmark::State& state) {
   }
   Rng rng(56);
   std::vector<std::vector<double>> truths(kUsers);
-  std::vector<std::vector<double>> out(kUsers);
+  std::vector<std::vector<double>> out(
+      kUsers, std::vector<double>(kDims * kMicroSlots));
   for (std::vector<double>& truth : truths) {
     truth.resize(kDims * kMicroSlots);
     for (double& x : truth) x = rng.UniformDouble();
   }
+  const std::vector<std::span<const double>> truth_views(truths.begin(),
+                                                         truths.end());
+  const std::vector<std::span<double>> out_views(out.begin(), out.end());
   uint64_t seed = 0;
   for (auto _ : state) {
     for (MultidimPerturber& user : group) user.ResetForUser(++seed);
     if (grouped) {
-      MultidimPerturber::PerturbLanes(group, truths, kMicroSlots, out);
+      MultidimPerturber::PerturbLanes(group, truth_views, out_views);
     } else {
       for (size_t u = 0; u < kUsers; ++u) {
         group[u].PerturbStream(truths[u], kMicroSlots, out[u]);

@@ -4,6 +4,7 @@
 #include <typeinfo>
 
 #include "core/check.h"
+#include "core/math_utils.h"
 
 namespace capp {
 
@@ -101,6 +102,41 @@ void StreamPerturber::ProcessSwLanes(LaneGroup lanes,
                            out.data() + done * kLanes, uniforms, d, count);
   }
   for (StreamPerturber* lane : lanes) lane->AdvanceSlots(slots);
+}
+
+void StreamPerturber::ProcessSwLaneStreams(
+    LaneGroup lanes, std::span<Rng* const> rngs,
+    std::span<const std::span<const double>> in,
+    std::span<const std::span<double>> out, bool clamp,
+    std::vector<double>& staging) {
+  const size_t users = rngs.size();
+  CAPP_CHECK(users > 0 && kLanes % users == 0);
+  CAPP_CHECK(in.size() == users && out.size() == users);
+  const size_t d = kLanes / users;
+  const size_t slots = in[0].size() / d;
+  for (size_t u = 0; u < users; ++u) {
+    CAPP_CHECK(in[u].size() == d * slots && out[u].size() == d * slots);
+  }
+  staging.resize(2 * kLanes * slots);
+  const std::span<double> lane_in(staging.data(), kLanes * slots);
+  const std::span<double> lane_out(staging.data() + kLanes * slots,
+                                   kLanes * slots);
+  for (size_t l = 0; l < kLanes; ++l) {
+    const double* stream = in[l / d].data() + (l % d) * slots;
+    double* lane = lane_in.data() + l;
+    if (clamp) {
+      for (size_t t = 0; t < slots; ++t) {
+        lane[t * kLanes] = Clamp(stream[t], 0.0, 1.0);
+      }
+    } else {
+      for (size_t t = 0; t < slots; ++t) lane[t * kLanes] = stream[t];
+    }
+  }
+  ProcessSwLanes(lanes, rngs, lane_in, lane_out);
+  for (size_t l = 0; l < kLanes; ++l) {
+    double* stream = out[l / d].data() + (l % d) * slots;
+    for (size_t t = 0; t < slots; ++t) stream[t] = lane_out[t * kLanes + l];
+  }
 }
 
 void StreamPerturber::DoProcessSwChunk(std::span<const double>,

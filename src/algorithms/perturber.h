@@ -134,6 +134,17 @@ class StreamPerturber {
                              std::span<const double> in,
                              std::span<double> out);
 
+  /// ProcessSwLanes over the dim-major streams of rngs.size() users: in[u]
+  /// and out[u] hold d * slots values (d = kLanes / rngs.size()), stream k
+  /// at [k * slots, (k + 1) * slots), and lane u * d + k runs user u's
+  /// stream k. Transposes them into and out of [slot][lane] blocks held in
+  /// `staging`; with `clamp`, each input is clamped to [0, 1] on the way
+  /// in (UserSession::ReportChunk's contract).
+  static void ProcessSwLaneStreams(LaneGroup lanes, std::span<Rng* const> rngs,
+                                   std::span<const std::span<const double>> in,
+                                   std::span<const std::span<double>> out,
+                                   bool clamp, std::vector<double>& staging);
+
   /// Perturbs a whole subsequence; returns one report per input value.
   std::vector<double> PerturbSequence(std::span<const double> xs, Rng& rng);
 

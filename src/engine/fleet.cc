@@ -333,12 +333,12 @@ Result<EngineStats> Fleet::Run() {
     //
     // When every slot is one Square Wave draw, users go through the
     // perturbation in lane groups of kLanes streams in lockstep, which
-    // overlaps their feedback chains: kLanes users at d = 1
-    // (UserSession::ReportLanes), or kLanes / d budget-split users at d
-    // dividing kLanes, one lane per (user, dimension)
-    // (MultidimPerturber::PerturbLanes). The chunk's last users (fewer
-    // than a group) and every other algorithm, strategy or d take the
-    // per-user path. Both are bit-identical to per-slot Report, so the
+    // overlaps their feedback chains: kLanes / d users, one lane per
+    // (user, dimension), through StreamPerturber::ProcessSwLaneStreams
+    // (UserSession::ReportLanes at d = 1; MultidimPerturber::PerturbLanes
+    // for budget split at d dividing kLanes). The chunk's last users
+    // (fewer than a group) and every other algorithm, strategy or d take
+    // the per-user path. Both are bit-identical to per-slot Report, so the
     // grouping is invisible in the results.
     constexpr size_t kLanes = StreamPerturber::kLanes;
     std::vector<UserSession> sessions;
@@ -445,31 +445,33 @@ Result<EngineStats> Fleet::Run() {
     // session or adapter u for it.
     auto start_user = [&](size_t u, uint64_t uid) {
       Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
+      GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
+                                  truths[u]);
       const uint64_t perturb_seed = UserStreamSeed(config_.seed, uid, 1);
       if (dims == 1) {
-        GenerateUserSignalInto(config_.signal, slots, signal_rng, truths[u]);
         sessions[u].ResetForUser(uid, perturb_seed);
       } else {
-        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
-                                    truths[u]);
         multidims[u].ResetForUser(perturb_seed);
       }
     };
 
     uint64_t uid = begin;
+    std::array<std::span<const double>, kLanes> truth_views;
+    std::array<std::span<double>, kLanes> report_views;
     for (; lanes && end - uid >= group; uid += group) {
-      for (size_t u = 0; u < group; ++u) start_user(u, uid + u);
+      for (size_t u = 0; u < group; ++u) {
+        start_user(u, uid + u);
+        truth_views[u] = truths[u];
+        report_views[u] = reports[u];
+      }
+      // The same lane kernel and transpose either way; d = 1 is its
+      // one-stream-per-user layout.
+      const auto in = std::span(truth_views).first(group);
+      const auto out = std::span(report_views).first(group);
       if (dims == 1) {
-        std::array<std::span<const double>, kLanes> values;
-        std::array<std::span<double>, kLanes> out;
-        for (size_t l = 0; l < kLanes; ++l) {
-          values[l] = truths[l];
-          out[l] = reports[l];
-        }
-        UserSession::ReportLanes(std::span<UserSession, kLanes>(sessions),
-                                 values, out);
+        UserSession::ReportLanes(sessions, in, out);
       } else {
-        MultidimPerturber::PerturbLanes(multidims, truths, slots, reports);
+        MultidimPerturber::PerturbLanes(multidims, in, out);
       }
       for (size_t u = 0; u < group; ++u) {
         finish_user(uid + u, truths[u], reports[u]);

@@ -74,6 +74,25 @@ void BudgetSplitPerturber::PerturbStream(std::span<const double> truth,
   }
 }
 
+void BudgetSplitPerturber::PerturbLanes(
+    std::span<BudgetSplitPerturber* const> group, std::span<Rng* const> rngs,
+    std::span<const std::span<const double>> truth,
+    std::span<const std::span<double>> out) {
+  constexpr size_t kLanes = StreamPerturber::kLanes;
+  CAPP_CHECK(!group.empty() && rngs.size() == group.size());
+  const size_t dims = group[0]->dimensions();
+  CAPP_CHECK(group.size() * dims == kLanes);
+  StreamPerturber* lanes[kLanes] = {};
+  for (size_t u = 0; u < group.size(); ++u) {
+    CAPP_CHECK(group[u]->supports_lanes() && group[u]->dimensions() == dims);
+    for (size_t k = 0; k < dims; ++k) {
+      lanes[u * dims + k] = group[u]->inner_[k].get();
+    }
+  }
+  StreamPerturber::ProcessSwLaneStreams(lanes, rngs, truth, out,
+                                        /*clamp=*/false, group[0]->uniforms_);
+}
+
 void BudgetSplitPerturber::Reset() {
   for (auto& p : inner_) p->Reset();
 }

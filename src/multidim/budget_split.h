@@ -13,8 +13,7 @@
 // dim-major through each inner's SW chunk loop, bit-identical to the
 // per-slot loop. StreamPerturber::ProcessSwLanes draws the same blocks
 // when d divides its 8 lanes, so the d inners of 8 / d users can run as
-// one lane group, inner k of user u on lane u*d + k (see inner(); the
-// fleet's grouping is MultidimPerturber::PerturbLanes).
+// one lane group, inner k of user u on lane u*d + k (PerturbLanes).
 #ifndef CAPP_MULTIDIM_BUDGET_SPLIT_H_
 #define CAPP_MULTIDIM_BUDGET_SPLIT_H_
 
@@ -85,10 +84,25 @@ class BudgetSplitPerturber final : public MultiDimPerturber {
   void Reset() override;
   void AttachAccountant(WEventAccountant* accountant) override;
 
-  /// Dimension k's inner perturber: lane u*d + k of a ProcessSwLanes
-  /// group that draws user u's uniforms from the RNG PerturbStream would
-  /// take.
+  /// Dimension k's inner perturber (lane u*d + k of a PerturbLanes group).
   StreamPerturber& inner(size_t k) { return *inner_[k]; }
+
+  /// True when PerturbLanes can run this perturber: inners that consume
+  /// SW uniforms and d dividing StreamPerturber::kLanes.
+  bool supports_lanes() const {
+    return sw_uniforms_ && StreamPerturber::kLanes % inner_.size() == 0;
+  }
+
+  /// PerturbStream for kLanes / d users at once: group[u] perturbs
+  /// truth[u] into out[u] (dim-major, d * slots values each) with
+  /// *rngs[u], bit for bit as group[u]->PerturbStream would. Runs
+  /// StreamPerturber::ProcessSwLaneStreams, inner k of user u on lane
+  /// u*d + k. Every perturber must supports_lanes() with equal options
+  /// and inner algorithm; group[0] holds the staging block.
+  static void PerturbLanes(std::span<BudgetSplitPerturber* const> group,
+                           std::span<Rng* const> rngs,
+                           std::span<const std::span<const double>> truth,
+                           std::span<const std::span<double>> out);
 
  private:
   BudgetSplitPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
@@ -101,7 +115,8 @@ class BudgetSplitPerturber final : public MultiDimPerturber {
   // The inners are identical (same kind and budget), so one answers for
   // all: fixed here, at Create.
   bool sw_uniforms_;
-  std::vector<double> uniforms_;  // one block's 2*d*128 draws, reused
+  // One block's 2*d*128 draws, reused; PerturbLanes' staging in group[0].
+  std::vector<double> uniforms_;
 };
 
 }  // namespace capp

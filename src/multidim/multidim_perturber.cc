@@ -36,15 +36,12 @@ Result<MultidimPerturber> MultidimPerturber::Create(
         "the scalar UserSession path");
   }
   std::unique_ptr<MultiDimPerturber> impl;
-  BudgetSplitPerturber* budget_split_lanes = nullptr;
+  bool lanes = false;
   switch (strategy) {
     case MultidimStrategy::kBudgetSplit: {
       CAPP_ASSIGN_OR_RETURN(auto budget_split,
                             BudgetSplitPerturber::Create(dims, options, inner));
-      if (budget_split->inner(0).consumes_sw_uniforms() &&
-          StreamPerturber::kLanes % dims == 0) {
-        budget_split_lanes = budget_split.get();
-      }
+      lanes = budget_split->supports_lanes();
       impl = std::move(budget_split);
       break;
     }
@@ -54,7 +51,7 @@ Result<MultidimPerturber> MultidimPerturber::Create(
       break;
     }
   }
-  return MultidimPerturber(std::move(impl), budget_split_lanes);
+  return MultidimPerturber(std::move(impl), lanes);
 }
 
 void MultidimPerturber::ResetForUser(uint64_t seed) {
@@ -73,49 +70,21 @@ void MultidimPerturber::PerturbStream(std::span<const double> truth,
 
 void MultidimPerturber::PerturbLanes(
     std::span<MultidimPerturber> group,
-    std::span<const std::vector<double>> truths, size_t slots,
-    std::span<std::vector<double>> out) {
+    std::span<const std::span<const double>> truths,
+    std::span<const std::span<double>> out) {
   constexpr size_t kLanes = StreamPerturber::kLanes;
-  CAPP_CHECK(!group.empty());
-  const size_t dims = group[0].dimensions();
-  CAPP_CHECK(group.size() * dims == kLanes);
-  CAPP_CHECK(truths.size() == group.size() && out.size() == group.size());
-  // Lane u*d + k is user u's inner k; ProcessSwLanes checks the rest.
-  StreamPerturber* lanes[kLanes] = {};
+  CAPP_CHECK(group.size() <= kLanes);
+  BudgetSplitPerturber* impls[kLanes] = {};
   Rng* rngs[kLanes] = {};
   for (size_t u = 0; u < group.size(); ++u) {
-    CAPP_CHECK(group[u].supports_lanes() && group[u].dimensions() == dims);
-    CAPP_CHECK(truths[u].size() == dims * slots);
-    out[u].resize(dims * slots);
+    CAPP_CHECK(group[u].supports_lanes());
+    // supports_lanes() is set only for budget split (see Create).
+    impls[u] = static_cast<BudgetSplitPerturber*>(group[u].impl_.get());
     rngs[u] = &group[u].rng_;
-    for (size_t k = 0; k < dims; ++k) {
-      lanes[u * dims + k] = &group[u].budget_split_lanes_->inner(k);
-    }
   }
-  // Transpose the dim-major streams in and out of [slot][lane].
-  std::vector<double>& staging = group[0].lane_scratch_;
-  staging.resize(2 * kLanes * slots);
-  const std::span<double> lane_in(staging.data(), kLanes * slots);
-  const std::span<double> lane_out(staging.data() + kLanes * slots,
-                                   kLanes * slots);
-  for (size_t u = 0; u < group.size(); ++u) {
-    for (size_t k = 0; k < dims; ++k) {
-      const double* run = truths[u].data() + k * slots;
-      for (size_t t = 0; t < slots; ++t) {
-        lane_in[t * kLanes + u * dims + k] = run[t];
-      }
-    }
-  }
-  StreamPerturber::ProcessSwLanes(
-      lanes, std::span<Rng* const>(rngs, group.size()), lane_in, lane_out);
-  for (size_t u = 0; u < group.size(); ++u) {
-    for (size_t k = 0; k < dims; ++k) {
-      double* run = out[u].data() + k * slots;
-      for (size_t t = 0; t < slots; ++t) {
-        run[t] = lane_out[t * kLanes + u * dims + k];
-      }
-    }
-  }
+  BudgetSplitPerturber::PerturbLanes(
+      std::span<BudgetSplitPerturber* const>(impls, group.size()),
+      std::span<Rng* const>(rngs, group.size()), truths, out);
 }
 
 }  // namespace capp

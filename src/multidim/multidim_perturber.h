@@ -16,9 +16,10 @@
 //
 // Budget split with Square Wave inners and d dividing 8 also runs 8 / d
 // users at once (PerturbLanes): their d * (8 / d) inner perturbers are
-// the eight lanes of one StreamPerturber::ProcessSwLanes group, each user
-// drawing its block from its own RNG in the order above, so the group is
-// bit-identical to per-user PerturbStream calls.
+// the eight lanes of one StreamPerturber::ProcessSwLaneStreams group, the
+// same kernel and transpose UserSession::ReportLanes runs at d = 1. Each
+// user draws its block from its own RNG in the order above, so the group
+// is bit-identical to per-user PerturbStream calls.
 //
 // This adapter owns the per-user RNG, so a fleet worker's per-user path
 // is ResetForUser + one PerturbStream call, mirroring UserSession's
@@ -87,29 +88,25 @@ class MultidimPerturber {
   /// True when PerturbLanes can run this adapter: budget split, inner
   /// algorithms that consume SW uniforms, and d dividing
   /// StreamPerturber::kLanes. Fixed at Create.
-  bool supports_lanes() const { return budget_split_lanes_ != nullptr; }
+  bool supports_lanes() const { return lanes_; }
 
   /// PerturbStream for kLanes / d users at once: group[u] perturbs
-  /// truths[u] into out[u] (all of `slots` slots), bit for bit as
-  /// group[u].PerturbStream would, leaving the same RNG, ledger and
-  /// per-inner state. Every adapter must supports_lanes() with equal
-  /// dims, strategy, options and inner algorithm. group[0] holds the
-  /// [slot][lane] staging block.
+  /// truths[u] into out[u] (dim-major, d * slots values each, out
+  /// presized), bit for bit as group[u].PerturbStream would, leaving the
+  /// same RNG, ledger and per-inner state (BudgetSplitPerturber::
+  /// PerturbLanes). Every adapter must supports_lanes() with equal dims,
+  /// options and inner algorithm.
   static void PerturbLanes(std::span<MultidimPerturber> group,
-                           std::span<const std::vector<double>> truths,
-                           size_t slots,
-                           std::span<std::vector<double>> out);
+                           std::span<const std::span<const double>> truths,
+                           std::span<const std::span<double>> out);
 
  private:
-  explicit MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl,
-                             BudgetSplitPerturber* budget_split_lanes)
-      : impl_(std::move(impl)), budget_split_lanes_(budget_split_lanes) {}
+  MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl, bool lanes)
+      : impl_(std::move(impl)), lanes_(lanes) {}
 
   std::unique_ptr<MultiDimPerturber> impl_;
-  // impl_ itself when supports_lanes(), else null.
-  BudgetSplitPerturber* budget_split_lanes_;
+  bool lanes_;  // a BudgetSplitPerturber that supports_lanes()
   Rng rng_{0};
-  std::vector<double> lane_scratch_;  // PerturbLanes' staging, in group[0]
 };
 
 }  // namespace capp

@@ -52,33 +52,20 @@ void UserSession::ReportChunk(std::span<const double> values,
 }
 
 void UserSession::ReportLanes(
-    std::span<UserSession, StreamPerturber::kLanes> group,
-    const std::array<std::span<const double>, StreamPerturber::kLanes>&
-        values,
-    const std::array<std::span<double>, StreamPerturber::kLanes>& out) {
+    std::span<UserSession> group,
+    std::span<const std::span<const double>> values,
+    std::span<const std::span<double>> out) {
   constexpr size_t kLanes = StreamPerturber::kLanes;
-  const size_t n = values[0].size();
+  CAPP_CHECK(group.size() == kLanes);
   StreamPerturber* perturbers[kLanes] = {};
   Rng* rngs[kLanes] = {};
   for (size_t l = 0; l < kLanes; ++l) {
-    CAPP_CHECK(values[l].size() == n && out[l].size() == n);
     perturbers[l] = group[l].perturber_.get();
     rngs[l] = &group[l].rng_;
   }
-  // Transpose in (with ReportChunk's clamp) and out of [slot][lane].
-  std::vector<double>& staging = group[0].clamp_scratch_;
-  staging.resize(2 * kLanes * n);
-  const std::span<double> lane_in(staging.data(), kLanes * n);
-  const std::span<double> lane_out(staging.data() + kLanes * n, kLanes * n);
-  for (size_t l = 0; l < kLanes; ++l) {
-    for (size_t t = 0; t < n; ++t) {
-      lane_in[t * kLanes + l] = Clamp(values[l][t], 0.0, 1.0);
-    }
-  }
-  StreamPerturber::ProcessSwLanes(perturbers, rngs, lane_in, lane_out);
-  for (size_t l = 0; l < kLanes; ++l) {
-    for (size_t t = 0; t < n; ++t) out[l][t] = lane_out[t * kLanes + l];
-  }
+  StreamPerturber::ProcessSwLaneStreams(perturbers, rngs, values, out,
+                                        /*clamp=*/true,
+                                        group[0].clamp_scratch_);
 }
 
 Result<CollectorSession> CollectorSession::Create(int smoothing_window) {

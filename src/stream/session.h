@@ -17,7 +17,6 @@
 #ifndef CAPP_STREAM_SESSION_H_
 #define CAPP_STREAM_SESSION_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -89,14 +88,12 @@ class UserSession {
   /// group[l] perturbs values[l] into out[l] (all of one length), bit for
   /// bit as group[l].ReportChunk would, leaving the same RNG, ledger and
   /// slot-counter state. The group runs in lockstep through
-  /// StreamPerturber::ProcessSwLanes, so every session must run the same
-  /// algorithm with the same options and consumes_sw_uniforms(). group[0]
-  /// holds the [slot][lane] staging block.
-  static void ReportLanes(
-      std::span<UserSession, StreamPerturber::kLanes> group,
-      const std::array<std::span<const double>, StreamPerturber::kLanes>&
-          values,
-      const std::array<std::span<double>, StreamPerturber::kLanes>& out);
+  /// StreamPerturber::ProcessSwLaneStreams (the d = 1 layout), so every
+  /// session must run the same algorithm with the same options and
+  /// consumes_sw_uniforms(). group[0] holds the [slot][lane] staging block.
+  static void ReportLanes(std::span<UserSession> group,
+                          std::span<const std::span<const double>> values,
+                          std::span<const std::span<double>> out);
 
   /// True when every slot is one Square Wave draw, which is what
   /// ReportLanes needs (StreamPerturber::consumes_sw_uniforms).

@@ -328,41 +328,30 @@ TEST(MultidimLaneTest, LaneGroupMatchesPerUserPerturbStream) {
           per_user_rngs.emplace_back(500 + 31 * u + slots);
           lane_rngs.emplace_back(500 + 31 * u + slots);
         }
-        StreamPerturber* lanes[kLanes] = {};
-        Rng* rngs[kLanes] = {};
+        std::vector<BudgetSplitPerturber*> group;
+        std::vector<Rng*> rngs;
         for (size_t u = 0; u < users; ++u) {
-          rngs[u] = &lane_rngs[u];
-          for (size_t k = 0; k < dims; ++k) {
-            lanes[u * dims + k] = &laned[u]->inner(k);
-          }
+          group.push_back(laned[u].get());
+          rngs.push_back(&lane_rngs[u]);
         }
         for (size_t run : {slots, size_t{37}}) {
-          std::vector<double> lane_in(kLanes * run);
-          std::vector<double> lane_out(kLanes * run);
+          std::vector<std::vector<double>> truths;
           std::vector<std::vector<double>> expected;
+          std::vector<std::vector<double>> got;
           for (size_t u = 0; u < users; ++u) {
-            const std::vector<double> truth =
-                MakeHostileStream(dims, run, 13 * run + u);
+            truths.push_back(MakeHostileStream(dims, run, 13 * run + u));
             expected.emplace_back(dims * run);
-            per_user[u]->PerturbStream(truth, run, expected.back(),
+            got.emplace_back(dims * run);
+            per_user[u]->PerturbStream(truths[u], run, expected[u],
                                        per_user_rngs[u]);
-            for (size_t k = 0; k < dims; ++k) {
-              for (size_t t = 0; t < run; ++t) {
-                lane_in[t * kLanes + u * dims + k] = truth[k * run + t];
-              }
-            }
           }
-          StreamPerturber::ProcessSwLanes(
-              lanes, std::span<Rng* const>(rngs, users), lane_in, lane_out);
+          const std::vector<std::span<const double>> in(truths.begin(),
+                                                        truths.end());
+          const std::vector<std::span<double>> out(got.begin(), got.end());
+          BudgetSplitPerturber::PerturbLanes(group, rngs, in, out);
           for (size_t u = 0; u < users; ++u) {
             SCOPED_TRACE(u);
-            std::vector<double> got(dims * run);
-            for (size_t k = 0; k < dims; ++k) {
-              for (size_t t = 0; t < run; ++t) {
-                got[k * run + t] = lane_out[t * kLanes + u * dims + k];
-              }
-            }
-            ExpectBitEqual(got, expected[u]);
+            ExpectBitEqual(got[u], expected[u]);
           }
         }
         for (size_t u = 0; u < users; ++u) {
@@ -423,12 +412,16 @@ TEST(MultidimLaneTest, PerturbLanesMatchesPerturbStream) {
     MultidimPerturber per_user = make();
     for (uint64_t round = 0; round < 2; ++round) {
       std::vector<std::vector<double>> truths;
-      std::vector<std::vector<double>> out(users);
+      std::vector<std::vector<double>> out(users,
+                                           std::vector<double>(dims * slots));
       for (size_t u = 0; u < users; ++u) {
         truths.push_back(MakeHostileStream(dims, slots, 40 * round + u));
         group[u].ResetForUser(7000 + 10 * round + u);
       }
-      MultidimPerturber::PerturbLanes(group, truths, slots, out);
+      MultidimPerturber::PerturbLanes(
+          group, std::vector<std::span<const double>>(truths.begin(),
+                                                      truths.end()),
+          std::vector<std::span<double>>(out.begin(), out.end()));
       std::vector<double> expected;
       for (size_t u = 0; u < users; ++u) {
         SCOPED_TRACE(u);
