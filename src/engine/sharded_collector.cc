@@ -493,7 +493,10 @@ void ShardedCollector::Snapshot(const Shard& shard, unsigned parts,
     if (shard.seq.load(std::memory_order_relaxed) == seq_before) break;
     CountSeqlockRetry();
   }
-  if (parts & kUsers) out.users = shard.users.entries();
+  if (parts & kUsers) {
+    const std::span<const UserEntry> users = shard.users.entries();
+    out.users.assign(users.begin(), users.end());
+  }
 }
 
 void ShardedCollector::CountSeqlockRetry() const {

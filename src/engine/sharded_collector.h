@@ -65,6 +65,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/page_allocator.h"
 #include "core/status.h"
 #include "storage/collector_backend.h"
 #include "stream/report.h"
@@ -287,14 +288,16 @@ class ShardedCollector : public CollectorBackend {
     size_t size() const { return entries_.size(); }
     UserEntry& entry(uint32_t dense) { return entries_[dense]; }
     const UserEntry& entry(uint32_t dense) const { return entries_[dense]; }
-    const std::vector<UserEntry>& entries() const { return entries_; }
+    std::span<const UserEntry> entries() const { return entries_; }
 
    private:
     // Rebuilds the table at `capacity` (a power of two) in dense order.
     void Rehash(size_t capacity);
 
-    std::vector<UserEntry> entries_;
-    std::vector<uint32_t> table_;  // dense + 1 per slot; 0 = empty
+    // Both arrays own their pages (core/page_allocator.h), so a
+    // destroyed collector's index leaves the process at once.
+    PageVector<UserEntry> entries_;
+    PageVector<uint32_t> table_;  // dense + 1 per slot; 0 = empty
     int shift_ = 64;               // 64 - log2(table_.size())
   };
 

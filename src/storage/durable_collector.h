@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/page_allocator.h"
 #include "core/status.h"
 #include "storage/collector_backend.h"
 #include "storage/wal.h"
@@ -186,7 +187,7 @@ class DurableCollector : public CollectorBackend {
   };
   struct LogBatch {
     std::vector<QueuedRun> runs;
-    std::vector<double> values;
+    PageVector<double> values;  // its own pages: freed with the collector
     size_t bytes = 0;
   };
   // Requests a caller hands the log thread, run after the runs queued

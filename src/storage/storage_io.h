@@ -15,13 +15,15 @@
 
 namespace capp {
 
-inline void AppendLe32(uint32_t value, std::vector<uint8_t>& out) {
+template <typename Alloc>
+void AppendLe32(uint32_t value, std::vector<uint8_t, Alloc>& out) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<uint8_t>(value >> (8 * i)));
   }
 }
 
-inline void AppendLe64(uint64_t value, std::vector<uint8_t>& out) {
+template <typename Alloc>
+void AppendLe64(uint64_t value, std::vector<uint8_t, Alloc>& out) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>(value >> (8 * i)));
   }

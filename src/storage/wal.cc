@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/page_allocator.h"
 #include "storage/storage_io.h"
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
@@ -60,8 +61,9 @@ bool ParseSegmentName(std::string_view name, uint64_t* seqno) {
   return true;
 }
 
+template <typename Alloc>
 void AppendSegmentHeader(uint64_t fingerprint, uint64_t seqno,
-                         std::vector<uint8_t>& out) {
+                         std::vector<uint8_t, Alloc>& out) {
   const size_t start = out.size();
   for (size_t i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>(kSegmentMagic[i]));
@@ -72,7 +74,9 @@ void AppendSegmentHeader(uint64_t fingerprint, uint64_t seqno,
   AppendLe32(Crc32({out.data() + start, out.size() - start}), out);
 }
 
-void AppendSegmentTrailer(uint64_t frame_count, std::vector<uint8_t>& out) {
+template <typename Alloc>
+void AppendSegmentTrailer(uint64_t frame_count,
+                          std::vector<uint8_t, Alloc>& out) {
   const size_t start = out.size();
   out.push_back(kTrailerMarker);
   AppendLe64(frame_count, out);
@@ -142,7 +146,7 @@ class SegmentReader {
   int fd_ = -1;
   uint64_t size_ = 0;  // file size at Open
   uint64_t read_ = 0;  // bytes read from the file so far
-  std::vector<uint8_t> buffer_;
+  PageVector<uint8_t> buffer_;
   size_t begin_ = 0;  // the unconsumed bytes are buffer_[begin_, end_)
   size_t end_ = 0;
   uint64_t frames_ = 0;

@@ -46,6 +46,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/page_allocator.h"
 #include "core/status.h"
 
 namespace capp {
@@ -186,7 +187,7 @@ class WalWriter {
   uint64_t bytes_in_segment_ = 0;
   uint64_t frames_since_sync_ = 0;
   int64_t last_sync_ms_ = 0;  // steady-clock ms at the last fdatasync
-  std::vector<uint8_t> buffer_;
+  PageVector<uint8_t> buffer_;  // its own pages: freed with the writer
   std::string path_;  // the open segment's path
   bool sealed_ = false;
   WalStats stats_;

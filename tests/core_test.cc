@@ -1,12 +1,19 @@
-// Unit tests for src/core: Status/Result, Rng, math utilities, and the
-// piecewise-constant density engine.
+// Unit tests for src/core: Status/Result, Rng, math utilities, the
+// piecewise-constant density engine, and PageAllocator.
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/math_utils.h"
+#include "core/page_allocator.h"
 #include "core/piecewise_density.h"
 #include "core/rng.h"
 #include "core/status.h"
@@ -394,6 +401,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0.0, 1.0}, std::pair{-1.0, 1.0},
                       std::pair{-0.5, 1.5}, std::pair{2.0, 10.0},
                       std::pair{-7.0, -3.0}));
+
+// --------------------------------------------------------- PageAllocator --
+
+// The path column of the /proc/self/maps line whose range holds `p`
+// ("" for an anonymous mapping, "[heap]" for the brk heap), or nullopt
+// when no mapping holds it.
+std::optional<std::string> MappingOf(const void* p) {
+  const auto address = reinterpret_cast<uintptr_t>(p);
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    unsigned long begin = 0;
+    unsigned long end = 0;
+    int path_at = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx %*s %*s %*s %*s %n", &begin, &end,
+                    &path_at) < 2) {
+      continue;
+    }
+    if (address >= begin && address < end) {
+      return path_at > 0 ? line.substr(static_cast<size_t>(path_at)) : "";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(PageAllocatorTest, LargeBlocksAreMappedUntilFreed) {
+  // Freeing an 8 MiB block raises glibc's mmap threshold to 8 MiB, after
+  // which a plain 1 MiB block would come from the brk heap.
+  { const std::vector<char> raise(size_t{8} << 20); }
+  const void* block = nullptr;
+  {
+    PageVector<uint64_t> large((size_t{1} << 20) / sizeof(uint64_t));
+    block = large.data();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(block) % 4096, 0u);
+    EXPECT_EQ(MappingOf(block), std::optional<std::string>(""));
+  }
+  EXPECT_EQ(MappingOf(block), std::nullopt);
+}
+
+TEST(PageAllocatorTest, SmallBlocksStayWithOperatorNew) {
+  const PageVector<uint64_t> small(16);
+  const std::vector<uint64_t> reference(16);
+  EXPECT_EQ(MappingOf(small.data()), MappingOf(reference.data()));
+}
+
+TEST(PageAllocatorTest, GrowthAcrossTheThresholdKeepsValues) {
+  const size_t n = 3 * kPageAllocatorMinBytes / sizeof(uint32_t);
+  PageVector<uint32_t> grown;
+  for (size_t i = 0; i < n; ++i) grown.push_back(static_cast<uint32_t>(i));
+  PageVector<uint32_t> other(5, 7);
+  std::swap(grown, other);
+  ASSERT_EQ(other.size(), n);
+  ASSERT_EQ(grown.size(), 5u);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(other[i], i);
+  const std::vector<uint32_t> copy(other.begin(), other.end());
+  EXPECT_EQ(copy.back(), n - 1);
+}
 
 }  // namespace
 }  // namespace capp
