@@ -140,18 +140,20 @@ void BM_PerturberLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_PerturberLanes)->Apply(SwAlgorithmArgs);
 
-// A budget-split d = 4 CAPP user's 100-slot stream per iteration for
-// each of kLanes / 4 users: one MultidimPerturber::PerturbStream call per
-// user (arg 0), or the users as one PerturbLanes group (arg 1), the two
-// paths of the fleet's d > 1 workers. Items are reports (cells).
+// A budget-split CAPP user's d-dimensional 100-slot stream per iteration
+// for each of kLanes / d users, d = 1 or 4: one MultidimPerturber::
+// PerturbStream call per user (arg 0 = 0), or the users as one
+// PerturbLanes group (arg 0 = 1), the two paths of the fleet's workers.
+// Items are reports (cells).
 void BM_MultidimLanes(benchmark::State& state) {
-  constexpr size_t kDims = 4;
-  constexpr size_t kUsers = StreamPerturber::kLanes / kDims;
   const bool grouped = state.range(0) != 0;
+  const size_t dims = static_cast<size_t>(state.range(1));
+  const size_t users = StreamPerturber::kLanes / dims;
+  const size_t cells = dims * kMicroSlots;
   std::vector<MultidimPerturber> group;
-  for (size_t u = 0; u < kUsers; ++u) {
+  for (size_t u = 0; u < users; ++u) {
     auto created =
-        MultidimPerturber::Create(kDims, MultidimStrategy::kBudgetSplit,
+        MultidimPerturber::Create(dims, MultidimStrategy::kBudgetSplit,
                                   {1.0, 10}, AlgorithmKind::kCapp);
     if (!created.ok()) {
       state.SkipWithError("multidim perturber creation failed");
@@ -160,11 +162,10 @@ void BM_MultidimLanes(benchmark::State& state) {
     group.push_back(std::move(*created));
   }
   Rng rng(56);
-  std::vector<std::vector<double>> truths(kUsers);
-  std::vector<std::vector<double>> out(
-      kUsers, std::vector<double>(kDims * kMicroSlots));
+  std::vector<std::vector<double>> truths(users);
+  std::vector<std::vector<double>> out(users, std::vector<double>(cells));
   for (std::vector<double>& truth : truths) {
-    truth.resize(kDims * kMicroSlots);
+    truth.resize(cells);
     for (double& x : truth) x = rng.UniformDouble();
   }
   const std::vector<std::span<const double>> truth_views(truths.begin(),
@@ -176,17 +177,18 @@ void BM_MultidimLanes(benchmark::State& state) {
     if (grouped) {
       MultidimPerturber::PerturbLanes(group, truth_views, out_views);
     } else {
-      for (size_t u = 0; u < kUsers; ++u) {
+      for (size_t u = 0; u < users; ++u) {
         group[u].PerturbStream(truths[u], kMicroSlots, out[u]);
       }
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * kUsers * kDims * kMicroSlots);
-  state.SetLabel(grouped ? "lanes d=4" : "per-user d=4");
+  state.SetItemsProcessed(state.iterations() * users * cells);
+  state.SetLabel(std::string(grouped ? "lanes" : "per-user") +
+                 " d=" + std::to_string(dims));
 }
-BENCHMARK(BM_MultidimLanes)->Arg(0)->Arg(1);
+BENCHMARK(BM_MultidimLanes)->ArgsProduct({{0, 1}, {1, 4}});
 
 // CRC32 of one buffer per iteration: the portable slice-by-8 path (arg 0)
 // or Crc32, which folds with carry-less multiplies where the host has

@@ -4,7 +4,6 @@
 #include <typeinfo>
 
 #include "core/check.h"
-#include "core/math_utils.h"
 
 namespace capp {
 
@@ -107,8 +106,7 @@ void StreamPerturber::ProcessSwLanes(LaneGroup lanes,
 void StreamPerturber::ProcessSwLaneStreams(
     LaneGroup lanes, std::span<Rng* const> rngs,
     std::span<const std::span<const double>> in,
-    std::span<const std::span<double>> out, bool clamp,
-    std::vector<double>& staging) {
+    std::span<const std::span<double>> out, std::vector<double>& staging) {
   const size_t users = rngs.size();
   CAPP_CHECK(users > 0 && kLanes % users == 0);
   CAPP_CHECK(in.size() == users && out.size() == users);
@@ -124,13 +122,7 @@ void StreamPerturber::ProcessSwLaneStreams(
   for (size_t l = 0; l < kLanes; ++l) {
     const double* stream = in[l / d].data() + (l % d) * slots;
     double* lane = lane_in.data() + l;
-    if (clamp) {
-      for (size_t t = 0; t < slots; ++t) {
-        lane[t * kLanes] = Clamp(stream[t], 0.0, 1.0);
-      }
-    } else {
-      for (size_t t = 0; t < slots; ++t) lane[t * kLanes] = stream[t];
-    }
+    for (size_t t = 0; t < slots; ++t) lane[t * kLanes] = stream[t];
   }
   ProcessSwLanes(lanes, rngs, lane_in, lane_out);
   for (size_t l = 0; l < kLanes; ++l) {

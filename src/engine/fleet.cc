@@ -16,7 +16,6 @@
 #include "core/stream_digest.h"
 #include "data/generators.h"
 #include "engine/thread_pool.h"
-#include "stream/session.h"
 #include "stream/smoothing.h"
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
@@ -191,27 +190,18 @@ Fleet::Fleet(EngineConfig config,
 
 Result<Fleet> Fleet::Create(EngineConfig config) {
   CAPP_RETURN_IF_ERROR(ValidateEngineConfig(config));
-  // Probe the algorithm once: rejects sampling-only kinds and yields the
+  // Probe the device once: an unsupported algorithm, strategy or inner
+  // (sampling kinds) fails here with a real Status instead of
+  // CHECK-failing inside a worker thread, and the device yields the
   // publication smoothing recommendation.
-  PerturberOptions options{config.epsilon, config.window};
-  CAPP_ASSIGN_OR_RETURN(auto probe, CreatePerturber(config.algorithm,
-                                                    options));
-  if (!probe->supports_online()) {
-    return Status::InvalidArgument(
-        "fleet devices need an online algorithm; sampling kinds perturb "
-        "whole subsequences");
-  }
+  CAPP_ASSIGN_OR_RETURN(
+      MultidimPerturber probe,
+      MultidimPerturber::Create(config.dims, config.multidim_strategy,
+                                {config.epsilon, config.window},
+                                config.algorithm));
   const int smoothing = config.smoothing_window != 0
                             ? config.smoothing_window
-                            : probe->publication_smoothing_window();
-  if (config.dims > 1) {
-    // Probe the multi-dim wrapper too, so an unsupported (strategy,
-    // inner) combination fails here with a real Status instead of
-    // CHECK-failing inside a worker thread.
-    auto multidim_probe = MultidimPerturber::Create(
-        config.dims, config.multidim_strategy, options, config.algorithm);
-    if (!multidim_probe.ok()) return multidim_probe.status();
-  }
+                            : probe.publication_smoothing_window();
   ShardedCollectorOptions collector_options;
   collector_options.num_shards = config.num_shards;
   collector_options.dims = config.dims;
@@ -324,53 +314,38 @@ Result<EngineStats> Fleet::Run() {
     ChunkSums& sums = chunk_sums[chunk];
     sums.true_sum.assign(cells, 0.0);
     sums.report_sum.assign(cells, 0.0);
-    // Pooled per-worker state, reused across every user in the chunk:
-    // sessions (reseeded per user via ResetForUser -- no perturber or
-    // mechanism construction on the per-user path) and preallocated
-    // signal/report/smoothing buffers. The per-report hot path is
-    // allocation-free after the first group. Multi-dimensional runs pool
-    // MultidimPerturbers the same way (reseeded per user).
+    // Pooled per-worker state, reused across every user in the chunk: one
+    // device per user of a lane group (reseeded per user via ResetForUser
+    // -- no perturber or mechanism construction on the per-user path) and
+    // preallocated signal/report/smoothing buffers. The per-report hot
+    // path is allocation-free after the first group. Every d, d = 1
+    // included, runs through the same device (MultidimPerturber).
     //
-    // When every slot is one Square Wave draw, users go through the
-    // perturbation in lane groups of kLanes streams in lockstep, which
-    // overlaps their feedback chains: kLanes / d users, one lane per
-    // (user, dimension), through StreamPerturber::ProcessSwLaneStreams
-    // (UserSession::ReportLanes at d = 1; MultidimPerturber::PerturbLanes
-    // for budget split at d dividing kLanes). The chunk's last users
-    // (fewer than a group) and every other algorithm, strategy or d take
-    // the per-user path. Both are bit-identical to per-slot Report, so the
-    // grouping is invisible in the results.
+    // When the device supports lanes (budget split -- always at d = 1 --
+    // with an SW inner, d dividing kLanes), users go through the
+    // perturbation in lane groups of kLanes / d users, one lane per (user,
+    // dimension), which overlaps their feedback chains. The chunk's last
+    // users (fewer than a group) and every other algorithm, strategy or d
+    // take the per-user PerturbStream. Both are bit-identical to per-slot
+    // Report, so the grouping is invisible in the results.
     constexpr size_t kLanes = StreamPerturber::kLanes;
-    std::vector<UserSession> sessions;
-    std::vector<MultidimPerturber> multidims;
-    auto add_user_state = [&] {
-      if (dims == 1) {
-        auto created = UserSession::Create(begin, config_.algorithm,
-                                           {config_.epsilon, config_.window},
-                                           /*seed=*/0);
-        CAPP_CHECK(created.ok());  // Config was validated in Create.
-        sessions.push_back(std::move(*created));
-      } else {
-        auto created = MultidimPerturber::Create(
-            dims, config_.multidim_strategy,
-            {config_.epsilon, config_.window}, config_.algorithm);
-        CAPP_CHECK(created.ok());  // Probed in Create.
-        multidims.push_back(std::move(*created));
-      }
+    std::vector<MultidimPerturber> devices;
+    auto add_device = [&] {
+      auto created = MultidimPerturber::Create(
+          dims, config_.multidim_strategy, {config_.epsilon, config_.window},
+          config_.algorithm);
+      CAPP_CHECK(created.ok());  // Probed in Create.
+      devices.push_back(std::move(*created));
     };
-    add_user_state();
-    const bool lanes = dims == 1 ? sessions[0].consumes_sw_uniforms()
-                                 : multidims[0].supports_lanes();
-    // Users per lane group (one per session or adapter).
+    add_device();
+    const bool lanes = devices[0].supports_lanes();
     const size_t group = lanes ? kLanes / dims : 1;
-    for (size_t u = 1; u < group; ++u) add_user_state();
+    while (devices.size() < group) add_device();
     std::vector<std::vector<double>> truths(group);
     std::vector<std::vector<double>> reports(group,
                                              std::vector<double>(cells));
-    std::vector<double> published;
+    std::vector<double> published(cells);
     std::vector<double> sma_scratch;
-    std::vector<double> dim_row;       // d > 1 only: per-dim SMA staging
-    std::vector<double> dim_smoothed;  // d > 1 only
     std::optional<TransportHub::Producer> producer;
     if (hub != nullptr) producer.emplace(hub->MakeProducer());
     // kDirect staging: the users' runs, back to back, until
@@ -408,26 +383,17 @@ Result<EngineStats> Fleet::Run() {
         if (staged_users.size() >= batch_runs) flush_staged();
       }
       sums.reports += cells;
-      if (dims == 1) {
-        CAPP_CHECK(SimpleMovingAverageInto(report_values, smoothing_window_,
-                                           published, sma_scratch)
+      // The collector-side SMA is per attribute: each dim-major row is
+      // read where it lies and smoothed into its row of the published
+      // block, which keeps the dim-major layout (it is what the digest
+      // hashes).
+      const std::span<const double> rows(report_values);
+      for (size_t k = 0; k < dims; ++k) {
+        CAPP_CHECK(SimpleMovingAverageInto(
+                       rows.subspan(k * slots, slots), smoothing_window_,
+                       std::span(published).subspan(k * slots, slots),
+                       sma_scratch)
                        .ok());
-      } else {
-        // The collector-side SMA is per attribute: each dim-major row is
-        // smoothed independently and the published stream keeps the
-        // dim-major layout (it is what the digest hashes).
-        published.resize(cells);
-        for (size_t k = 0; k < dims; ++k) {
-          dim_row.assign(
-              report_values.begin() + static_cast<ptrdiff_t>(k * slots),
-              report_values.begin() +
-                  static_cast<ptrdiff_t>((k + 1) * slots));
-          CAPP_CHECK(SimpleMovingAverageInto(dim_row, smoothing_window_,
-                                             dim_smoothed, sma_scratch)
-                         .ok());
-          std::copy(dim_smoothed.begin(), dim_smoothed.end(),
-                    published.begin() + static_cast<ptrdiff_t>(k * slots));
-        }
       }
       // The digest is one chunk-level hash of the published block
       // (core/stream_digest.h), so the slot-sum accumulation no longer
@@ -442,17 +408,12 @@ Result<EngineStats> Fleet::Run() {
     };
 
     // Synthesizes user uid's signal into truths[u] and reseeds pooled
-    // session or adapter u for it.
+    // device u for it.
     auto start_user = [&](size_t u, uint64_t uid) {
       Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
       GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
                                   truths[u]);
-      const uint64_t perturb_seed = UserStreamSeed(config_.seed, uid, 1);
-      if (dims == 1) {
-        sessions[u].ResetForUser(uid, perturb_seed);
-      } else {
-        multidims[u].ResetForUser(perturb_seed);
-      }
+      devices[u].ResetForUser(UserStreamSeed(config_.seed, uid, 1));
     };
 
     uint64_t uid = begin;
@@ -464,15 +425,9 @@ Result<EngineStats> Fleet::Run() {
         truth_views[u] = truths[u];
         report_views[u] = reports[u];
       }
-      // The same lane kernel and transpose either way; d = 1 is its
-      // one-stream-per-user layout.
-      const auto in = std::span(truth_views).first(group);
-      const auto out = std::span(report_views).first(group);
-      if (dims == 1) {
-        UserSession::ReportLanes(sessions, in, out);
-      } else {
-        MultidimPerturber::PerturbLanes(multidims, in, out);
-      }
+      MultidimPerturber::PerturbLanes(devices,
+                                      std::span(truth_views).first(group),
+                                      std::span(report_views).first(group));
       for (size_t u = 0; u < group; ++u) {
         finish_user(uid + u, truths[u], reports[u]);
       }
@@ -481,11 +436,7 @@ Result<EngineStats> Fleet::Run() {
       start_user(0, uid);
       // All of the user's slots go through the batched perturbation
       // pipeline in one call (bit-identical to per-slot Report).
-      if (dims == 1) {
-        sessions[0].ReportChunk(truths[0], reports[0]);
-      } else {
-        multidims[0].PerturbStream(truths[0], slots, reports[0]);
-      }
+      devices[0].PerturbStream(truths[0], slots, reports[0]);
       finish_user(uid, truths[0], reports[0]);
     }
     flush_staged();

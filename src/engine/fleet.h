@@ -2,16 +2,17 @@
 // deployment (Fig. 1) at population scale.
 //
 // A Fleet owns one simulated population. Each user is an independent
-// UserSession whose RNG seeds are derived from (fleet seed, user id) with
-// splitmix64, so a user's perturbed stream is a pure function of the config
-// -- never of thread scheduling. The population is split into fixed-size
-// chunks of users; worker threads claim chunks, perturb every session in
-// the chunk, and deliver each user's stream to the collector as one run
-// (staged into IngestUserRuns batches, or a frame through the
-// transport). Per-chunk
-// accumulators are reduced in chunk order afterwards, so the reported
-// statistics (and the published-stream digest) are bit-identical for any
-// thread count.
+// device (a MultidimPerturber, for every d >= 1) whose RNG seeds are
+// derived from (fleet seed, user id) with splitmix64, so a user's
+// perturbed stream is a pure function of the config -- never of thread
+// scheduling. At d = 1 the device reports exactly what a UserSession
+// would for the fleet's finite inputs. The population is split into
+// fixed-size chunks of users; worker threads claim chunks, perturb every
+// user in the chunk, and deliver each user's stream to the collector as
+// one run (staged into IngestUserRuns batches, or a frame through the
+// transport). Per-chunk accumulators are reduced in chunk order
+// afterwards, so the reported statistics (and the published-stream
+// digest) are bit-identical for any thread count.
 #ifndef CAPP_ENGINE_FLEET_H_
 #define CAPP_ENGINE_FLEET_H_
 
@@ -55,7 +56,7 @@ void GenerateUserSignalMultiInto(SignalKind kind, size_t dims,
                                  size_t num_slots, Rng& rng,
                                  std::vector<double>& out);
 
-/// A simulated population of UserSessions feeding one ShardedCollector.
+/// A simulated population of user devices feeding one ShardedCollector.
 class Fleet {
  public:
   /// Validates the config (including that the algorithm supports online

@@ -19,11 +19,19 @@ Result<std::unique_ptr<BudgetSplitPerturber>> BudgetSplitPerturber::Create(
   inners.reserve(dimensions);
   for (size_t d = 0; d < dimensions; ++d) {
     CAPP_ASSIGN_OR_RETURN(auto p, CreatePerturber(inner, per_dim));
+    CAPP_RETURN_IF_ERROR(RequireOnlineInner(*p));
     inners.push_back(std::move(p));
   }
   std::string name = std::string(AlgorithmKindName(inner)) + "-bs";
   return std::unique_ptr<BudgetSplitPerturber>(
       new BudgetSplitPerturber(std::move(inners), std::move(name)));
+}
+
+Status MultiDimPerturber::RequireOnlineInner(const StreamPerturber& inner) {
+  if (inner.supports_online()) return Status::OK();
+  return Status::InvalidArgument(
+      "multi-dimensional strategies need an online inner algorithm; "
+      "sampling kinds perturb whole subsequences");
 }
 
 void MultiDimPerturber::PerturbStreamPerSlot(std::span<const double> truth,
@@ -55,11 +63,16 @@ void BudgetSplitPerturber::PerturbStream(std::span<const double> truth,
   const size_t dims = inner_.size();
   CAPP_CHECK(truth.size() == dims * slots && out.size() == dims * slots);
   if (!sw_uniforms_) {
-    PerturbStreamPerSlot(truth, slots, out, rng);
+    // ProcessVector's slot-major order, read and written in place.
+    for (size_t t = 0; t < slots; ++t) {
+      for (size_t k = 0; k < dims; ++k) {
+        out[k * slots + t] = inner_[k]->ProcessValue(truth[k * slots + t], rng);
+      }
+    }
     return;
   }
   // Slot t of dimension k takes pair t*d + k of the block, exactly where
-  // the per-slot loop above would have drawn it.
+  // ProcessVector would have drawn it.
   constexpr size_t kBlock = internal::kSwBlockSlots;
   uniforms_.resize(2 * dims * kBlock);
   for (size_t done = 0; done < slots; done += kBlock) {
@@ -90,7 +103,7 @@ void BudgetSplitPerturber::PerturbLanes(
     }
   }
   StreamPerturber::ProcessSwLaneStreams(lanes, rngs, truth, out,
-                                        /*clamp=*/false, group[0]->uniforms_);
+                                        group[0]->uniforms_);
 }
 
 void BudgetSplitPerturber::Reset() {

@@ -3,7 +3,8 @@
 // At every time slot the user uploads all d dimensions; sequential
 // composition across dimensions means each per-dimension upload gets budget
 // eps / (d * w). Implemented as d independent inner perturbers, each
-// configured with window budget eps / d.
+// configured with window budget eps / d. At d = 1 that is the scalar
+// algorithm at eps / w itself, which is how the engine runs d = 1.
 //
 // The per-slot reference (ProcessVector) draws slot t's uniform pairs
 // dimension by dimension, so with Square Wave inners slot t of dimension k
@@ -46,8 +47,9 @@ class MultiDimPerturber {
   /// (k+1) * slots). Bit-identical to `slots` ProcessVector calls -- same
   /// reports, RNG draws, ledger and per-stream state. When every inner
   /// algorithm consumes SW uniforms (decided at Create) the uniforms are
-  /// drawn in blocks and each dimension runs as one chunk; otherwise it is
-  /// PerturbStreamPerSlot.
+  /// drawn in blocks and each dimension runs as one chunk; otherwise the
+  /// inners run slot by slot, without a per-slot allocation under budget
+  /// split.
   virtual void PerturbStream(std::span<const double> truth, size_t slots,
                              std::span<double> out, Rng& rng) = 0;
   /// Clears per-stream state.
@@ -57,9 +59,14 @@ class MultiDimPerturber {
   virtual void AttachAccountant(WEventAccountant* accountant) = 0;
 
  protected:
+  /// The strategies' Create refuses inners without a per-slot path
+  /// (sampling kinds): InvalidArgument, instead of an abort at the first
+  /// slot.
+  static Status RequireOnlineInner(const StreamPerturber& inner);
+
   /// PerturbStream as the per-slot reference loop: gather slot t's
   /// d-vector, ProcessVector, scatter. The path of inner algorithms that do
-  /// not consume SW uniforms.
+  /// not consume SW uniforms under sample split.
   void PerturbStreamPerSlot(std::span<const double> truth, size_t slots,
                             std::span<double> out, Rng& rng);
 };

@@ -30,11 +30,10 @@ Result<MultidimStrategy> ParseMultidimStrategy(std::string_view name) {
 Result<MultidimPerturber> MultidimPerturber::Create(
     size_t dims, MultidimStrategy strategy, PerturberOptions options,
     AlgorithmKind inner) {
-  if (dims < 2) {
-    return Status::InvalidArgument(
-        "MultidimPerturber wants dims >= 2; one-dimensional streams take "
-        "the scalar UserSession path");
-  }
+  if (dims == 0) return Status::InvalidArgument("dims must be >= 1");
+  // One dimension has nothing to split: budget split at d = 1 is the
+  // scalar algorithm at eps / w.
+  if (dims == 1) strategy = MultidimStrategy::kBudgetSplit;
   std::unique_ptr<MultiDimPerturber> impl;
   bool lanes = false;
   switch (strategy) {
@@ -54,8 +53,17 @@ Result<MultidimPerturber> MultidimPerturber::Create(
   return MultidimPerturber(std::move(impl), lanes);
 }
 
+MultidimPerturber::MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl,
+                                     bool lanes)
+    : impl_(std::move(impl)),
+      lanes_(lanes),
+      ledger_(std::make_unique<WEventAccountant>()) {
+  impl_->AttachAccountant(ledger_.get());
+}
+
 void MultidimPerturber::ResetForUser(uint64_t seed) {
   impl_->Reset();
+  ledger_->Reset();
   rng_ = Rng(seed);
 }
 

@@ -20,6 +20,7 @@ Result<std::unique_ptr<SampleSplitPerturber>> SampleSplitPerturber::Create(
   inners.reserve(dimensions);
   for (size_t d = 0; d < dimensions; ++d) {
     CAPP_ASSIGN_OR_RETURN(auto p, CreatePerturber(inner, options));
+    CAPP_RETURN_IF_ERROR(RequireOnlineInner(*p));
     inners.push_back(std::move(p));
   }
   std::string name = std::string(AlgorithmKindName(inner)) + "-ss";

@@ -35,11 +35,14 @@ Result<std::unique_ptr<DurableCollector>> DurableCollector::Create(
       WalWriter::Create(durable->options_.wal, next_seqno));
   durable->writer_.emplace(std::move(writer));
   // The buffers are reserved once, here: a batch never holds more than
-  // kLogBatchBytes unless a single run is larger, so swapping them never
-  // reallocates, and the log thread allocates nothing for runs of up to
-  // kFrameReserveBytes. A thread that never allocates never takes a
+  // kLogBatchBytes unless a single QueueRuns call is larger, and every run
+  // costs at least sizeof(QueuedRun) of them, so neither appenders nor the
+  // swap ever reallocate, and the log thread allocates nothing for runs of
+  // up to kFrameReserveBytes. A thread that never allocates never takes a
   // malloc arena, whose pages glibc would keep resident after it exits.
+  // Both arrays get their own pages, resident only once written.
   for (LogBatch* batch : {&durable->open_batch_, &durable->log_batch_}) {
+    batch->runs.reserve(kLogBatchBytes / sizeof(QueuedRun));
     batch->values.reserve(kLogBatchBytes / sizeof(double));
   }
   durable->frame_.reserve(kFrameReserveBytes);

@@ -186,8 +186,9 @@ class DurableCollector : public CollectorBackend {
     uint64_t count;
   };
   struct LogBatch {
-    std::vector<QueuedRun> runs;
-    PageVector<double> values;  // its own pages: freed with the collector
+    // Both on their own pages: freed with the collector.
+    PageVector<QueuedRun> runs;
+    PageVector<double> values;
     size_t bytes = 0;
   };
   // Requests a caller hands the log thread, run after the runs queued

@@ -51,23 +51,6 @@ void UserSession::ReportChunk(std::span<const double> values,
   perturber_->ProcessChunk(clamp_scratch_, out, rng_);
 }
 
-void UserSession::ReportLanes(
-    std::span<UserSession> group,
-    std::span<const std::span<const double>> values,
-    std::span<const std::span<double>> out) {
-  constexpr size_t kLanes = StreamPerturber::kLanes;
-  CAPP_CHECK(group.size() == kLanes);
-  StreamPerturber* perturbers[kLanes] = {};
-  Rng* rngs[kLanes] = {};
-  for (size_t l = 0; l < kLanes; ++l) {
-    perturbers[l] = group[l].perturber_.get();
-    rngs[l] = &group[l].rng_;
-  }
-  StreamPerturber::ProcessSwLaneStreams(perturbers, rngs, values, out,
-                                        /*clamp=*/true,
-                                        group[0].clamp_scratch_);
-}
-
 Result<CollectorSession> CollectorSession::Create(int smoothing_window) {
   if (smoothing_window < 1 || smoothing_window % 2 == 0) {
     return Status::InvalidArgument("smoothing_window must be odd and >= 1");

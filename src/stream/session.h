@@ -2,7 +2,11 @@
 //
 //   * UserSession -- runs on each user's device. Wraps a stream
 //     perturbation algorithm, the w-event budget ledger, and an auditable
-//     per-slot report record. One call per time slot.
+//     per-slot report record. One call per time slot. It is the scalar
+//     reference the engine is pinned against: the engine's fleet workers
+//     run every d, d = 1 included, through MultidimPerturber
+//     (multidim/multidim_perturber.h), whose d = 1 budget split reports
+//     what this session reports, bit for bit, for finite inputs.
 //   * CollectorSession -- runs at the untrusted collector. Ingests the
 //     per-slot reports of many users, maintains per-user published streams
 //     (with each algorithm's smoothing), per-slot population means, and
@@ -67,9 +71,9 @@ class UserSession {
   /// Re-purposes this session for another user: algorithm state, budget
   /// ledger, and slot counter are reset and the RNG is reseeded, leaving
   /// the session indistinguishable from a freshly created one -- while the
-  /// perturber and ledger allocations are reused. The engine's fleet
-  /// workers pool one session per worker through this instead of paying a
-  /// mechanism construction per simulated user.
+  /// perturber and ledger allocations are reused, so a caller can pool one
+  /// session for many users instead of paying a mechanism construction
+  /// per user.
   void ResetForUser(uint64_t user_id, uint64_t seed);
 
   /// Perturbs the current slot's value and returns the outgoing report.
@@ -83,23 +87,6 @@ class UserSession {
   /// described at StreamPerturber::ProcessChunk. out.size() must equal
   /// values.size().
   void ReportChunk(std::span<const double> values, std::span<double> out);
-
-  /// ReportChunk for a group of StreamPerturber::kLanes sessions at once:
-  /// group[l] perturbs values[l] into out[l] (all of one length), bit for
-  /// bit as group[l].ReportChunk would, leaving the same RNG, ledger and
-  /// slot-counter state. The group runs in lockstep through
-  /// StreamPerturber::ProcessSwLaneStreams (the d = 1 layout), so every
-  /// session must run the same algorithm with the same options and
-  /// consumes_sw_uniforms(). group[0] holds the [slot][lane] staging block.
-  static void ReportLanes(std::span<UserSession> group,
-                          std::span<const std::span<const double>> values,
-                          std::span<const std::span<double>> out);
-
-  /// True when every slot is one Square Wave draw, which is what
-  /// ReportLanes needs (StreamPerturber::consumes_sw_uniforms).
-  bool consumes_sw_uniforms() const {
-    return perturber_->consumes_sw_uniforms();
-  }
 
   uint64_t user_id() const { return user_id_; }
   size_t slots_processed() const { return perturber_->slots_processed(); }
@@ -126,7 +113,7 @@ class UserSession {
   std::unique_ptr<StreamPerturber> perturber_;
   WEventAccountant ledger_;
   Rng rng_;
-  // ReportChunk's clamped inputs; ReportLanes' staging block in group[0].
+  // ReportChunk's clamped inputs.
   std::vector<double> clamp_scratch_;
 };
 

@@ -17,15 +17,23 @@ Result<std::vector<double>> SimpleMovingAverage(std::span<const double> xs,
 Status SimpleMovingAverageInto(std::span<const double> xs, int window,
                                std::vector<double>& out,
                                std::vector<double>& prefix_scratch) {
+  // Every slot is overwritten, so sizing without the copy suffices.
+  out.resize(xs.size());
+  return SimpleMovingAverageInto(xs, window, std::span<double>(out),
+                                 prefix_scratch);
+}
+
+Status SimpleMovingAverageInto(std::span<const double> xs, int window,
+                               std::span<double> out,
+                               std::vector<double>& prefix_scratch) {
+  CAPP_CHECK(out.size() == xs.size());
   if (window < 1 || window % 2 == 0) {
     return Status::InvalidArgument("SMA window must be odd and >= 1");
   }
   if (window == 1 || xs.size() <= 1) {
-    out.assign(xs.begin(), xs.end());
+    std::copy(xs.begin(), xs.end(), out.begin());
     return Status::OK();
   }
-  // Every slot below is overwritten, so sizing without the copy suffices.
-  out.resize(xs.size());
   const int k = window / 2;
   const int n = static_cast<int>(xs.size());
   // Prefix sums for O(n) evaluation.

@@ -22,10 +22,16 @@ Result<std::vector<double>> SimpleMovingAverage(std::span<const double> xs,
                                                 int window);
 
 /// Scratch-buffer variant for per-user hot loops: writes the smoothed
-/// series into `out` and keeps the prefix sums in `prefix_scratch`, both
-/// resized as needed so repeated calls reuse their capacity. Values are
-/// identical to SimpleMovingAverage (which wraps this). `xs` must not
-/// alias `out` or `prefix_scratch`.
+/// series into the caller's `out` (out.size() == xs.size(), so a row of a
+/// larger block smooths in place) and keeps the prefix sums in
+/// `prefix_scratch`, resized as needed so repeated calls reuse its
+/// capacity. Values are identical to SimpleMovingAverage (which wraps
+/// this). `xs` must not alias `out` or `prefix_scratch`.
+Status SimpleMovingAverageInto(std::span<const double> xs, int window,
+                               std::span<double> out,
+                               std::vector<double>& prefix_scratch);
+
+/// The same into a vector, resized to xs.size().
 Status SimpleMovingAverageInto(std::span<const double> xs, int window,
                                std::vector<double>& out,
                                std::vector<double>& prefix_scratch);

@@ -535,43 +535,6 @@ TEST(UserSessionBatchTest, ResetForUserEqualsFreshSession) {
   EXPECT_EQ(fresh->MaxWindowSpend(), pooled->MaxWindowSpend());
 }
 
-TEST(UserSessionBatchTest, ReportLanesMatchesReportChunk) {
-  constexpr size_t kLanes = StreamPerturber::kLanes;
-  for (AlgorithmKind kind : kSwKinds) {
-    SCOPED_TRACE(AlgorithmKindName(kind));
-    std::vector<UserSession> chunked;
-    std::vector<UserSession> grouped;
-    std::vector<std::vector<double>> xs;
-    for (size_t l = 0; l < kLanes; ++l) {
-      auto a = UserSession::Create(l, kind, {1.0, 10}, 300 + l);
-      auto b = UserSession::Create(l, kind, {1.0, 10}, 300 + l);
-      ASSERT_TRUE(a.ok() && b.ok());
-      ASSERT_TRUE(b->consumes_sw_uniforms());
-      chunked.push_back(std::move(*a));
-      grouped.push_back(std::move(*b));
-      xs.push_back(MakeInputs(100, 60 + l, /*include_nonfinite=*/true));
-    }
-    std::vector<std::vector<double>> expected(kLanes,
-                                              std::vector<double>(100));
-    std::vector<std::vector<double>> got(kLanes, std::vector<double>(100));
-    std::array<std::span<const double>, kLanes> values;
-    std::array<std::span<double>, kLanes> out;
-    for (size_t l = 0; l < kLanes; ++l) {
-      chunked[l].ReportChunk(xs[l], expected[l]);
-      values[l] = xs[l];
-      out[l] = got[l];
-    }
-    UserSession::ReportLanes(std::span<UserSession, kLanes>(grouped), values,
-                             out);
-    for (size_t l = 0; l < kLanes; ++l) {
-      ExpectBitEqual(expected[l], got[l], "ReportLanes");
-      EXPECT_EQ(chunked[l].slots_processed(), grouped[l].slots_processed());
-      EXPECT_EQ(chunked[l].MaxWindowSpend(), grouped[l].MaxWindowSpend());
-      EXPECT_TRUE(grouped[l].AuditBudget().ok());
-    }
-  }
-}
-
 // ---------------------------------------------------------- IngestUserRun --
 
 TEST(IngestUserRunTest, MatchesPerReportIngest) {
@@ -681,38 +644,44 @@ uint64_t ScalarOracleDigest(const EngineConfig& config,
 TEST(FleetBatchTest, DigestMatchesScalarOracleAndIsThreadInvariant) {
   // SW algorithms take users in lane groups; 203 users in chunks of 13
   // leave a 5-user per-user tail in every chunk but the last (8 users).
+  // At d = 1 the strategy is ignored: both must give the scalar digest.
   for (AlgorithmKind kind :
        {AlgorithmKind::kCapp, AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
         AlgorithmKind::kApp, AlgorithmKind::kBaSw}) {
-    for (const auto& [users, chunk_size] :
-         {std::pair<size_t, size_t>{200, 32}, {203, 13}}) {
-      SCOPED_TRACE(AlgorithmKindName(kind));
-      SCOPED_TRACE(users);
-      EngineConfig config;
-      config.algorithm = kind;
-      config.epsilon = 1.0;
-      config.window = 10;
-      config.num_users = users;
-      config.num_slots = 30;
-      config.chunk_size = chunk_size;
-      config.seed = 2025;
-      config.signal = SignalKind::kSinusoid;
+    for (MultidimStrategy strategy :
+         {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+      for (const auto& [users, chunk_size] :
+           {std::pair<size_t, size_t>{200, 32}, {203, 13}}) {
+        SCOPED_TRACE(AlgorithmKindName(kind));
+        SCOPED_TRACE(MultidimStrategyName(strategy));
+        SCOPED_TRACE(users);
+        EngineConfig config;
+        config.algorithm = kind;
+        config.multidim_strategy = strategy;
+        config.epsilon = 1.0;
+        config.window = 10;
+        config.num_users = users;
+        config.num_slots = 30;
+        config.chunk_size = chunk_size;
+        config.seed = 2025;
+        config.signal = SignalKind::kSinusoid;
 
-      uint64_t oracle = 0;
-      bool have_oracle = false;
-      for (int threads : {1, 4, 8}) {
-        SCOPED_TRACE(threads);
-        config.num_threads = threads;
-        auto fleet = Fleet::Create(config);
-        ASSERT_TRUE(fleet.ok());
-        if (!have_oracle) {
-          oracle = ScalarOracleDigest(config, fleet->smoothing_window());
-          have_oracle = true;
+        uint64_t oracle = 0;
+        bool have_oracle = false;
+        for (int threads : {1, 4, 8}) {
+          SCOPED_TRACE(threads);
+          config.num_threads = threads;
+          auto fleet = Fleet::Create(config);
+          ASSERT_TRUE(fleet.ok());
+          if (!have_oracle) {
+            oracle = ScalarOracleDigest(config, fleet->smoothing_window());
+            have_oracle = true;
+          }
+          auto stats = fleet->Run();
+          ASSERT_TRUE(stats.ok());
+          EXPECT_EQ(stats->stream_digest, oracle)
+              << "batched fleet diverged from the scalar oracle";
         }
-        auto stats = fleet->Run();
-        ASSERT_TRUE(stats.ok());
-        EXPECT_EQ(stats->stream_digest, oracle)
-            << "batched fleet diverged from the scalar oracle";
       }
     }
   }

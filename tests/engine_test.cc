@@ -1186,9 +1186,28 @@ TEST(EngineConfigTest, FingerprintIsPinned) {
 }
 
 TEST(FleetTest, RejectsSamplingAlgorithms) {
-  EngineConfig config;
-  config.algorithm = AlgorithmKind::kCappS;
-  EXPECT_FALSE(Fleet::Create(config).ok());
+  // The refusal is the device's own (MultidimPerturber::Create), at every
+  // d and for either strategy.
+  for (AlgorithmKind kind : {AlgorithmKind::kCappS, AlgorithmKind::kAppS,
+                             AlgorithmKind::kSampling}) {
+    for (size_t dims : {size_t{1}, size_t{4}}) {
+      for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                        MultidimStrategy::kSampleSplit}) {
+        SCOPED_TRACE(testing::Message()
+                     << AlgorithmKindName(kind) << " d=" << dims << " "
+                     << MultidimStrategyName(strategy));
+        EngineConfig config;
+        config.algorithm = kind;
+        config.dims = dims;
+        config.multidim_strategy = strategy;
+        const auto fleet = Fleet::Create(config);
+        ASSERT_FALSE(fleet.ok());
+        EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+        config.algorithm = AlgorithmKind::kCapp;  // the same shape, online
+        EXPECT_TRUE(Fleet::Create(config).ok());
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- fleet determinism ----

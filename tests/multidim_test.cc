@@ -21,6 +21,7 @@
 #include "multidim/multidim_perturber.h"
 #include "multidim/sample_split.h"
 #include "stream/accountant.h"
+#include "stream/session.h"
 #include "stream/smoothing.h"
 
 namespace capp {
@@ -188,6 +189,16 @@ void ExpectBitEqual(const std::vector<double>& actual,
   }
 }
 
+void ExpectSameLedger(const WEventAccountant& actual,
+                      const WEventAccountant& expected) {
+  ASSERT_EQ(actual.num_slots(), expected.num_slots());
+  for (size_t t = 0; t < actual.num_slots(); ++t) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(actual.SlotSpend(t)),
+              std::bit_cast<uint64_t>(expected.SlotSpend(t)))
+        << "ledger slot " << t;
+  }
+}
+
 TEST(MultidimBulkTest, SwInnersConsumeUniformsAndBaSwFallsBack) {
   // The bulk path is taken exactly for the SW chunk loops; BA-SW (extra
   // Laplace draws, SW at a banked budget on publishing slots only) has no
@@ -252,12 +263,7 @@ TEST(MultidimBulkTest, PerturbStreamMatchesPerSlotReferenceBitForBit) {
               EXPECT_EQ(bulk_rng.NextUint64(), reference_rng.NextUint64());
             }
           }
-          ASSERT_EQ(bulk_ledger.num_slots(), reference_ledger.num_slots());
-          for (size_t t = 0; t < bulk_ledger.num_slots(); ++t) {
-            ASSERT_EQ(std::bit_cast<uint64_t>(bulk_ledger.SlotSpend(t)),
-                      std::bit_cast<uint64_t>(reference_ledger.SlotSpend(t)))
-                << "ledger slot " << t;
-          }
+          ExpectSameLedger(bulk_ledger, reference_ledger);
         }
       }
     }
@@ -296,7 +302,8 @@ const AlgorithmKind kSwInners[] = {AlgorithmKind::kSwDirect,
                                    AlgorithmKind::kCapp};
 
 // 8 / d budget-split users as one ProcessSwLanes group, lane u*d + k being
-// user u's inner k, against each user's own PerturbStream: the reports,
+// user u's inner k (at d = 1, eight users of one lane each), against each
+// user's own PerturbStream: the reports,
 // each user's next draw, every inner's slot counter and one ledger shared
 // by all of them. Each stream is followed by a 37-slot continuation, so
 // the lanes must also have stored each inner's feedback state back.
@@ -304,7 +311,7 @@ TEST(MultidimLaneTest, LaneGroupMatchesPerUserPerturbStream) {
   constexpr size_t kLanes = StreamPerturber::kLanes;
   const PerturberOptions options{2.0, 10};
   for (AlgorithmKind inner : kSwInners) {
-    for (size_t dims : {size_t{2}, size_t{4}, size_t{8}}) {
+    for (size_t dims : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       for (size_t slots : {size_t{1}, size_t{127}, size_t{128}, size_t{129},
                            size_t{300}}) {
         SCOPED_TRACE(testing::Message() << AlgorithmKindName(inner)
@@ -361,12 +368,7 @@ TEST(MultidimLaneTest, LaneGroupMatchesPerUserPerturbStream) {
                       per_user[u]->inner(k).slots_processed());
           }
         }
-        ASSERT_EQ(lane_ledger.num_slots(), per_user_ledger.num_slots());
-        for (size_t t = 0; t < lane_ledger.num_slots(); ++t) {
-          ASSERT_EQ(std::bit_cast<uint64_t>(lane_ledger.SlotSpend(t)),
-                    std::bit_cast<uint64_t>(per_user_ledger.SlotSpend(t)))
-              << "ledger slot " << t;
-        }
+        ExpectSameLedger(lane_ledger, per_user_ledger);
       }
     }
   }
@@ -384,6 +386,9 @@ TEST(MultidimLaneTest, AdapterLanesOnlyForBudgetSplitSwInnersAndDDividing8) {
       EXPECT_TRUE(supports(dims, MultidimStrategy::kBudgetSplit, inner));
       EXPECT_FALSE(supports(dims, MultidimStrategy::kSampleSplit, inner));
     }
+    // d = 1 is budget split whatever the strategy: eight users a group.
+    EXPECT_TRUE(supports(1, MultidimStrategy::kBudgetSplit, inner));
+    EXPECT_TRUE(supports(1, MultidimStrategy::kSampleSplit, inner));
     for (size_t dims : {size_t{3}, size_t{5}, size_t{16}}) {
       EXPECT_FALSE(supports(dims, MultidimStrategy::kBudgetSplit, inner));
     }
@@ -393,11 +398,12 @@ TEST(MultidimLaneTest, AdapterLanesOnlyForBudgetSplitSwInnersAndDDividing8) {
 }
 
 // The engine adapter's group call against its per-user call, over two
-// pooled users per adapter (ResetForUser between them).
+// pooled users per adapter (ResetForUser between them): reports and each
+// user's ledger.
 TEST(MultidimLaneTest, PerturbLanesMatchesPerturbStream) {
   constexpr size_t kLanes = StreamPerturber::kLanes;
   const size_t slots = 100;
-  for (size_t dims : {size_t{2}, size_t{4}, size_t{8}}) {
+  for (size_t dims : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE(dims);
     const size_t users = kLanes / dims;
     auto make = [&] {
@@ -428,6 +434,8 @@ TEST(MultidimLaneTest, PerturbLanesMatchesPerturbStream) {
         per_user.ResetForUser(7000 + 10 * round + u);
         per_user.PerturbStream(truths[u], slots, expected);
         ExpectBitEqual(out[u], expected);
+        EXPECT_EQ(group[u].ledger().num_slots(), slots);
+        ExpectSameLedger(group[u].ledger(), per_user.ledger());
       }
     }
   }
@@ -435,15 +443,69 @@ TEST(MultidimLaneTest, PerturbLanesMatchesPerturbStream) {
 
 // ------------------------------------------- engine adapter + equivalence ----
 
-TEST(MultidimPerturberTest, RejectsScalarDimensionality) {
-  // dims < 2 takes the scalar UserSession path; the adapter refuses it so
-  // the two paths can never silently disagree about who owns d = 1.
+TEST(MultidimPerturberTest, RefusesZeroDimsAndOfflineInnersAcceptsOneDim) {
   EXPECT_FALSE(MultidimPerturber::Create(0, MultidimStrategy::kBudgetSplit,
                                          {1.0, 10}, AlgorithmKind::kCapp)
                    .ok());
-  EXPECT_FALSE(MultidimPerturber::Create(1, MultidimStrategy::kBudgetSplit,
-                                         {1.0, 10}, AlgorithmKind::kCapp)
-                   .ok());
+  // Sampling inners perturb whole subsequences, so no strategy can run
+  // them slot by slot: a typed refusal at every d.
+  for (AlgorithmKind inner : {AlgorithmKind::kSampling, AlgorithmKind::kAppS,
+                              AlgorithmKind::kCappS}) {
+    for (MultidimStrategy strategy :
+         {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+      for (size_t dims : {size_t{1}, size_t{3}}) {
+        const auto refused =
+            MultidimPerturber::Create(dims, strategy, {1.0, 10}, inner);
+        ASSERT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+  // d = 1 is the engine's one-dimensional device: budget split over one
+  // inner, whatever strategy is named.
+  for (MultidimStrategy strategy :
+       {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+    auto one = MultidimPerturber::Create(1, strategy, {1.0, 10},
+                                         AlgorithmKind::kCapp);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one->dimensions(), 1u);
+    EXPECT_EQ(one->name(), "capp-bs");
+  }
+}
+
+// At d = 1 the device is the scalar algorithm at the full budget: the same
+// reports and ledger as a UserSession, for every online algorithm, on
+// finite inputs (where UserSession's clamp and the device's
+// SanitizeUnitValue agree).
+TEST(MultidimPerturberTest, OneDimensionMatchesUserSession) {
+  const size_t slots = 150;
+  for (AlgorithmKind kind : {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
+                             AlgorithmKind::kApp, AlgorithmKind::kCapp,
+                             AlgorithmKind::kBaSw}) {
+    for (MultidimStrategy strategy :
+         {MultidimStrategy::kBudgetSplit, MultidimStrategy::kSampleSplit}) {
+      SCOPED_TRACE(testing::Message() << AlgorithmKindName(kind) << " "
+                                      << MultidimStrategyName(strategy));
+      auto device = MultidimPerturber::Create(1, strategy, {1.0, 10}, kind);
+      ASSERT_TRUE(device.ok());
+      EXPECT_EQ(device->supports_lanes(), kind != AlgorithmKind::kBaSw);
+      std::vector<double> out;
+      for (uint64_t user = 0; user < 2; ++user) {
+        Rng input_rng(60 + user);
+        std::vector<double> truth(slots);
+        for (double& x : truth) x = input_rng.Uniform(-0.2, 1.2);
+        auto session = UserSession::Create(user, kind, {1.0, 10}, 800 + user);
+        ASSERT_TRUE(session.ok());
+        std::vector<double> expected(slots);
+        session->ReportChunk(truth, expected);
+        device->ResetForUser(800 + user);
+        device->PerturbStream(truth, slots, out);
+        ExpectBitEqual(out, expected);
+        EXPECT_EQ(device->ledger().MaxWindowSpend(10),
+                  session->MaxWindowSpend());
+      }
+    }
+  }
 }
 
 TEST(MultidimPerturberTest, StrategyNamesRoundTrip) {
