@@ -164,10 +164,9 @@ RowResult RunRow(const SaturationFlags& flags, const SaturationRow& row) {
   }
   SocketCollectorServer::Options server_options;
   if (row.tcp) {
-    server_options.tcp_host = "127.0.0.1";
-    server_options.tcp_port = 0;  // ephemeral
+    server_options.endpoint.tcp_host = "127.0.0.1";  // port 0: ephemeral
   } else {
-    server_options.socket_path = MakeLoopbackSocketPath();
+    server_options.endpoint.unix_path = MakeLoopbackSocketPath();
   }
   server_options.num_consumers = flags.consumers;
   server_options.max_batch_runs = flags.batch_runs;
@@ -186,9 +185,9 @@ RowResult RunRow(const SaturationFlags& flags, const SaturationRow& row) {
   options.kind = TransportKind::kSocket;
   if (row.tcp) {
     options.tcp_host = "127.0.0.1";
-    options.tcp_port = (*server)->tcp_port();
+    options.tcp_port = (*server)->endpoint().tcp_port;
   } else {
-    options.socket_path = server_options.socket_path;
+    options.socket_path = server_options.endpoint.unix_path;
   }
   options.connect_streams = row.streams;
   options.num_consumers = flags.consumers;

@@ -3,9 +3,7 @@
 // (multidim/budget_split.h, multidim/sample_split.h), and every fleet
 // worker pools it for every d. At d = 1 it is budget split over one inner
 // at eps / w, whatever strategy the caller names: the scalar algorithm,
-// bit for bit what UserSession reports for finite inputs (UserSession
-// clamps an infinity to the domain edge; SanitizeUnitValue maps it to
-// 0.5).
+// bit for bit what UserSession reports.
 //
 // The fleet works in dim-major runs -- all of dimension 0's slots, then
 // dimension 1's, exactly the wire layout -- and so does the strategies'

@@ -38,17 +38,13 @@ SlotReport UserSession::Report(double value) {
   SlotReport report;
   report.user_id = user_id_;
   report.slot = perturber_->slots_processed();
-  report.value = perturber_->ProcessValue(Clamp(value, 0.0, 1.0), rng_);
+  report.value = perturber_->ProcessValue(value, rng_);
   return report;
 }
 
 void UserSession::ReportChunk(std::span<const double> values,
                               std::span<double> out) {
-  clamp_scratch_.resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    clamp_scratch_[i] = Clamp(values[i], 0.0, 1.0);
-  }
-  perturber_->ProcessChunk(clamp_scratch_, out, rng_);
+  perturber_->ProcessChunk(values, out, rng_);
 }
 
 Result<CollectorSession> CollectorSession::Create(int smoothing_window) {

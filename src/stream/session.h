@@ -53,8 +53,7 @@ class UserSession {
       : user_id_(other.user_id_),
         perturber_(std::move(other.perturber_)),
         ledger_(std::move(other.ledger_)),
-        rng_(other.rng_),
-        clamp_scratch_(std::move(other.clamp_scratch_)) {
+        rng_(other.rng_) {
     if (perturber_) perturber_->AttachAccountant(&ledger_);
   }
   UserSession& operator=(UserSession&& other) noexcept {
@@ -63,7 +62,6 @@ class UserSession {
     perturber_ = std::move(other.perturber_);
     ledger_ = std::move(other.ledger_);
     rng_ = other.rng_;
-    clamp_scratch_ = std::move(other.clamp_scratch_);
     if (perturber_) perturber_->AttachAccountant(&ledger_);
     return *this;
   }
@@ -77,7 +75,9 @@ class UserSession {
   void ResetForUser(uint64_t user_id, uint64_t seed);
 
   /// Perturbs the current slot's value and returns the outgoing report.
-  /// Values are clamped into [0,1] (normalize upstream if necessary).
+  /// Values are sanitized like every per-user path (SanitizeUnitValue):
+  /// clamped into [0,1], a non-finite value read as 0.5 (normalize
+  /// upstream if necessary).
   SlotReport Report(double value);
 
   /// Perturbs values.size() consecutive slots in one call: out[i] is the
@@ -113,8 +113,6 @@ class UserSession {
   std::unique_ptr<StreamPerturber> perturber_;
   WEventAccountant ledger_;
   Rng rng_;
-  // ReportChunk's clamped inputs.
-  std::vector<double> clamp_scratch_;
 };
 
 /// Collector-side session: ingest reports, publish streams and statistics.

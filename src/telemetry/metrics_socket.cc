@@ -1,35 +1,25 @@
 #include "telemetry/metrics_socket.h"
 
-#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+#include <span>
+#include <utility>
+
+#include "transport/tcp_transport.h"
 
 namespace capp::telemetry {
 namespace {
 
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
 // A scrape request fits in one line; anything longer is garbage.
 constexpr size_t kMaxRequestBytes = 4096;
 
-void WriteAllBestEffort(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    const ssize_t sent =
-        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return;  // scrape client vanished; nothing to salvage
-    }
-    done += static_cast<size_t>(sent);
-  }
+void SendBestEffort(int fd, const std::string& data) {
+  // A scrape client that vanished leaves nothing to salvage.
+  (void)SendAll(fd, std::span(reinterpret_cast<const uint8_t*>(data.data()),
+                              data.size()));
 }
 
 }  // namespace
@@ -46,30 +36,10 @@ Result<std::unique_ptr<MetricsSocketServer>> MetricsSocketServer::Create(
   if (registry == nullptr) {
     return Status::InvalidArgument("metrics server needs a registry");
   }
-  sockaddr_un addr;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("bad metrics socket path: '" +
-                                   socket_path + "'");
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) return ErrnoStatus("socket");
-  ::unlink(socket_path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    Status failed = ErrnoStatus("bind " + socket_path);
-    ::close(listen_fd);
-    return failed;
-  }
-  if (::listen(listen_fd, 16) != 0) {
-    Status failed = ErrnoStatus("listen on " + socket_path);
-    ::close(listen_fd);
-    ::unlink(socket_path.c_str());
-    return failed;
-  }
+  CAPP_ASSIGN_OR_RETURN(
+      const int listen_fd,
+      ListenEndpointFd(SocketEndpoint::Unix(socket_path), /*backlog=*/16,
+                       /*bound_port=*/nullptr));
   std::unique_ptr<MetricsSocketServer> server(
       new MetricsSocketServer(registry, socket_path, listen_fd));
   server->server_ = std::thread([s = server.get()] { s->ServeMain(); });
@@ -79,22 +49,15 @@ Result<std::unique_ptr<MetricsSocketServer>> MetricsSocketServer::Create(
 MetricsSocketServer::~MetricsSocketServer() { Stop(); }
 
 void MetricsSocketServer::ServeMain() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNABORTED || errno == EPROTO) continue;
-      // Stop() flipped the listener non-blocking (EAGAIN once the backlog
-      // drains) or shut it down; any other error also ends the thread --
-      // a dead scrape endpoint must never take ingest down with it.
-      return;
-    }
+  // A listener error just ends the thread: a dead scrape endpoint must
+  // never take ingest down with it.
+  (void)AcceptLoop(listen_fd_, stopping_, [this](int fd) {
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);  // the wake-up connection, or a late scraper
-      continue;     // drain until accept reports an empty backlog
+    } else {
+      ServeConnection(fd);
     }
-    ServeConnection(fd);
-  }
+  });
 }
 
 void MetricsSocketServer::ServeConnection(int fd) {
@@ -128,12 +91,12 @@ void MetricsSocketServer::ServeConnection(int fd) {
         "Content-Length: " +
         std::to_string(body.size()) + "\r\n\r\n";
     response += body;
-    WriteAllBestEffort(fd, response);
+    SendBestEffort(fd, response);
   } else if (line == "stats") {
-    WriteAllBestEffort(fd, registry_->RenderJson() + "\n");
+    SendBestEffort(fd, registry_->RenderJson() + "\n");
   } else {
-    WriteAllBestEffort(fd, "ERR unknown verb (want GET /metrics, metrics, "
-                           "or stats)\n");
+    SendBestEffort(fd, "ERR unknown verb (want GET /metrics, metrics, "
+                       "or stats)\n");
   }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
@@ -143,26 +106,7 @@ void MetricsSocketServer::Stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
-  const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-  ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
-  // Nudge the thread out of a blocked accept with a wake-up connection;
-  // fall back to shutdown() if connect fails (backlog full, path raced).
-  bool woke = false;
-  const int wake = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (wake >= 0) {
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-    woke = ::connect(wake, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-    ::close(wake);
-  }
-  if (!woke) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (server_.joinable()) server_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::unlink(socket_path_.c_str());
+  StopAcceptor(SocketEndpoint::Unix(socket_path_), &listen_fd_, &server_);
 }
 
 }  // namespace capp::telemetry

@@ -8,7 +8,9 @@
 //
 // Scrapes are served one at a time on the server's own thread; they only
 // read relaxed atomics, so a scrape never blocks ingest. A stuck client
-// is bounded by a per-connection receive timeout.
+// is bounded by a per-connection receive timeout. Listening, accepting
+// and stopping use the socket transport's plumbing
+// (transport/tcp_transport.h), the same the collector server uses.
 #ifndef CAPP_TELEMETRY_METRICS_SOCKET_H_
 #define CAPP_TELEMETRY_METRICS_SOCKET_H_
 
@@ -24,8 +26,9 @@ namespace capp::telemetry {
 
 class MetricsSocketServer {
  public:
-  /// Binds `socket_path` (unlinking any stale file) and starts the serve
-  /// thread. `registry` must outlive the server.
+  /// Binds `socket_path` and starts the serve thread. A live server
+  /// already on the path is refused with AlreadyExists; only a stale
+  /// file is reclaimed. `registry` must outlive the server.
   static Result<std::unique_ptr<MetricsSocketServer>> Create(
       const MetricsRegistry* registry, const std::string& socket_path);
 

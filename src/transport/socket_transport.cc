@@ -1,14 +1,10 @@
 #include "transport/socket_transport.h"
 
-#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "core/check.h"
@@ -16,59 +12,11 @@
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
 #include "transport/handshake.h"
-#include "transport/tcp_transport.h"
 #include "transport/transport_hub.h"
 #include "transport/wire_format.h"
 
 namespace capp {
 namespace {
-
-// How long the acceptor waits before retrying an accept that failed for
-// want of descriptors or kernel memory.
-constexpr std::chrono::milliseconds kAcceptRetryBackoff{10};
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-Result<int> MakeUnixSocket() {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return ErrnoStatus("socket");
-  return fd;
-}
-
-Status FillAddress(const std::string& path, sockaddr_un* addr) {
-  // sun_path must hold the path plus its terminator.
-  if (path.empty() || path.size() >= sizeof(addr->sun_path)) {
-    return Status::InvalidArgument("bad unix socket path: '" + path + "'");
-  }
-  std::memset(addr, 0, sizeof(*addr));
-  addr->sun_family = AF_UNIX;
-  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
-  return Status::OK();
-}
-
-enum class ReadOutcome {
-  kOk,        // all n bytes read
-  kCleanEof,  // EOF before the first byte (a boundary between chunks)
-  kError,     // EOF mid-read (truncation) or a socket error
-};
-
-ReadOutcome ReadFull(int fd, uint8_t* buf, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t got = ::recv(fd, buf + done, n - done, 0);
-    if (got == 0) {
-      return done == 0 ? ReadOutcome::kCleanEof : ReadOutcome::kError;
-    }
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return ReadOutcome::kError;
-    }
-    done += static_cast<size_t>(got);
-  }
-  return ReadOutcome::kOk;
-}
 
 uint32_t ReadU32Le(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
@@ -81,22 +29,6 @@ uint64_t ReadU64Le(const uint8_t* p) {
          static_cast<uint64_t>(ReadU32Le(p + 4)) << 32;
 }
 
-// Blocking send of the whole buffer (EINTR-proof, SIGPIPE-free). Used
-// for frames the peer synchronously waits on: handshake acks and the
-// final post-FIN stream ack.
-bool SendAllOnFd(int fd, const uint8_t* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t sent = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(sent);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string MakeLoopbackSocketPath() {
@@ -106,151 +38,26 @@ std::string MakeLoopbackSocketPath() {
   const std::string name = "capp-sock-" + std::to_string(::getpid()) + "-" +
                            std::to_string(counter.fetch_add(1)) + ".sock";
   // Honor TMPDIR (sandboxed CI, multi-user hosts) when the resulting path
-  // still fits sockaddr_un's sun_path (path + NUL in 108 bytes on Linux);
-  // an over-long TMPDIR falls back to /tmp, which always fits.
+  // still fits sockaddr_un's sun_path; an over-long TMPDIR falls back to
+  // /tmp, which always fits.
   if (const char* tmpdir = std::getenv("TMPDIR");
       tmpdir != nullptr && tmpdir[0] != '\0') {
     std::string dir(tmpdir);
     if (dir.back() == '/') dir.pop_back();
     const std::string candidate = dir + "/" + name;
-    if (candidate.size() < sizeof(sockaddr_un{}.sun_path)) return candidate;
+    if (candidate.size() <= kMaxUnixSocketPathBytes) return candidate;
   }
   return "/tmp/" + name;
 }
 
-// --------------------------------------------------------------- client ----
-
-Result<SocketClient> SocketClient::Connect(const std::string& path) {
-  sockaddr_un addr;
-  CAPP_RETURN_IF_ERROR(FillAddress(path, &addr));
-  CAPP_ASSIGN_OR_RETURN(const int fd, MakeUnixSocket());
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    // EINTR does not abort a connect: the attempt continues
-    // asynchronously, and closing the fd here would tear down a healthy
-    // connection whenever a signal (stats timers, SIGCHLD) lands
-    // mid-dial. Wait for the verdict instead.
-    if (errno == EINTR) {
-      Status finished = FinishInterruptedConnect(fd, "connect to " + path);
-      if (!finished.ok()) {
-        ::close(fd);
-        return finished;
-      }
-      return SocketClient(fd);
-    }
-    Status failed = ErrnoStatus("connect to " + path);
-    ::close(fd);
-    return failed;
-  }
-  return SocketClient(fd);
-}
-
-SocketClient::~SocketClient() { Close(); }
-
-void SocketClient::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status SocketClient::WriteAll(const uint8_t* data, size_t n) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("socket connection already closed");
-  }
-  size_t done = 0;
-  while (done < n) {
-    // MSG_NOSIGNAL: a vanished server must surface as a Status, not kill
-    // the fleet process with SIGPIPE.
-    const ssize_t sent = ::send(fd_, data + done, n - done, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("socket write");
-    }
-    done += static_cast<size_t>(sent);
-  }
-  return Status::OK();
-}
-
-Status SocketClient::WriteChunk(uint64_t seq, std::span<const uint8_t> payload) {
-  CAPP_CHECK(!payload.empty());  // zero length is the FIN marker
-  CAPP_CHECK(payload.size() <= kMaxSocketChunkBytes);
-  CAPP_CHECK(seq >= 1);  // sequence numbers start at 1
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  uint8_t prefix[12];
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<uint8_t>(len >> (8 * i));
-  }
-  for (int i = 0; i < 8; ++i) {
-    prefix[4 + i] = static_cast<uint8_t>(seq >> (8 * i));
-  }
-  CAPP_RETURN_IF_ERROR(WriteAll(prefix, sizeof(prefix)));
-  CAPP_RETURN_IF_ERROR(WriteAll(payload.data(), payload.size()));
-  if (telemetry::Enabled()) {
-    telemetry::metrics::SocketWriteChunksTotal().Add(1);
-    telemetry::metrics::SocketWriteBytesTotal().Add(payload.size() +
-                                                    sizeof(prefix));
-    telemetry::metrics::SocketWriteChunkBytes().Record(payload.size());
-  }
-  return Status::OK();
-}
-
-Status SocketClient::WriteFin(uint64_t final_seq) {
-  uint8_t prefix[12] = {0, 0, 0, 0};
-  for (int i = 0; i < 8; ++i) {
-    prefix[4 + i] = static_cast<uint8_t>(final_seq >> (8 * i));
-  }
-  return WriteAll(prefix, sizeof(prefix));
-}
-
-Status SocketClient::SendRaw(std::span<const uint8_t> bytes) {
-  return WriteAll(bytes.data(), bytes.size());
-}
-
-Status SocketClient::ReadExact(uint8_t* buf, size_t n) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("socket connection already closed");
-  }
-  switch (ReadFull(fd_, buf, n)) {
-    case ReadOutcome::kOk:
-      return Status::OK();
-    case ReadOutcome::kCleanEof:
-      return Status::Internal("socket closed by peer");
-    case ReadOutcome::kError:
-      return Status::Internal("socket read failed or truncated");
-  }
-  return Status::Internal("unreachable");
-}
-
-Result<size_t> SocketClient::ReadAvailable(std::vector<uint8_t>* out) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("socket connection already closed");
-  }
-  size_t total = 0;
-  for (;;) {
-    uint8_t buf[4096];
-    const ssize_t got = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-    if (got > 0) {
-      out->insert(out->end(), buf, buf + got);
-      total += static_cast<size_t>(got);
-      continue;
-    }
-    if (got == 0) return Status::Internal("socket closed by peer");
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return total;
-    return ErrnoStatus("socket read");
-  }
-}
-
-// --------------------------------------------------------------- server ----
-
 SocketCollectorServer::SocketCollectorServer(
     Options options, std::unique_ptr<TransportHub> hub, int listen_fd,
-    int tcp_port)
+    int bound_port)
     : options_(std::move(options)),
       hub_(std::move(hub)),
-      listen_fd_(listen_fd),
-      tcp_port_(tcp_port) {}
+      listen_fd_(listen_fd) {
+  if (options_.endpoint.is_tcp()) options_.endpoint.tcp_port = bound_port;
+}
 
 Result<std::unique_ptr<SocketCollectorServer>> SocketCollectorServer::Create(
     CollectorBackend* collector, const Options& options) {
@@ -265,56 +72,12 @@ Result<std::unique_ptr<SocketCollectorServer>> SocketCollectorServer::Create(
   inner.num_consumers = options.num_consumers;
   inner.max_batch_runs = options.max_batch_runs;
   CAPP_ASSIGN_OR_RETURN(auto hub, TransportHub::Create(collector, inner));
-
-  int listen_fd = -1;
-  int tcp_port = 0;
-  if (!options.tcp_host.empty()) {
-    CAPP_ASSIGN_OR_RETURN(
-        listen_fd, TcpListenFd(options.tcp_host, options.tcp_port,
-                               /*backlog=*/64, &tcp_port));
-  } else {
-    sockaddr_un addr;
-    CAPP_RETURN_IF_ERROR(FillAddress(options.socket_path, &addr));
-    // Bind guard: a second server must not silently steal a live
-    // server's path (the old unconditional unlink orphaned the first
-    // listener). Probe-connect: a completed connect means someone is
-    // serving; ECONNREFUSED means a stale file from a dead server, which
-    // is safe to unlink; ENOENT means a fresh path.
-    CAPP_ASSIGN_OR_RETURN(const int probe_fd, MakeUnixSocket());
-    int probe_rc = ::connect(
-        probe_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    if (probe_rc != 0 && errno == EINTR) {
-      probe_rc =
-          FinishInterruptedConnect(probe_fd, "probe " + options.socket_path)
-                  .ok()
-              ? 0
-              : -1;
-    }
-    const int probe_errno = errno;
-    ::close(probe_fd);
-    if (probe_rc == 0) {
-      return Status::AlreadyExists("socket path " + options.socket_path +
-                                   " already has a live collector server");
-    }
-    if (probe_errno == ECONNREFUSED) {
-      ::unlink(options.socket_path.c_str());
-    }
-    CAPP_ASSIGN_OR_RETURN(listen_fd, MakeUnixSocket());
-    if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      Status failed = ErrnoStatus("bind " + options.socket_path);
-      ::close(listen_fd);
-      return failed;
-    }
-    if (::listen(listen_fd, 64) != 0) {
-      Status failed = ErrnoStatus("listen on " + options.socket_path);
-      ::close(listen_fd);
-      ::unlink(options.socket_path.c_str());
-      return failed;
-    }
-  }
+  int bound_port = 0;
+  CAPP_ASSIGN_OR_RETURN(
+      const int listen_fd,
+      ListenEndpointFd(options.endpoint, /*backlog=*/64, &bound_port));
   std::unique_ptr<SocketCollectorServer> server(new SocketCollectorServer(
-      options, std::move(hub), listen_fd, tcp_port));
+      options, std::move(hub), listen_fd, bound_port));
   server->acceptor_ =
       std::thread([s = server.get()] { s->AcceptorMain(); });
   return server;
@@ -327,43 +90,9 @@ SocketCollectorServer::~SocketCollectorServer() {
 }
 
 void SocketCollectorServer::AcceptorMain() {
-  // Every connection whose connect() completed is in the backlog, so the
-  // stop protocol must drain the backlog rather than abandon it: Finish
-  // flips the listener to non-blocking, and only an *empty* accept after
-  // the stop flag ends the loop. The wake-up connection Finish makes
-  // closes without sending a byte and is served as a benign probe.
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // A peer that connected and reset before we got here kills its own
-      // connection, not the server.
-      if (errno == ECONNABORTED || errno == EPROTO) continue;
-      const bool stopping = stopping_.load(std::memory_order_acquire);
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) && stopping) {
-        return;  // backlog drained after the stop flag
-      }
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Resource exhaustion passes: the pending connection stays in the
-        // backlog, so back off and retry rather than stop serving for
-        // good. Once stopping, a backlog we cannot accept is abandoned.
-        if (stopping) return;
-        std::this_thread::sleep_for(kAcceptRetryBackoff);
-        continue;
-      }
-      if (!stopping) {
-        // A real listener error (the socket yanked or shut down under
-        // us): dying silently would leave the waiters blocked forever.
-        // Record the reason and wake every waiter instead.
-        Status failed = ErrnoStatus("accept");
-        std::lock_guard<std::mutex> lock(mu_);
-        acceptor_failed_ = true;
-        acceptor_status_ = std::move(failed);
-        conn_finished_cv_.notify_all();
-      }
-      return;  // listener shut down by Finish, or the error above
-    }
+  // Finish's wake-up connection closes without sending a byte and is
+  // served as a benign probe.
+  Status failed = AcceptLoop(listen_fd_, stopping_, [this](int fd) {
     size_t slot;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -373,26 +102,48 @@ void SocketCollectorServer::AcceptorMain() {
     std::thread reader([this, fd, slot] { ServeConnection(fd, slot); });
     std::lock_guard<std::mutex> lock(mu_);
     conns_[slot].reader = std::move(reader);
+  });
+  if (!failed.ok()) {
+    // A real listener error (the socket yanked or shut down under us):
+    // dying silently would leave the waiters blocked forever. Record the
+    // reason and wake every waiter instead.
+    std::lock_guard<std::mutex> lock(mu_);
+    acceptor_failed_ = true;
+    acceptor_status_ = std::move(failed);
+    conn_finished_cv_.notify_all();
   }
 }
 
-bool SocketCollectorServer::SendOnConnection(int fd, const uint8_t* data,
-                                             size_t n) {
+bool SocketCollectorServer::SendOnConnection(
+    int fd, std::span<const uint8_t> frame) {
   // Opportunistic: skip entirely if the peer's receive window is full
   // (the reader must never block ingest on a stalled client), but finish
   // a partially-written frame blockingly -- a torn ack would poison the
   // client's ack scan.
-  const ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+  const ssize_t sent =
+      ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   if (sent < 0) {
     return errno == EAGAIN || errno == EWOULDBLOCK;  // skipped, not failed
   }
-  if (static_cast<size_t>(sent) == n) return true;
-  return SendAllOnFd(fd, data + sent, n - static_cast<size_t>(sent));
+  return SendAll(fd, frame.subspan(static_cast<size_t>(sent))).ok();
 }
 
 void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
   const bool telemetry_on = telemetry::Enabled();
   if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(1);
+  // Every way out ends here, under mu_: release the descriptor as soon as
+  // the connection is over -- a long-running server must not hold every
+  // past session's fd until shutdown (that's fd exhaustion after ~1k
+  // sessions) -- and wake the waiters. The thread handle stays for
+  // Finish() to join.
+  const auto close_locked = [&] {
+    ::close(fd);
+    conns_[slot].fd = -1;
+    conns_[slot].active = false;
+    if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(-1);
+    stream_released_cv_.notify_all();
+    conn_finished_cv_.notify_all();
+  };
 
   // ---- handshake ---------------------------------------------------------
   // First byte decides probe vs peer: a connection that closes without
@@ -409,10 +160,7 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
       ++finished_;
       ++handshake_rejects_;
     }
-    ::close(fd);
-    conns_[slot].fd = -1;
-    if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(-1);
-    conn_finished_cv_.notify_all();
+    close_locked();
     return;
   }
   {
@@ -447,17 +195,14 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
       nack.dims = options_.expected_dims;
       uint8_t ack_bytes[kHandshakeAckBytes];
       EncodeHandshakeAck(nack, ack_bytes);
-      SendAllOnFd(fd, ack_bytes, sizeof(ack_bytes));
+      (void)SendAll(fd, ack_bytes);
     }
   }
   if (reject) {
     std::lock_guard<std::mutex> lock(mu_);
     ++handshake_rejects_;
     ++finished_;
-    ::close(fd);
-    conns_[slot].fd = -1;
-    if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(-1);
-    conn_finished_cv_.notify_all();
+    close_locked();
     return;
   }
 
@@ -476,10 +221,7 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
     if (st.active) {  // stopping: abandon before taking ownership
       ++finished_;
       ++protocol_violations_;
-      ::close(fd);
-      conns_[slot].fd = -1;
-      if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(-1);
-      conn_finished_cv_.notify_all();
+      close_locked();
       return;
     }
     st.active = true;
@@ -495,7 +237,7 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
   ack.resume_seq = published;
   uint8_t ack_bytes[kHandshakeAckBytes];
   EncodeHandshakeAck(ack, ack_bytes);
-  const bool ack_sent = SendAllOnFd(fd, ack_bytes, sizeof(ack_bytes));
+  const bool ack_sent = SendAll(fd, ack_bytes).ok();
 
   // ---- sequenced data stream ---------------------------------------------
   // Every connection re-publishes its frames through its own staging
@@ -534,7 +276,7 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
       // mistake it for FIN confirmation.
       uint8_t fin_ack[kStreamAckBytes];
       EncodeStreamFinAck(published, fin_ack);
-      SendAllOnFd(fd, fin_ack, sizeof(fin_ack));
+      (void)SendAll(fd, fin_ack);
       uint8_t trailing = 0;
       if (ReadFull(fd, &trailing, 1) != ReadOutcome::kCleanEof) {
         violation = true;
@@ -589,20 +331,12 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
     if (published % kStreamAckEveryChunks == 0) {
       uint8_t ack_frame[kStreamAckBytes];
       EncodeStreamAck(published, ack_frame);
-      if (!SendOnConnection(fd, ack_frame, sizeof(ack_frame))) break;
+      if (!SendOnConnection(fd, ack_frame)) break;
     }
   }
   producer.Flush();
-  if (telemetry_on) telemetry::metrics::SocketOpenConnections().Add(-1);
 
   std::lock_guard<std::mutex> lock(mu_);
-  // Release the descriptor as soon as the connection is over -- a
-  // long-running server must not hold every past session's fd until
-  // shutdown (that's fd exhaustion after ~1k sessions). The thread
-  // handle stays for Finish() to join.
-  ::close(fd);
-  conns_[slot].fd = -1;
-  conns_[slot].active = false;
   StreamState& st = streams_[stream_key];
   st.published_seq = published;  // only grows while we owned the stream
   st.dup_chunks += dups;
@@ -623,8 +357,7 @@ void SocketCollectorServer::ServeConnection(int fd, size_t slot) {
   chunks_ += chunks;
   bytes_read_ += bytes;
   reader_decode_failures_ += decode_failures;
-  stream_released_cv_.notify_all();
-  conn_finished_cv_.notify_all();
+  close_locked();
 }
 
 void SocketCollectorServer::WaitForFinishedConnections(uint64_t n) {
@@ -655,10 +388,8 @@ Status SocketCollectorServer::Finish() {
   if (finished_server_) return finish_status_;
   finished_server_ = true;
 
-  // Stop the acceptor: raise the flag, make the listener non-blocking so
-  // the acceptor drains the remaining backlog instead of blocking again,
-  // then nudge it out of a blocked accept() with a wake-up connection
-  // that closes without a byte -- served as a benign probe.
+  // Stop the acceptor: raise the flag, release the readers, then let
+  // StopAcceptor drain the backlog and join.
   stopping_.store(true, std::memory_order_release);
   {
     // Under mu_, so a reader between its predicate check and its wait
@@ -666,31 +397,7 @@ Status SocketCollectorServer::Finish() {
     std::lock_guard<std::mutex> lock(mu_);
     stream_released_cv_.notify_all();
   }
-  const int listener_flags = ::fcntl(listen_fd_, F_GETFL, 0);
-  ::fcntl(listen_fd_, F_SETFL, listener_flags | O_NONBLOCK);
-  bool wake_connected = false;
-  if (!options_.tcp_host.empty()) {
-    SocketEndpoint self;
-    self.tcp_host = options_.tcp_host;
-    self.tcp_port = tcp_port_;
-    if (auto wake = ConnectEndpointFd(self); wake.ok()) {
-      wake_connected = true;
-      ::close(*wake);
-    }
-  } else if (auto wake = SocketClient::Connect(options_.socket_path);
-             wake.ok()) {
-    wake_connected = true;
-    wake->Close();
-  }
-  if (!wake_connected) {
-    // Backlog full or path raced away; wake the acceptor the hard way
-    // (Linux: shutdown on a listening socket fails a blocked accept).
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (options_.tcp_host.empty()) ::unlink(options_.socket_path.c_str());
+  StopAcceptor(options_.endpoint, &listen_fd_, &acceptor_);
 
   // Well-behaved clients already FIN'd and closed (their readers closed
   // the fds as they finished); shutdown() forces an EOF on anything

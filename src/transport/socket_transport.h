@@ -28,6 +28,10 @@
 // connection kills, because replay + server-side dedup turn detection
 // into recovery without ever double-ingesting a run.
 //
+// Producers write through ResilientSocketClient, and every socket call on
+// either end -- listen, dial, send, read, accept, stop -- goes through the
+// shared plumbing in transport/tcp_transport.h.
+//
 // Reports are already locally perturbed when they reach the wire, so the
 // stream carries nothing sensitive (the dual-utilization design); no TLS
 // or authentication is layered here. A TLS/auth channel and WAL-shipping
@@ -48,6 +52,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "transport/tcp_transport.h"
 #include "transport/transport.h"
 
 namespace capp {
@@ -61,75 +66,10 @@ class TransportHub;
 inline constexpr uint32_t kMaxSocketChunkBytes = 1u << 26;
 
 /// A fresh unix-socket path unique to this process and call (the
-/// loopback hub binds one per transport session). Honors $TMPDIR when it
-/// is set and short enough for sockaddr_un's sun_path (108 bytes on
-/// Linux, path + NUL); otherwise falls back to /tmp, which always fits.
+/// loopback hub binds one per transport session). Honors $TMPDIR when the
+/// path still fits kMaxUnixSocketPathBytes; otherwise falls back to /tmp,
+/// which always fits.
 std::string MakeLoopbackSocketPath();
-
-/// Producer end of the chunk protocol: one connected socket plus the
-/// low-level sequenced-chunk writes and the read helpers the handshake
-/// and ack protocol need. Resume/replay policy lives one level up in
-/// ResilientSocketClient (transport/tcp_transport.h). Not thread-safe.
-class SocketClient {
- public:
-  /// Connects to a collector server listening on a unix-socket path.
-  /// EINTR during connect() is handled correctly: the in-flight attempt
-  /// is completed via poll + SO_ERROR instead of being failed.
-  static Result<SocketClient> Connect(const std::string& path);
-
-  /// Wraps an already-connected socket fd (e.g. a TCP dial from
-  /// ConnectEndpointFd); takes ownership.
-  static SocketClient Adopt(int fd) { return SocketClient(fd); }
-
-  SocketClient(SocketClient&& other) noexcept : fd_(other.fd_) {
-    other.fd_ = -1;
-  }
-  SocketClient& operator=(SocketClient&& other) noexcept {
-    if (this != &other) {
-      Close();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  SocketClient(const SocketClient&) = delete;
-  SocketClient& operator=(const SocketClient&) = delete;
-  ~SocketClient();
-
-  /// Writes one non-empty chunk: 4-byte LE length, 8-byte LE sequence
-  /// number, then the payload.
-  Status WriteChunk(uint64_t seq, std::span<const uint8_t> payload);
-
-  /// Writes the FIN marker: zero length plus the stream's final sequence
-  /// number (the last sequence a chunk was sent under; 0 if none).
-  Status WriteFin(uint64_t final_seq);
-
-  /// Writes raw bytes with no framing. Fault-injection hook for tests
-  /// (corrupted prefixes, truncated streams); not used by the hub.
-  Status SendRaw(std::span<const uint8_t> bytes);
-
-  /// Blocking read of exactly n bytes (EINTR-proof). EOF mid-read is an
-  /// error; used for the handshake ack, which the server sends
-  /// immediately.
-  Status ReadExact(uint8_t* buf, size_t n);
-
-  /// Non-blocking read: appends whatever is already in the receive
-  /// buffer to *out and returns the byte count (0 when nothing is
-  /// pending). EOF and socket errors are errors -- the connection is
-  /// dead.
-  Result<size_t> ReadAvailable(std::vector<uint8_t>* out);
-
-  void Close();
-  bool connected() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
-
- private:
-  explicit SocketClient(int fd) : fd_(fd) {}
-
-  Status WriteAll(const uint8_t* data, size_t n);
-
-  int fd_ = -1;
-};
 
 /// The collector tier of the socket transport: binds a unix socket or a
 /// TCP listener, accepts producer connections, handshakes each one, and
@@ -140,16 +80,10 @@ class SocketClient {
 class SocketCollectorServer {
  public:
   struct Options {
-    /// Unix-socket path to bind. A live server already on the path is
-    /// refused with AlreadyExists (probe-connect guard); only a stale
-    /// socket file (connect -> ECONNREFUSED) is unlinked. Ignored when
-    /// tcp_host is set.
-    std::string socket_path;
-    /// TCP listen address. Non-empty host selects the TCP family;
-    /// port 0 binds an ephemeral port, readable via tcp_port() after
-    /// Create.
-    std::string tcp_host;
-    int tcp_port = 0;
+    /// Where to listen (ListenEndpointFd): a unix path, refused with
+    /// AlreadyExists while a live server answers on it; or TCP host +
+    /// port, where port 0 binds an ephemeral port that endpoint() reports.
+    SocketEndpoint endpoint;
     /// Engine-config fingerprint every client Hello must match
     /// (StreamHandshakeFingerprint); 0 on both sides also matches.
     uint64_t handshake_fingerprint = 0;
@@ -171,10 +105,9 @@ class SocketCollectorServer {
   SocketCollectorServer(const SocketCollectorServer&) = delete;
   SocketCollectorServer& operator=(const SocketCollectorServer&) = delete;
 
-  const std::string& socket_path() const { return options_.socket_path; }
-  /// Actually-bound TCP port (resolves a requested port 0); 0 for a
-  /// unix-family server.
-  int tcp_port() const { return tcp_port_; }
+  /// The bound endpoint: options.endpoint with a requested TCP port 0
+  /// resolved to the port actually bound.
+  const SocketEndpoint& endpoint() const { return options_.endpoint; }
 
   /// Blocks until at least `n` connections that spoke at least one byte
   /// have terminated (FIN, drop, or refusal), or the acceptor has died
@@ -234,19 +167,18 @@ class SocketCollectorServer {
   };
 
   SocketCollectorServer(Options options, std::unique_ptr<TransportHub> hub,
-                        int listen_fd, int tcp_port);
+                        int listen_fd, int bound_port);
 
   void AcceptorMain();
   void ServeConnection(int fd, size_t slot);
   /// Sends a frame on a data connection without blocking the reader on a
   /// stalled peer: non-blocking first, finishing a partial frame
   /// blockingly (a torn ack would poison the client's ack scan).
-  static bool SendOnConnection(int fd, const uint8_t* data, size_t n);
+  static bool SendOnConnection(int fd, std::span<const uint8_t> frame);
 
   Options options_;
   std::unique_ptr<TransportHub> hub_;
   int listen_fd_ = -1;
-  int tcp_port_ = 0;
   std::thread acceptor_;
   std::atomic<bool> stopping_{false};
 

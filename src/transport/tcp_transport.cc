@@ -1,5 +1,6 @@
 #include "transport/tcp_transport.h"
 
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -12,18 +13,24 @@
 #include <chrono>
 #include <cstring>
 #include <random>
-#include <thread>
 #include <utility>
 
 #include "core/check.h"
+#include "telemetry/instruments.h"
+#include "telemetry/metrics.h"
 #include "transport/handshake.h"
+#include "transport/socket_transport.h"
+#include "transport/transport.h"
 
 namespace capp {
 namespace {
 
-Status ErrnoStatus(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
+static_assert(kMaxUnixSocketPathBytes + 1 == sizeof(sockaddr_un{}.sun_path),
+              "sun_path holds the longest path plus its terminator");
+
+// How long the acceptor waits before retrying an accept that failed for
+// want of descriptors or kernel memory.
+constexpr std::chrono::milliseconds kAcceptRetryBackoff{10};
 
 // SplitMix64 finalizer: a cheap, well-mixed hash for jitter and ids.
 uint64_t Mix64(uint64_t x) {
@@ -33,32 +40,175 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// One resolved-address connect attempt with the EINTR-correct epilogue.
-Result<int> ConnectResolved(const addrinfo* ai, const std::string& what) {
-  const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-  if (fd < 0) return ErrnoStatus("socket");
-  if (::connect(fd, ai->ai_addr, ai->ai_addrlen) != 0) {
-    if (errno == EINTR) {
-      Status finished = FinishInterruptedConnect(fd, what);
-      if (!finished.ok()) {
-        ::close(fd);
-        return finished;
-      }
-    } else {
-      Status failed = ErrnoStatus(what);
-      ::close(fd);
-      return failed;
+// One address a stream socket binds or dials.
+struct Address {
+  sockaddr_storage storage;
+  socklen_t len = 0;
+
+  int family() const { return storage.ss_family; }
+  const sockaddr* get() const {
+    return reinterpret_cast<const sockaddr*>(&storage);
+  }
+};
+
+// The endpoint's addresses: its unix path, or every resolution of its
+// TCP host (passive ones for a listener).
+Result<std::vector<Address>> ResolveEndpoint(const SocketEndpoint& endpoint,
+                                             bool passive) {
+  if (!endpoint.is_tcp()) {
+    const std::string& path = endpoint.unix_path;
+    if (path.empty() || path.size() > kMaxUnixSocketPathBytes) {
+      return Status::InvalidArgument("bad unix socket path: '" + path + "'");
+    }
+    Address address;
+    auto* addr = reinterpret_cast<sockaddr_un*>(&address.storage);
+    std::memset(addr, 0, sizeof(*addr));
+    addr->sun_family = AF_UNIX;
+    std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
+    address.len = sizeof(*addr);
+    return std::vector<Address>{address};
+  }
+  if (endpoint.tcp_port < 0 || endpoint.tcp_port > 65535) {
+    return Status::InvalidArgument("TCP port out of range: " +
+                                   std::to_string(endpoint.tcp_port));
+  }
+  addrinfo hints;
+  std::memset(&hints, 0, sizeof(hints));
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = AI_NUMERICSERV | (passive ? AI_PASSIVE : 0);
+  addrinfo* addrs = nullptr;
+  const std::string service = std::to_string(endpoint.tcp_port);
+  if (const int rc = ::getaddrinfo(endpoint.tcp_host.c_str(),
+                                   service.c_str(), &hints, &addrs);
+      rc != 0) {
+    return Status::InvalidArgument("cannot resolve '" + endpoint.tcp_host +
+                                   "': " + ::gai_strerror(rc));
+  }
+  std::vector<Address> addresses;
+  for (const addrinfo* ai = addrs; ai != nullptr; ai = ai->ai_next) {
+    Address address;
+    std::memcpy(&address.storage, ai->ai_addr, ai->ai_addrlen);
+    address.len = ai->ai_addrlen;
+    addresses.push_back(address);
+  }
+  ::freeaddrinfo(addrs);
+  if (addresses.empty()) {
+    return Status::Internal("no addresses for '" + endpoint.tcp_host + "'");
+  }
+  return addresses;
+}
+
+// Connects a fresh stream socket to `address`; returns 0 and the fd in
+// *fd, or the errno the dial failed with. POSIX: a connect() interrupted
+// by a signal continues asynchronously, so closing the fd and erroring
+// would fail a healthy connection under signal load. Poll for
+// writability instead (itself EINTR-proof) and read SO_ERROR's verdict.
+int Dial(const Address& address, int* fd) {
+  *fd = ::socket(address.family(), SOCK_STREAM, 0);
+  if (*fd < 0) return errno;
+  int error = ::connect(*fd, address.get(), address.len) == 0 ? 0 : errno;
+  if (error == EINTR) {
+    pollfd pfd{*fd, POLLOUT, 0};
+    int rc;
+    do {
+      rc = ::poll(&pfd, 1, -1);
+    } while (rc < 0 && errno == EINTR);  // the very signal storm we fix
+    socklen_t len = sizeof(error);
+    if (rc < 0 ||
+        ::getsockopt(*fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0) {
+      error = errno;
     }
   }
-  // Chunks are already batched producer-side; Nagle coalescing only adds
-  // latency between a chunk and the ack clock that trims the resume
-  // window.
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  if (error != 0) {
+    ::close(*fd);
+    *fd = -1;
+    return error;
+  }
+  if (address.family() != AF_UNIX) {
+    // Chunks are already batched producer-side; Nagle coalescing only adds
+    // latency between a chunk and the ack clock that trims the resume
+    // window.
+    const int one = 1;
+    ::setsockopt(*fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return 0;
+}
+
+// Blocking read of exactly n bytes as a Status (the handshake and FIN
+// acks, which the server sends promptly).
+Status ReadExact(int fd, uint8_t* buf, size_t n) {
+  switch (ReadFull(fd, buf, n)) {
+    case ReadOutcome::kOk:
+      return Status::OK();
+    case ReadOutcome::kCleanEof:
+      return Status::Internal("socket closed by peer");
+    case ReadOutcome::kError:
+      break;
+  }
+  return Status::Internal("socket read failed or truncated");
+}
+
+// Non-blocking read: appends whatever is already in the receive buffer
+// to *out. EOF and socket errors are errors -- the connection is dead.
+Status ReadAvailable(int fd, std::vector<uint8_t>* out) {
+  for (;;) {
+    uint8_t buf[4096];
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (got > 0) {
+      out->insert(out->end(), buf, buf + got);
+      continue;
+    }
+    if (got == 0) return Status::Internal("socket closed by peer");
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
+    return ErrnoStatus("socket read");
+  }
+}
+
+// The 12-byte chunk prefix: u32 LE length (0 for the FIN), u64 LE seq.
+void EncodeChunkPrefix(uint32_t len, uint64_t seq, uint8_t prefix[12]) {
+  for (int i = 0; i < 4; ++i) prefix[i] = static_cast<uint8_t>(len >> (8 * i));
+  for (int i = 0; i < 8; ++i) {
+    prefix[4 + i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
 }
 
 }  // namespace
+
+Status ErrnoStatus(const std::string& what) {
+  return Status::Internal(what + ": " + std::strerror(errno));
+}
+
+Status SendAll(int fd, std::span<const uint8_t> bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t sent = ::send(fd, bytes.data() + done, bytes.size() - done,
+                                MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("socket write");
+    }
+    done += static_cast<size_t>(sent);
+  }
+  return Status::OK();
+}
+
+ReadOutcome ReadFull(int fd, uint8_t* buf, size_t n) {
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::recv(fd, buf + done, n - done, 0);
+    if (got == 0) {
+      return done == 0 ? ReadOutcome::kCleanEof : ReadOutcome::kError;
+    }
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return ReadOutcome::kError;
+    }
+    done += static_cast<size_t>(got);
+  }
+  return ReadOutcome::kOk;
+}
 
 std::string SocketEndpoint::ToString() const {
   if (is_tcp()) return tcp_host + ":" + std::to_string(tcp_port);
@@ -91,141 +241,117 @@ Result<SocketEndpoint> ParseTcpEndpoint(std::string_view host_port) {
   return endpoint;
 }
 
-Result<int> TcpListenFd(const std::string& host, int port, int backlog,
-                        int* bound_port) {
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument("TCP listen port out of range: " +
-                                   std::to_string(port));
+Result<int> ListenEndpointFd(const SocketEndpoint& endpoint, int backlog,
+                             int* bound_port) {
+  CAPP_ASSIGN_OR_RETURN(const std::vector<Address> addresses,
+                        ResolveEndpoint(endpoint, /*passive=*/true));
+  if (!endpoint.is_tcp()) {
+    // Bind guard: a second server must not silently steal a live
+    // server's path (an unconditional unlink orphans the first
+    // listener). A completed probe connect means someone is serving;
+    // ECONNREFUSED means a stale file from a dead server, which is safe
+    // to unlink; ENOENT means a fresh path.
+    int probe = -1;
+    const int probe_error = Dial(addresses.front(), &probe);
+    if (probe_error == 0) {
+      ::close(probe);
+      return Status::AlreadyExists("socket path " + endpoint.unix_path +
+                                   " already has a live server");
+    }
+    if (probe_error == ECONNREFUSED) ::unlink(endpoint.unix_path.c_str());
   }
-  addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-  addrinfo* addrs = nullptr;
-  const std::string service = std::to_string(port);
-  if (const int rc =
-          ::getaddrinfo(host.c_str(), service.c_str(), &hints, &addrs);
-      rc != 0) {
-    return Status::InvalidArgument("cannot resolve TCP listen host '" +
-                                   host + "': " + ::gai_strerror(rc));
-  }
-  Status last = Status::Internal("no addresses for '" + host + "'");
-  for (const addrinfo* ai = addrs; ai != nullptr; ai = ai->ai_next) {
-    const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+  Status last;
+  for (const Address& address : addresses) {
+    const int fd = ::socket(address.family(), SOCK_STREAM, 0);
     if (fd < 0) {
       last = ErrnoStatus("socket");
       continue;
     }
     // Collector restarts must not wait out TIME_WAIT from their own
-    // previous run.
+    // previous run (a no-op on unix sockets).
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) != 0 ||
-        ::listen(fd, backlog) != 0) {
-      last = ErrnoStatus("bind/listen " + host + ":" + service);
+    const bool bound = ::bind(fd, address.get(), address.len) == 0;
+    if (!bound || ::listen(fd, backlog) != 0) {
+      last = ErrnoStatus("bind/listen " + endpoint.ToString());
       ::close(fd);
+      if (bound && !endpoint.is_tcp()) ::unlink(endpoint.unix_path.c_str());
       continue;
     }
-    if (bound_port != nullptr) {
-      sockaddr_storage bound;
-      socklen_t bound_len = sizeof(bound);
-      if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
-                        &bound_len) != 0) {
+    int port = 0;
+    if (endpoint.is_tcp()) {
+      sockaddr_storage local;
+      socklen_t local_len = sizeof(local);
+      if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local),
+                        &local_len) != 0) {
         last = ErrnoStatus("getsockname");
         ::close(fd);
         continue;
       }
-      if (bound.ss_family == AF_INET) {
-        *bound_port = ntohs(
-            reinterpret_cast<const sockaddr_in*>(&bound)->sin_port);
-      } else {
-        *bound_port = ntohs(
-            reinterpret_cast<const sockaddr_in6*>(&bound)->sin6_port);
-      }
+      port = ntohs(local.ss_family == AF_INET
+                       ? reinterpret_cast<const sockaddr_in*>(&local)->sin_port
+                       : reinterpret_cast<const sockaddr_in6*>(&local)
+                             ->sin6_port);
     }
-    ::freeaddrinfo(addrs);
+    if (bound_port != nullptr) *bound_port = port;
     return fd;
   }
-  ::freeaddrinfo(addrs);
   return last;
-}
-
-Status FinishInterruptedConnect(int fd, const std::string& what) {
-  pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLOUT;
-  for (;;) {
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;  // the very signal storm we fix
-      return ErrnoStatus(what + " (poll)");
-    }
-    if (rc > 0) break;  // writable or error: either way SO_ERROR knows
-  }
-  int so_error = 0;
-  socklen_t len = sizeof(so_error);
-  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
-    return ErrnoStatus(what + " (SO_ERROR)");
-  }
-  if (so_error != 0) {
-    return Status::Internal(what + ": " + std::strerror(so_error));
-  }
-  return Status::OK();
 }
 
 Result<int> ConnectEndpointFd(const SocketEndpoint& endpoint) {
-  if (!endpoint.is_tcp()) {
-    sockaddr_un addr;
-    if (endpoint.unix_path.empty() ||
-        endpoint.unix_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("bad unix socket path: '" +
-                                     endpoint.unix_path + "'");
-    }
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, endpoint.unix_path.c_str(),
-                endpoint.unix_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return ErrnoStatus("socket");
-    const std::string what = "connect to " + endpoint.unix_path;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      Status failed = errno == EINTR ? FinishInterruptedConnect(fd, what)
-                                     : ErrnoStatus(what);
-      if (!failed.ok()) {
-        ::close(fd);
-        return failed;
-      }
-    }
-    return fd;
+  CAPP_ASSIGN_OR_RETURN(const std::vector<Address> addresses,
+                        ResolveEndpoint(endpoint, /*passive=*/false));
+  int error = 0;
+  for (const Address& address : addresses) {
+    int fd = -1;
+    error = Dial(address, &fd);
+    if (error == 0) return fd;
   }
-  addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  addrinfo* addrs = nullptr;
-  const std::string service = std::to_string(endpoint.tcp_port);
-  if (const int rc = ::getaddrinfo(endpoint.tcp_host.c_str(),
-                                   service.c_str(), &hints, &addrs);
-      rc != 0) {
-    return Status::Internal("cannot resolve '" + endpoint.tcp_host +
-                            "': " + ::gai_strerror(rc));
-  }
-  Status last =
-      Status::Internal("no addresses for '" + endpoint.tcp_host + "'");
-  for (const addrinfo* ai = addrs; ai != nullptr; ai = ai->ai_next) {
-    auto fd = ConnectResolved(ai, "connect to " + endpoint.ToString());
-    if (fd.ok()) {
-      ::freeaddrinfo(addrs);
-      return *fd;
+  return Status::Internal("connect to " + endpoint.ToString() + ": " +
+                          std::strerror(error));
+}
+
+Status AcceptLoop(int listen_fd, const std::atomic<bool>& stopping,
+                  const std::function<void(int fd)>& serve) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      serve(fd);
+      continue;
     }
-    last = fd.status();
+    const int error = errno;
+    // A peer that connected and reset before we got here kills its own
+    // connection, not the server.
+    if (error == EINTR || error == ECONNABORTED || error == EPROTO) continue;
+    // Stopping: the backlog drained (EAGAIN), the listener was shut down,
+    // or what is left cannot be accepted and is abandoned.
+    if (stopping.load(std::memory_order_acquire)) return Status::OK();
+    if (error == EMFILE || error == ENFILE || error == ENOBUFS ||
+        error == ENOMEM) {
+      // Resource exhaustion passes: the pending connection stays in the
+      // backlog, so back off and retry rather than stop serving for good.
+      std::this_thread::sleep_for(kAcceptRetryBackoff);
+      continue;
+    }
+    return Status::Internal(std::string("accept: ") + std::strerror(error));
   }
-  ::freeaddrinfo(addrs);
-  return last;
+}
+
+void StopAcceptor(const SocketEndpoint& self, int* listen_fd,
+                  std::thread* acceptor) {
+  const int flags = ::fcntl(*listen_fd, F_GETFL, 0);
+  ::fcntl(*listen_fd, F_SETFL, flags | O_NONBLOCK);
+  if (auto wake = ConnectEndpointFd(self); wake.ok()) {
+    ::close(*wake);
+  } else {
+    // Linux: shutdown on a listening socket fails a blocked accept.
+    ::shutdown(*listen_fd, SHUT_RDWR);
+  }
+  if (acceptor->joinable()) acceptor->join();
+  ::close(*listen_fd);
+  *listen_fd = -1;
+  if (!self.is_tcp()) ::unlink(self.unix_path.c_str());
 }
 
 int BackoffDelayMs(int backoff_ms, int attempt, uint64_t jitter_seed) {
@@ -304,56 +430,73 @@ Result<uint64_t> ResilientSocketClient::DialAndHandshake(int dial_attempts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(BackoffDelayMs(
           options_.connect_backoff_ms, attempt - 1, jitter_seed)));
     }
-    auto fd = ConnectEndpointFd(options_.endpoint);
-    if (!fd.ok()) {
-      last = fd.status();
-      continue;
+    auto resumed = DialOnce();
+    if (resumed.ok()) {
+      ack_pending_.clear();
+      return resumed;
     }
-    SocketClient conn = SocketClient::Adopt(*fd);
-    HandshakeHello hello;
-    hello.version = kTransportProtocolVersion;
-    hello.capabilities = kCapResume;
-    hello.fingerprint = options_.fingerprint;
-    hello.dims = options_.dims;
-    hello.client_id = options_.client_id;
-    hello.stream_index = options_.stream_index;
-    hello.stream_count = options_.stream_count;
-    uint8_t hello_bytes[kHandshakeHelloBytes];
-    EncodeHandshakeHello(hello, hello_bytes);
-    if (Status sent = conn.SendRaw(hello_bytes); !sent.ok()) {
-      last = sent;
-      continue;
+    Close();
+    // A refusal is a configuration mismatch, not a flaky network;
+    // retrying cannot fix it and must not mask it.
+    if (resumed.status().code() == StatusCode::kFailedPrecondition) {
+      return resumed.status();
     }
-    uint8_t ack_bytes[kHandshakeAckBytes];
-    if (Status read = conn.ReadExact(ack_bytes, sizeof(ack_bytes));
-        !read.ok()) {
-      last = Status::Internal("handshake with " +
-                              options_.endpoint.ToString() +
-                              " failed: " + read.message());
-      continue;
-    }
-    auto ack = DecodeHandshakeAck(ack_bytes);
-    if (!ack.ok()) {
-      last = ack.status();
-      continue;
-    }
-    if (!ack->accepted) {
-      // A refusal is a configuration mismatch, not a flaky network;
-      // retrying cannot fix it and must not mask it.
-      return Status::FailedPrecondition(
-          "collector at " + options_.endpoint.ToString() +
-          " refused handshake: " +
-          std::string(HandshakeRefusalName(ack->refusal)));
-    }
-    client_ = std::move(conn);
-    ack_pending_.clear();
-    return ack->resume_seq;
+    last = resumed.status();
   }
   return last;
 }
 
+Result<uint64_t> ResilientSocketClient::DialOnce() {
+  Close();
+  CAPP_ASSIGN_OR_RETURN(fd_, ConnectEndpointFd(options_.endpoint));
+  HandshakeHello hello;
+  hello.version = kTransportProtocolVersion;
+  hello.capabilities = kCapResume;
+  hello.fingerprint = options_.fingerprint;
+  hello.dims = options_.dims;
+  hello.client_id = options_.client_id;
+  hello.stream_index = options_.stream_index;
+  hello.stream_count = options_.stream_count;
+  uint8_t hello_bytes[kHandshakeHelloBytes];
+  EncodeHandshakeHello(hello, hello_bytes);
+  CAPP_RETURN_IF_ERROR(SendAll(fd_, hello_bytes));
+  uint8_t ack_bytes[kHandshakeAckBytes];
+  if (Status read = ReadExact(fd_, ack_bytes, sizeof(ack_bytes));
+      !read.ok()) {
+    return Status::Internal("handshake with " + options_.endpoint.ToString() +
+                            " failed: " + read.message());
+  }
+  CAPP_ASSIGN_OR_RETURN(const HandshakeAck ack,
+                        DecodeHandshakeAck(ack_bytes));
+  if (!ack.accepted) {
+    return Status::FailedPrecondition(
+        "collector at " + options_.endpoint.ToString() +
+        " refused handshake: " +
+        std::string(HandshakeRefusalName(ack.refusal)));
+  }
+  return ack.resume_seq;
+}
+
+Status ResilientSocketClient::SendChunk(uint64_t seq,
+                                        std::span<const uint8_t> payload) {
+  CAPP_CHECK(!payload.empty());  // zero length is the FIN marker
+  CAPP_CHECK(payload.size() <= kMaxSocketChunkBytes);
+  CAPP_CHECK(seq >= 1);  // sequence numbers start at 1
+  uint8_t prefix[12];
+  EncodeChunkPrefix(static_cast<uint32_t>(payload.size()), seq, prefix);
+  CAPP_RETURN_IF_ERROR(SendAll(fd_, prefix));
+  CAPP_RETURN_IF_ERROR(SendAll(fd_, payload));
+  if (telemetry::Enabled()) {
+    telemetry::metrics::SocketWriteChunksTotal().Add(1);
+    telemetry::metrics::SocketWriteBytesTotal().Add(payload.size() +
+                                                    sizeof(prefix));
+    telemetry::metrics::SocketWriteChunkBytes().Record(payload.size());
+  }
+  return Status::OK();
+}
+
 Status ResilientSocketClient::ReconnectAndReplay() {
-  if (client_) client_->Close();
+  Close();
   Status last = Status::Internal("no reconnect attempts allowed");
   for (int attempt = 0; attempt < options_.reconnect_attempts; ++attempt) {
     auto resumed = DialAndHandshake(1);
@@ -388,8 +531,7 @@ Status ResilientSocketClient::ReconnectAndReplay() {
     bool replay_failed = false;
     uint64_t replayed = 0;
     for (const ResumeBuffer::Chunk& chunk : window_.chunks()) {
-      if (Status sent = client_->WriteChunk(chunk.seq, chunk.bytes);
-          !sent.ok()) {
+      if (Status sent = SendChunk(chunk.seq, chunk.bytes); !sent.ok()) {
         last = sent;
         replay_failed = true;
         break;
@@ -408,9 +550,9 @@ Status ResilientSocketClient::ReconnectAndReplay() {
 }
 
 void ResilientSocketClient::DrainAcks() {
-  if (!client_ || !client_->connected()) return;
-  auto got = client_->ReadAvailable(&ack_pending_);
-  if (!got.ok()) return;  // dead connection: the next write surfaces it
+  if (fd_ < 0) return;
+  // A dead connection is left for the next write to surface.
+  if (!ReadAvailable(fd_, &ack_pending_).ok()) return;
   size_t consumed = 0;
   while (ack_pending_.size() - consumed >= kStreamAckBytes) {
     auto acked = DecodeStreamAck(
@@ -437,9 +579,8 @@ Status ResilientSocketClient::WriteChunk(std::span<const uint8_t> payload) {
   window_.Retain(seq, payload);
   DrainAcks();
   if (!ack_error_.ok()) return ack_error_;
-  Status sent = client_ && client_->connected()
-                    ? client_->WriteChunk(seq, payload)
-                    : Status::Internal("connection is down");
+  Status sent = fd_ >= 0 ? SendChunk(seq, payload)
+                         : Status::Internal("connection is down");
   if (sent.ok()) return sent;
   // The chunk is already in the window; a successful resume replays it.
   return ReconnectAndReplay();
@@ -450,7 +591,7 @@ Status ResilientSocketClient::Finish() {
   const uint64_t final_seq = next_seq_ - 1;
   Status last = Status::OK();
   for (int round = 0; round <= options_.reconnect_attempts; ++round) {
-    if (!client_ || !client_->connected()) {
+    if (fd_ < 0) {
       if (Status resumed = ReconnectAndReplay(); !resumed.ok()) {
         return resumed;
       }
@@ -458,9 +599,11 @@ Status ResilientSocketClient::Finish() {
     // FIN, then half-close and wait for the server's final ack: EOF alone
     // cannot distinguish "FIN ingested" from "server died with the FIN in
     // flight", and a full close could RST the FIN away on TCP.
-    last = client_->WriteFin(final_seq);
+    uint8_t fin[12];
+    EncodeChunkPrefix(0, final_seq, fin);
+    last = SendAll(fd_, fin);
     if (last.ok()) {
-      ::shutdown(client_->fd(), SHUT_WR);
+      ::shutdown(fd_, SHUT_WR);
       for (;;) {
         // Complete whatever partial ack the last non-blocking drain left
         // in ack_pending_ before decoding -- reading raw frames off the
@@ -468,7 +611,7 @@ Status ResilientSocketClient::Finish() {
         while (ack_pending_.size() < kStreamAckBytes) {
           const size_t need = kStreamAckBytes - ack_pending_.size();
           uint8_t buf[kStreamAckBytes];
-          last = client_->ReadExact(buf, need);
+          last = ReadExact(fd_, buf, need);
           if (!last.ok()) break;
           ack_pending_.insert(ack_pending_.end(), buf, buf + need);
         }
@@ -491,7 +634,7 @@ Status ResilientSocketClient::Finish() {
                 std::to_string(final_seq));
             break;
           }
-          client_->Close();
+          Close();
           return Status::OK();
         }
         auto acked = DecodeStreamAck(frame);
@@ -504,14 +647,17 @@ Status ResilientSocketClient::Finish() {
         window_.TrimThrough(*acked);
       }
     }
-    client_->Close();  // force the next round onto the reconnect path
+    Close();  // force the next round onto the reconnect path
   }
   return Status::Internal("stream FIN to " + options_.endpoint.ToString() +
                           " was never acknowledged: " + last.message());
 }
 
 void ResilientSocketClient::Close() {
-  if (client_) client_->Close();
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
 }
 
 }  // namespace capp

@@ -1,14 +1,21 @@
-// TCP leg of the socket transport, plus the client-side reliability
-// layer both socket families share.
+// Socket plumbing for every endpoint, plus the client-side reliability
+// layer both socket families share. This is the one place that opens,
+// dials, reads, writes and stops a socket: the collector server
+// (transport/socket_transport.h), the metrics scrape server
+// (telemetry/metrics_socket.h) and the producer client all go through it.
 //
 // The wire protocol is byte-identical over AF_UNIX and TCP: the same
 // handshake (transport/handshake.h), the same sequence-stamped chunk
 // framing, the same FIN. This header adds what multi-host deployment
 // needs on top of the codec:
 //
-//   * endpoint plumbing -- parse HOST:PORT, bind/listen a TCP acceptor
-//     (port 0 binds an ephemeral port and reports it back), and dial
-//     either family with an EINTR-correct connect;
+//   * fd helpers -- one ErrnoStatus, one EINTR-proof SIGPIPE-free
+//     SendAll, one ReadFull that tells a clean EOF from a truncation;
+//   * endpoint plumbing -- parse HOST:PORT; listen on either family
+//     (a unix path refuses a live server and reclaims a stale file, TCP
+//     port 0 binds an ephemeral port and reports it back); dial either
+//     family with an EINTR-correct connect; run an acceptor loop and
+//     stop it;
 //   * deterministic backoff jitter for reconnect storms -- N striped
 //     connections (or N fleet hosts) redialing a restarted collector
 //     must not retry in lockstep, and seeding the jitter from the stream
@@ -22,16 +29,19 @@
 #ifndef CAPP_TRANSPORT_TCP_TRANSPORT_H_
 #define CAPP_TRANSPORT_TCP_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <optional>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
-#include "transport/socket_transport.h"
 
 namespace capp {
 
@@ -41,6 +51,12 @@ struct SocketEndpoint {
   std::string unix_path;
   std::string tcp_host;
   int tcp_port = 0;
+
+  static SocketEndpoint Unix(std::string path) {
+    SocketEndpoint endpoint;
+    endpoint.unix_path = std::move(path);
+    return endpoint;
+  }
 
   bool is_tcp() const { return !tcp_host.empty(); }
   /// "path" or "host:port", for log and error messages.
@@ -52,23 +68,57 @@ struct SocketEndpoint {
 /// ephemeral port) into a TCP endpoint.
 Result<SocketEndpoint> ParseTcpEndpoint(std::string_view host_port);
 
-/// Binds and listens a TCP acceptor socket on host:port (SO_REUSEADDR;
-/// port 0 picks an ephemeral port). Returns the listening fd and stores
-/// the actually-bound port in *bound_port.
-Result<int> TcpListenFd(const std::string& host, int port, int backlog,
-                        int* bound_port);
+/// Status::Internal("<what>: <strerror(errno)>").
+Status ErrnoStatus(const std::string& what);
 
-/// Completes a connect() that a signal interrupted. POSIX: after EINTR
-/// the connection attempt continues asynchronously, so closing the fd
-/// and erroring would fail a perfectly healthy connection under signal
-/// load. Polls the fd for writability (itself EINTR-proof) and reads
-/// SO_ERROR for the real verdict.
-Status FinishInterruptedConnect(int fd, const std::string& what);
+/// Blocking send of every byte (EINTR-proof). MSG_NOSIGNAL: a vanished
+/// peer surfaces as a Status, never as a SIGPIPE that kills the process.
+Status SendAll(int fd, std::span<const uint8_t> bytes);
+
+enum class ReadOutcome {
+  kOk,        // all n bytes read
+  kCleanEof,  // EOF before the first byte (a boundary between chunks)
+  kError,     // EOF mid-read (truncation) or a socket error
+};
+
+/// Blocking read of exactly n bytes (EINTR-proof).
+ReadOutcome ReadFull(int fd, uint8_t* buf, size_t n);
+
+/// Binds and listens a stream socket on the endpoint. A unix path that a
+/// live server still answers on is refused with AlreadyExists (probe
+/// connect); only a stale file (connect -> ECONNREFUSED) is unlinked
+/// first. TCP sets SO_REUSEADDR, and port 0 picks an ephemeral port.
+/// Returns the listening fd and stores the bound TCP port (0 for unix)
+/// in *bound_port when it is non-null.
+Result<int> ListenEndpointFd(const SocketEndpoint& endpoint, int backlog,
+                             int* bound_port);
 
 /// Creates and connects a stream socket of the endpoint's family
-/// (TCP_NODELAY on TCP; EINTR handled via FinishInterruptedConnect).
-/// Returns the connected fd.
+/// (TCP_NODELAY on TCP). A signal that interrupts connect() does not fail
+/// it: the attempt continues asynchronously, so the dial polls for the
+/// verdict and reads SO_ERROR. Returns the connected fd.
 Result<int> ConnectEndpointFd(const SocketEndpoint& endpoint);
+
+/// The acceptor loop: accepts on listen_fd and hands every connection to
+/// `serve`, which owns the fd, until StopAcceptor. Transient failures
+/// pass: a peer that reset before accept() is skipped, and running out of
+/// descriptors or kernel memory backs off and retries (the connection
+/// waits in the backlog). Returns OK once stopped, or the listener error
+/// that ended the loop.
+Status AcceptLoop(int listen_fd, const std::atomic<bool>& stopping,
+                  const std::function<void(int fd)>& serve);
+
+/// Stops the thread running AcceptLoop on *listen_fd, bound at `self`;
+/// the caller has already raised the loop's `stopping` flag. Every
+/// connection whose connect() completed is in the backlog, so the loop
+/// must drain it rather than abandon it: the listener turns non-blocking
+/// (the loop ends at the first empty accept), and a zero-byte dial to
+/// `self` wakes a blocked accept(). When that dial fails (backlog full,
+/// path raced away), shutdown() on the listener fails the accept
+/// instead. Then joins the thread, closes the listener (*listen_fd = -1)
+/// and unlinks a unix path.
+void StopAcceptor(const SocketEndpoint& self, int* listen_fd,
+                  std::thread* acceptor);
 
 /// Backoff before reconnect attempt `attempt` (0-based): exponential
 /// from backoff_ms, capped at 2s per step, scaled by a deterministic
@@ -111,8 +161,10 @@ class ResumeBuffer {
 };
 
 /// Producer-side connection with handshake, sequencing, and
-/// reconnect-with-resume. Not thread-safe; the hub guards each stripe
-/// with its own mutex.
+/// reconnect-with-resume. It owns one connected fd at a time and writes
+/// each chunk as [u32 LE length][u64 LE seq] then the payload (two
+/// sends), the FIN as a zero length plus the final sequence. Not
+/// thread-safe; the hub guards each stripe with its own mutex.
 class ResilientSocketClient {
  public:
   struct Options {
@@ -152,6 +204,10 @@ class ResilientSocketClient {
 
   void Close();
 
+  ~ResilientSocketClient() { Close(); }
+  ResilientSocketClient(const ResilientSocketClient&) = delete;
+  ResilientSocketClient& operator=(const ResilientSocketClient&) = delete;
+
   /// Redials that successfully resumed the stream mid-run.
   uint64_t reconnects() const { return reconnects_; }
   /// Chunks retransmitted from the resume window across all redials.
@@ -161,9 +217,15 @@ class ResilientSocketClient {
   explicit ResilientSocketClient(const Options& options)
       : options_(options) {}
 
-  /// One dial + handshake. On success the connection is live and the
-  /// returned value is the server's resume_seq for this stream.
+  /// Up to dial_attempts dials + handshakes (backing off between them).
+  /// On success the connection is live and the returned value is the
+  /// server's resume_seq for this stream.
   Result<uint64_t> DialAndHandshake(int dial_attempts);
+  /// One dial + handshake; leaves a failed connection for the caller to
+  /// close.
+  Result<uint64_t> DialOnce();
+  /// Sends one sequence-stamped chunk on the live connection.
+  Status SendChunk(uint64_t seq, std::span<const uint8_t> payload);
   /// Re-dials and replays every retained chunk past the server's ack.
   Status ReconnectAndReplay();
   /// Consumes any stream acks sitting in the receive buffer and trims
@@ -172,7 +234,7 @@ class ResilientSocketClient {
   void DrainAcks();
 
   Options options_;
-  std::optional<SocketClient> client_;
+  int fd_ = -1;  // the live connection; -1 while down
   ResumeBuffer window_;
   uint64_t next_seq_ = 1;   // sequence the next chunk will carry
   uint64_t reconnects_ = 0;

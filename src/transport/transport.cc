@@ -44,13 +44,12 @@ Status ValidateTransportOptions(const TransportOptions& options) {
         "owned_shards requires a queued transport: under kDirect every "
         "worker thread ingests directly, so no shard has a single writer");
   }
-  // sockaddr_un::sun_path is 108 bytes on Linux; leave headroom for the
-  // terminator. Checked for every kind so a config cannot become invalid
-  // by flipping the kind to kSocket.
-  if (options.socket_path.size() > 100) {
+  // Checked for every kind so a config cannot become invalid by flipping
+  // the kind to kSocket.
+  if (options.socket_path.size() > kMaxUnixSocketPathBytes) {
     return Status::InvalidArgument(
-        "transport socket_path exceeds the unix-socket path limit (100 "
-        "bytes)");
+        "transport socket_path exceeds the unix-socket path limit (" +
+        std::to_string(kMaxUnixSocketPathBytes) + " bytes)");
   }
   if (options.connect_retries < 0) {
     return Status::InvalidArgument("transport connect_retries must be >= 0");

@@ -14,6 +14,10 @@
 
 namespace capp {
 
+/// The longest unix-socket path: sockaddr_un::sun_path (108 bytes on
+/// Linux) less its terminator. Every unix path check uses this bound.
+inline constexpr size_t kMaxUnixSocketPathBytes = 107;
+
 /// How reports reach the collector.
 enum class TransportKind {
   kDirect,       ///< In-process function call (no queue, no consumers).

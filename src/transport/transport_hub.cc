@@ -54,7 +54,7 @@ Result<std::unique_ptr<TransportHub>> TransportHub::Create(
       // Loopback: this hub runs the collector server too, so a single
       // process exercises the full socket path end to end.
       SocketCollectorServer::Options server_options;
-      server_options.socket_path = MakeLoopbackSocketPath();
+      server_options.endpoint.unix_path = MakeLoopbackSocketPath();
       server_options.handshake_fingerprint = options.handshake_fingerprint;
       server_options.expected_dims =
           static_cast<uint32_t>(collector->dims());
@@ -64,8 +64,8 @@ Result<std::unique_ptr<TransportHub>> TransportHub::Create(
       CAPP_ASSIGN_OR_RETURN(
           hub->socket_server_,
           SocketCollectorServer::Create(collector, server_options));
-      hub->socket_path_ = hub->socket_server_->socket_path();
-      endpoint.unix_path = hub->socket_path_;
+      endpoint = hub->socket_server_->endpoint();
+      hub->socket_path_ = endpoint.unix_path;
     }
     // One stream identity for the whole hub; each stripe is one
     // independently resumable connection under it.

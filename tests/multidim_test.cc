@@ -475,8 +475,7 @@ TEST(MultidimPerturberTest, RefusesZeroDimsAndOfflineInnersAcceptsOneDim) {
 
 // At d = 1 the device is the scalar algorithm at the full budget: the same
 // reports and ledger as a UserSession, for every online algorithm, on
-// finite inputs (where UserSession's clamp and the device's
-// SanitizeUnitValue agree).
+// out-of-range and non-finite inputs too.
 TEST(MultidimPerturberTest, OneDimensionMatchesUserSession) {
   const size_t slots = 150;
   for (AlgorithmKind kind : {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
@@ -494,6 +493,12 @@ TEST(MultidimPerturberTest, OneDimensionMatchesUserSession) {
         Rng input_rng(60 + user);
         std::vector<double> truth(slots);
         for (double& x : truth) x = input_rng.Uniform(-0.2, 1.2);
+        // Non-finite readings take the one input rule (SanitizeUnitValue)
+        // on both paths; CAPP's feedback would carry any gap into the
+        // finite slots after them.
+        truth[3] = std::numeric_limits<double>::infinity();
+        truth[40] = -std::numeric_limits<double>::infinity();
+        truth[77] = std::numeric_limits<double>::quiet_NaN();
         auto session = UserSession::Create(user, kind, {1.0, 10}, 800 + user);
         ASSERT_TRUE(session.ok());
         std::vector<double> expected(slots);

@@ -1,17 +1,27 @@
 // Tests for the telemetry subsystem: striped counter/gauge aggregation
 // under real thread contention (the TSan job runs this file), log-bucket
 // histogram boundaries and snapshot merges, the Prometheus exposition
-// golden output, and registry rendering concurrent with hot writers.
+// golden output, registry rendering concurrent with hot writers, and the
+// metrics scrape socket's verbs and shutdown.
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "telemetry/metrics.h"
+#include "telemetry/metrics_socket.h"
 #include "telemetry/registry.h"
+#include "transport/socket_transport.h"
+#include "transport/tcp_transport.h"
 
 namespace capp::telemetry {
 namespace {
@@ -309,6 +319,81 @@ TEST(RegistryTest, RenderConcurrentWithHotWriters) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& writer : writers) writer.join();
   EXPECT_EQ(registry.CounterValue("capp_t_total"), counter.Value());
+}
+
+// -------------------------------------------------------- scrape socket --
+
+class MetricsSocketServerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    registry_.GetCounter("capp_t_scrapes_total", "Scrapes.").Add(3);
+    auto server = MetricsSocketServer::Create(&registry_, path_);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(*server);
+  }
+
+  // Sends one request and reads the reply until the server closes.
+  std::string Scrape(std::string_view request) {
+    auto fd = ConnectEndpointFd(SocketEndpoint::Unix(path_));
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    if (!fd.ok()) return "";
+    EXPECT_TRUE(SendAll(*fd, std::span(reinterpret_cast<const uint8_t*>(
+                                           request.data()),
+                                       request.size()))
+                    .ok());
+    std::string reply;
+    char buf[4096];
+    for (ssize_t got; (got = ::recv(*fd, buf, sizeof(buf), 0)) > 0;) {
+      reply.append(buf, static_cast<size_t>(got));
+    }
+    ::close(*fd);
+    return reply;
+  }
+
+  MetricsRegistry registry_;
+  const std::string path_ = MakeLoopbackSocketPath();
+  std::unique_ptr<MetricsSocketServer> server_;
+};
+
+TEST_F(MetricsSocketServerTest, GetMetricsIsHttpWithMatchingLength) {
+  const std::string reply = Scrape("GET /metrics HTTP/1.0\r\n\r\n");
+  ASSERT_EQ(reply.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << reply;
+  const size_t header_end = reply.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos);
+  const std::string body = reply.substr(header_end + 4);
+  EXPECT_EQ(body, registry_.RenderPrometheus());
+  EXPECT_NE(body.find("capp_t_scrapes_total 3\n"), std::string::npos);
+  const std::string length =
+      "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  EXPECT_NE(reply.substr(0, header_end + 2).find(length), std::string::npos)
+      << reply.substr(0, header_end);
+}
+
+TEST_F(MetricsSocketServerTest, MetricsAndStatsVerbs) {
+  // The bare verb is the same HTTP response as GET.
+  EXPECT_EQ(Scrape("metrics\n"), Scrape("GET /metrics HTTP/1.0\r\n\r\n"));
+  // stats is the JSON snapshot on one line.
+  const std::string stats = Scrape("stats\n");
+  EXPECT_EQ(stats, registry_.RenderJson() + "\n");
+  EXPECT_EQ(stats.find('\n'), stats.size() - 1);
+  EXPECT_EQ(stats.rfind("{", 0), 0u);
+}
+
+TEST_F(MetricsSocketServerTest, UnknownVerbIsAnError) {
+  EXPECT_EQ(Scrape("scrape please\n").rfind("ERR ", 0), 0u);
+  EXPECT_EQ(Scrape("\n").rfind("ERR ", 0), 0u);
+  // The server is still up for the next scrape.
+  EXPECT_EQ(Scrape("stats\n"), registry_.RenderJson() + "\n");
+}
+
+TEST_F(MetricsSocketServerTest, StopRemovesTheSocketFileAndIsIdempotent) {
+  ASSERT_EQ(::access(path_.c_str(), F_OK), 0);
+  server_->Stop();
+  EXPECT_NE(::access(path_.c_str(), F_OK), 0);
+  EXPECT_FALSE(ConnectEndpointFd(SocketEndpoint::Unix(path_)).ok());
+  server_->Stop();
+  server_.reset();  // the destructor stops again
+  EXPECT_NE(::access(path_.c_str(), F_OK), 0);
 }
 
 }  // namespace

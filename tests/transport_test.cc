@@ -9,6 +9,7 @@
 #include <csignal>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,10 +25,14 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +41,8 @@
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
 #include "engine/sharded_collector.h"
+#include "telemetry/metrics_socket.h"
+#include "telemetry/registry.h"
 #include "transport/handshake.h"
 #include "transport/mpsc_queue.h"
 #include "transport/socket_transport.h"
@@ -885,7 +892,7 @@ TEST(TransportHubTest, SocketClientModeReachesExternalServer) {
   auto server_collector = ShardedCollector::Create();
   ASSERT_TRUE(server_collector.ok());
   SocketCollectorServer::Options server_options;
-  server_options.socket_path = MakeLoopbackSocketPath();
+  server_options.endpoint.unix_path = MakeLoopbackSocketPath();
   server_options.num_consumers = 2;
   auto server =
       SocketCollectorServer::Create(&*server_collector, server_options);
@@ -895,7 +902,7 @@ TEST(TransportHubTest, SocketClientModeReachesExternalServer) {
   ASSERT_TRUE(local_collector.ok());
   TransportOptions options;
   options.kind = TransportKind::kSocket;
-  options.socket_path = server_options.socket_path;
+  options.socket_path = server_options.endpoint.unix_path;
   options.max_batch_runs = 4;
   auto hub = TransportHub::Create(&*local_collector, options);
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
@@ -1057,10 +1064,42 @@ void AppendFin(uint64_t final_seq, std::vector<uint8_t>& out) {
   AppendSeqChunk(final_seq, {}, out);
 }
 
+// A raw fault-injection peer: one connected fd, closed on scope exit,
+// written and read through the transport's own fd helpers.
+class RawPeer {
+ public:
+  explicit RawPeer(int fd) : fd_(fd) {}
+  RawPeer(RawPeer&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  RawPeer& operator=(RawPeer&&) = delete;
+  ~RawPeer() { Close(); }
+
+  static Result<RawPeer> Dial(const SocketEndpoint& endpoint) {
+    CAPP_ASSIGN_OR_RETURN(const int fd, ConnectEndpointFd(endpoint));
+    return RawPeer(fd);
+  }
+
+  Status SendRaw(std::span<const uint8_t> bytes) {
+    return SendAll(fd_, bytes);
+  }
+  Status ReadExact(uint8_t* buf, size_t n) {
+    return ReadFull(fd_, buf, n) == ReadOutcome::kOk
+               ? Status::OK()
+               : Status::Internal("socket read failed or truncated");
+  }
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+  int fd() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
 // Completes the v2 handshake on a connected `client` as a well-formed
 // d=1, fingerprint-0 peer, leaving the connection ready for raw
 // data-section bytes.
-Status HandshakeOver(SocketClient& client, uint64_t client_id) {
+Status HandshakeOver(RawPeer& client, uint64_t client_id) {
   HandshakeHello hello;
   hello.client_id = client_id;
   uint8_t hello_bytes[kHandshakeHelloBytes];
@@ -1075,10 +1114,10 @@ Status HandshakeOver(SocketClient& client, uint64_t client_id) {
   return Status::OK();
 }
 
-// Dials `path` and handshakes (HandshakeOver).
-Result<SocketClient> HandshakeOn(const std::string& path,
-                                 uint64_t client_id = 99) {
-  auto client = SocketClient::Connect(path);
+// Dials `endpoint` and handshakes (HandshakeOver).
+Result<RawPeer> HandshakeOn(const SocketEndpoint& endpoint,
+                            uint64_t client_id = 99) {
+  auto client = RawPeer::Dial(endpoint);
   if (!client.ok()) return client.status();
   CAPP_RETURN_IF_ERROR(HandshakeOver(*client, client_id));
   return std::move(*client);
@@ -1096,7 +1135,7 @@ class SocketFaultTest : public ::testing::Test {
     ASSERT_TRUE(collector.ok());
     collector_.emplace(std::move(collector.value()));
     SocketCollectorServer::Options options;
-    options.socket_path = MakeLoopbackSocketPath();
+    options.endpoint.unix_path = MakeLoopbackSocketPath();
     options.num_consumers = num_consumers;
     options.handshake_fingerprint = fingerprint;
     options.expected_dims = expected_dims;
@@ -1118,7 +1157,7 @@ class SocketFaultTest : public ::testing::Test {
   }
 
   Status SendAndFinish(std::span<const uint8_t> bytes) {
-    auto client = HandshakeOn(server_->socket_path());
+    auto client = HandshakeOn(server_->endpoint());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     EXPECT_TRUE(client->SendRaw(bytes).ok());
     // Protocol-conforming close, mirroring ResilientSocketClient::Finish:
@@ -1225,7 +1264,8 @@ TEST_F(SocketFaultTest, RawInjectionIntoLoopbackHubFailsItsCrossCheck) {
     // A foreign-but-well-formed peer: its own client id, clean handshake,
     // clean FIN. The hub's producers never published these runs, so the
     // cross-check must still fail the drain.
-    auto client = HandshakeOn((*hub)->socket_path(), /*client_id=*/12345);
+    auto client = HandshakeOn(SocketEndpoint::Unix((*hub)->socket_path()),
+                              /*client_id=*/12345);
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->SendRaw(ValidStream()).ok());
     ::shutdown(client->fd(), SHUT_WR);
@@ -1265,7 +1305,7 @@ TEST_F(SocketFaultTest, MismatchedHelloIsRefusedBeforeIngest) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     StartServer(1, server_fp, /*expected_dims=*/2);
-    auto client = SocketClient::Connect(server_->socket_path());
+    auto client = RawPeer::Dial(server_->endpoint());
     ASSERT_TRUE(client.ok());
     HandshakeHello hello;
     hello.version = c.version;
@@ -1308,7 +1348,7 @@ TEST_F(SocketFaultTest, CorruptedHelloNeverReachesIngest) {
   for (size_t i = 0; i < kHandshakeHelloBytes; ++i) {
     SCOPED_TRACE(i);
     StartServer();
-    auto client = SocketClient::Connect(server_->socket_path());
+    auto client = RawPeer::Dial(server_->endpoint());
     ASSERT_TRUE(client.ok());
     std::vector<uint8_t> corrupted(good, good + kHandshakeHelloBytes);
     corrupted[i] ^= 0x01;
@@ -1334,7 +1374,7 @@ TEST_F(SocketFaultTest, TruncatedHelloIsRejectedNotHung) {
   for (size_t len = 1; len < kHandshakeHelloBytes; ++len) {
     SCOPED_TRACE(len);
     StartServer();
-    auto client = SocketClient::Connect(server_->socket_path());
+    auto client = RawPeer::Dial(server_->endpoint());
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(
         client->SendRaw(std::span<const uint8_t>(good, len)).ok());
@@ -1352,7 +1392,7 @@ TEST_F(SocketFaultTest, ZeroByteConnectionIsABenignProbe) {
   // not a connection, not a reject, not an error.
   StartServer();
   {
-    auto probe = SocketClient::Connect(server_->socket_path());
+    auto probe = RawPeer::Dial(server_->endpoint());
     ASSERT_TRUE(probe.ok());
     probe->Close();
   }
@@ -1387,12 +1427,12 @@ TEST_F(SocketFaultTest, AcceptorServesBacklogAfterDescriptorExhaustion) {
   StartServer();
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, server_->socket_path().c_str(),
+  std::strncpy(addr.sun_path, server_->endpoint().unix_path.c_str(),
                sizeof(addr.sun_path) - 1);
-  std::vector<SocketClient> clients;
+  std::vector<RawPeer> clients;
   for (int i = 0; i < 2; ++i) {
-    clients.push_back(SocketClient::Adopt(::socket(AF_UNIX, SOCK_STREAM, 0)));
-    ASSERT_TRUE(clients.back().connected());
+    clients.emplace_back(::socket(AF_UNIX, SOCK_STREAM, 0));
+    ASSERT_GE(clients.back().fd(), 0);
     const timeval timeout{5, 0};
     ASSERT_EQ(::setsockopt(clients.back().fd(), SOL_SOCKET, SO_RCVTIMEO,
                            &timeout, sizeof(timeout)),
@@ -1410,7 +1450,7 @@ TEST_F(SocketFaultTest, AcceptorServesBacklogAfterDescriptorExhaustion) {
   for (int fd; (fd = ::dup(clients[0].fd())) >= 0;) fillers.push_back(fd);
   const int fill_errno = errno;
   int connected = 0;
-  for (const SocketClient& client : clients) {
+  for (const RawPeer& client : clients) {
     connected += ::connect(client.fd(), reinterpret_cast<sockaddr*>(&addr),
                            sizeof(addr)) == 0;
   }
@@ -1445,16 +1485,29 @@ TEST_F(SocketFaultTest, AcceptorServesBacklogAfterDescriptorExhaustion) {
 
 void IgnoreSignalForEintrTest(int) {}
 
-TEST(SocketEintrTest, ConnectSurvivesSignalStorm) {
-  // Regression for the EINTR-from-connect() bug: with a no-SA_RESTART
-  // handler installed and a thread storming SIGUSR1 at the connecting
-  // thread, an interrupted connect() must be completed via poll +
-  // SO_ERROR, never failed. Before the fix, any EINTR here surfaced as a
-  // hard connect error.
+enum class Family { kUnix, kTcp };
+
+std::string FamilyName(const testing::TestParamInfo<Family>& info) {
+  return info.param == Family::kUnix ? "Unix" : "Tcp";
+}
+
+class SocketEintrTest : public ::testing::TestWithParam<Family> {};
+
+TEST_P(SocketEintrTest, ConnectSurvivesSignalStorm) {
+  // Regression for the EINTR-from-connect() bug, on the dial every
+  // producer and the acceptor stop use (ConnectEndpointFd): with a
+  // no-SA_RESTART handler installed and a thread storming SIGUSR1 at the
+  // connecting thread, an interrupted connect() must be completed via
+  // poll + SO_ERROR, never failed. Before the fix, any EINTR here
+  // surfaced as a hard connect error.
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   SocketCollectorServer::Options options;
-  options.socket_path = MakeLoopbackSocketPath();
+  if (GetParam() == Family::kTcp) {
+    options.endpoint.tcp_host = "127.0.0.1";  // port 0: ephemeral
+  } else {
+    options.endpoint.unix_path = MakeLoopbackSocketPath();
+  }
   options.num_consumers = 1;
   auto server = SocketCollectorServer::Create(&*collector, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -1475,10 +1528,10 @@ TEST(SocketEintrTest, ConnectSurvivesSignalStorm) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    auto client = SocketClient::Connect(options.socket_path);
-    EXPECT_TRUE(client.ok()) << "connect " << i << ": "
-                             << client.status().ToString();
-    if (client.ok()) client->Close();
+    auto fd = ConnectEndpointFd((*server)->endpoint());
+    EXPECT_TRUE(fd.ok()) << "connect " << i << ": "
+                         << fd.status().ToString();
+    if (fd.ok()) ::close(*fd);
   }
   stop.store(true, std::memory_order_relaxed);
   storm.join();
@@ -1490,31 +1543,103 @@ TEST(SocketEintrTest, ConnectSurvivesSignalStorm) {
   EXPECT_EQ((*server)->stats().connections, 0u);
 }
 
+INSTANTIATE_TEST_SUITE_P(Families, SocketEintrTest,
+                         ::testing::Values(Family::kUnix, Family::kTcp),
+                         FamilyName);
+
 // ------------------------------------------------------- bind guarding ----
 
-TEST(SocketBindGuardTest, SecondServerOnLivePathIsRefused) {
-  // Two collector processes pointed at one socket path: the second must
-  // refuse with AlreadyExists instead of silently unlinking the first
-  // server's socket out from under its fleet.
-  auto collector1 = ShardedCollector::Create();
-  ASSERT_TRUE(collector1.ok());
+// The two servers that listen on a unix path. Both bind through
+// ListenEndpointFd, so both must refuse a live path and reclaim a stale
+// one.
+enum class ServerKind { kCollector, kMetrics };
+
+std::string ServerKindName(const testing::TestParamInfo<ServerKind>& info) {
+  return info.param == ServerKind::kCollector ? "Collector" : "Metrics";
+}
+
+struct AnyServer {
+  std::optional<ShardedCollector> collector;
+  std::unique_ptr<SocketCollectorServer> collector_server;
+  std::unique_ptr<telemetry::MetricsSocketServer> metrics_server;
+};
+
+Status StartServer(ServerKind kind, const std::string& path,
+                   AnyServer* out) {
+  if (kind == ServerKind::kMetrics) {
+    CAPP_ASSIGN_OR_RETURN(out->metrics_server,
+                          telemetry::MetricsSocketServer::Create(
+                              &telemetry::MetricsRegistry::Global(), path));
+    return Status::OK();
+  }
+  CAPP_ASSIGN_OR_RETURN(ShardedCollector collector, ShardedCollector::Create());
+  out->collector.emplace(std::move(collector));
   SocketCollectorServer::Options options;
-  options.socket_path = MakeLoopbackSocketPath();
+  options.endpoint.unix_path = path;
   options.num_consumers = 1;
-  auto server1 = SocketCollectorServer::Create(&*collector1, options);
-  ASSERT_TRUE(server1.ok()) << server1.status().ToString();
+  CAPP_ASSIGN_OR_RETURN(out->collector_server,
+                        SocketCollectorServer::Create(&*out->collector,
+                                                      options));
+  return Status::OK();
+}
 
-  auto collector2 = ShardedCollector::Create();
-  ASSERT_TRUE(collector2.ok());
-  auto server2 = SocketCollectorServer::Create(&*collector2, options);
-  ASSERT_FALSE(server2.ok());
-  EXPECT_EQ(server2.status().code(), StatusCode::kAlreadyExists)
-      << server2.status().ToString();
+// Stops either kind: Finish's verdict, or OK for the metrics server.
+Status StopServer(AnyServer& server) {
+  if (server.metrics_server != nullptr) {
+    server.metrics_server->Stop();
+    return Status::OK();
+  }
+  return server.collector_server->Finish();
+}
 
-  // The first server must be completely unharmed by the probe: a real
-  // session still drains clean.
+// Sends one request to a unix socket and reads the reply to EOF.
+std::string Request(const std::string& path, std::string_view request) {
+  auto peer = RawPeer::Dial(SocketEndpoint::Unix(path));
+  if (!peer.ok()) return "";
+  if (!peer->SendRaw(std::span(reinterpret_cast<const uint8_t*>(
+                                   request.data()),
+                               request.size()))
+           .ok()) {
+    return "";
+  }
+  std::string reply;
+  char buf[4096];
+  for (ssize_t got; (got = ::recv(peer->fd(), buf, sizeof(buf), 0)) > 0;) {
+    reply.append(buf, static_cast<size_t>(got));
+  }
+  return reply;
+}
+
+class SocketBindGuardTest : public ::testing::TestWithParam<ServerKind> {};
+
+TEST_P(SocketBindGuardTest, SecondServerOnLivePathIsRefused) {
+  // Two servers pointed at one socket path: the second must refuse with
+  // AlreadyExists instead of silently unlinking the first server's
+  // socket out from under its clients.
+  const std::string path = MakeLoopbackSocketPath();
+  AnyServer first;
+  const Status started = StartServer(GetParam(), path, &first);
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  AnyServer second;
+  const Status refused = StartServer(GetParam(), path, &second);
+  EXPECT_EQ(refused.code(), StatusCode::kAlreadyExists)
+      << refused.ToString();
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);  // still the first server's file
+
+  // The first server must be completely unharmed by the probe: a scrape
+  // still answers, or a real session still drains clean.
+  if (GetParam() == ServerKind::kMetrics) {
+    EXPECT_EQ(Request(path, "stats\n").rfind("{", 0), 0u);
+    EXPECT_TRUE(StopServer(first).ok());
+    return;
+  }
   {
-    auto client = HandshakeOn(options.socket_path, /*client_id=*/5);
+    auto client = HandshakeOn(SocketEndpoint::Unix(path), /*client_id=*/5);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     std::vector<uint8_t> frames;
     AppendUserRunFrame(1, 0, std::vector<double>{0.5}, frames);
@@ -1527,37 +1652,72 @@ TEST(SocketBindGuardTest, SecondServerOnLivePathIsRefused) {
     (void)client->ReadExact(fin_ack, sizeof(fin_ack));
     client->Close();
   }
-  (*server1)->WaitForFinishedConnections(1);
-  const Status finished = (*server1)->Finish();
+  first.collector_server->WaitForFinishedConnections(1);
+  const Status finished = StopServer(first);
   EXPECT_TRUE(finished.ok()) << finished.ToString();
-  EXPECT_EQ(collector1->report_count(), 1u);
+  EXPECT_EQ(first.collector->report_count(), 1u);
 }
 
-TEST(SocketBindGuardTest, StaleSocketFileIsReclaimed) {
+TEST_P(SocketBindGuardTest, StaleSocketFileIsReclaimed) {
   // A socket file left behind by a dead server (bound once, never
   // unlinked, nobody listening) must be reclaimed, not refused --
   // otherwise every crash would need a manual rm before restart.
   const std::string path = MakeLoopbackSocketPath();
-  {
-    auto collector = ShardedCollector::Create();
-    ASSERT_TRUE(collector.ok());
-    SocketCollectorServer::Options options;
-    options.socket_path = path;
-    options.num_consumers = 1;
-    auto server = SocketCollectorServer::Create(&*collector, options);
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    ASSERT_TRUE((*server)->Finish().ok());
-  }
-  // The listener is gone; whether or not the file lingers, a new server
-  // must bind the same path cleanly.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int dead = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(dead, 0);
+  ASSERT_EQ(::bind(dead, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::close(dead);
+  struct stat stale {};
+  ASSERT_EQ(::stat(path.c_str(), &stale), 0);
+  ASSERT_TRUE(S_ISSOCK(stale.st_mode));
+
+  AnyServer server;
+  const Status started = StartServer(GetParam(), path, &server);
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  EXPECT_TRUE(StopServer(server).ok());
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);  // stopping removes the file
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, SocketBindGuardTest,
+                         ::testing::Values(ServerKind::kCollector,
+                                           ServerKind::kMetrics),
+                         ServerKindName);
+
+TEST(UnixPathBoundTest, OptionsAndSocketsShareOneBound) {
+  // kMaxUnixSocketPathBytes is sun_path less its terminator: a path of
+  // that length passes the options check and binds; one byte more fails
+  // both, with InvalidArgument rather than a truncated address.
+  std::string path = "/tmp/capp-bound-" + std::to_string(::getpid()) + "-";
+  path.resize(kMaxUnixSocketPathBytes, 'x');
+  ASSERT_EQ(path.size(), 107u);
+  TransportOptions options;
+  options.socket_path = path;
+  EXPECT_TRUE(ValidateTransportOptions(options).ok());
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  SocketCollectorServer::Options options;
+  SocketCollectorServer::Options server_options;
+  server_options.endpoint.unix_path = path;
+  server_options.num_consumers = 1;
+  {
+    auto server = SocketCollectorServer::Create(&*collector, server_options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    EXPECT_TRUE((*server)->Finish().ok());
+  }
+
+  path.push_back('x');  // 108 bytes: no room for the terminator
   options.socket_path = path;
-  options.num_consumers = 1;
-  auto server = SocketCollectorServer::Create(&*collector, options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  EXPECT_TRUE((*server)->Finish().ok());
+  EXPECT_EQ(ValidateTransportOptions(options).code(),
+            StatusCode::kInvalidArgument);
+  server_options.endpoint.unix_path = path;
+  auto refused = SocketCollectorServer::Create(&*collector, server_options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ConnectEndpointFd(SocketEndpoint::Unix(path)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------- loopback path TMPDIR ----
@@ -1578,7 +1738,7 @@ TEST(LoopbackSocketPathTest, HonorsTmpdirWithSunPathGuard) {
     auto collector = ShardedCollector::Create();
     ASSERT_TRUE(collector.ok());
     SocketCollectorServer::Options options;
-    options.socket_path = under_tmpdir;
+    options.endpoint.unix_path = under_tmpdir;
     options.num_consumers = 1;
     auto server = SocketCollectorServer::Create(&*collector, options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -1696,20 +1856,19 @@ TEST(TcpTransportTest, TcpLoopbackDigestMatchesInProcess) {
   auto server_collector = ShardedCollector::Create();
   ASSERT_TRUE(server_collector.ok());
   SocketCollectorServer::Options server_options;
-  server_options.tcp_host = "127.0.0.1";
-  server_options.tcp_port = 0;
+  server_options.endpoint.tcp_host = "127.0.0.1";  // port 0: ephemeral
   server_options.num_consumers = 2;
   auto server =
       SocketCollectorServer::Create(&*server_collector, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  ASSERT_GT((*server)->tcp_port(), 0);
+  ASSERT_GT((*server)->endpoint().tcp_port, 0);
 
   auto local_collector = ShardedCollector::Create();
   ASSERT_TRUE(local_collector.ok());
   TransportOptions options;
   options.kind = TransportKind::kSocket;
   options.tcp_host = "127.0.0.1";
-  options.tcp_port = (*server)->tcp_port();
+  options.tcp_port = (*server)->endpoint().tcp_port;
   options.connect_streams = 2;
   auto hub = TransportHub::Create(&*local_collector, options);
   ASSERT_TRUE(hub.ok()) << hub.status().ToString();
@@ -1737,13 +1896,13 @@ TEST(ResumeTest, KilledConnectionResumesWithDigestIntact) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   SocketCollectorServer::Options server_options;
-  server_options.socket_path = MakeLoopbackSocketPath();
+  server_options.endpoint.unix_path = MakeLoopbackSocketPath();
   server_options.num_consumers = 1;
   auto server = SocketCollectorServer::Create(&*collector, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   ResilientSocketClient::Options client_options;
-  client_options.endpoint.unix_path = server_options.socket_path;
+  client_options.endpoint = server_options.endpoint;
   client_options.client_id = 4242;
   client_options.connect_backoff_ms = 1;
   client_options.reconnect_attempts = 50;
@@ -1821,7 +1980,7 @@ TEST(ResumeTortureTest, StripedHubSurvivesRepeatedKills) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   SocketCollectorServer::Options server_options;
-  server_options.socket_path = MakeLoopbackSocketPath();
+  server_options.endpoint.unix_path = MakeLoopbackSocketPath();
   server_options.num_consumers = 2;
   auto server = SocketCollectorServer::Create(&*collector, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -1830,7 +1989,7 @@ TEST(ResumeTortureTest, StripedHubSurvivesRepeatedKills) {
   ASSERT_TRUE(local.ok());
   TransportOptions options;
   options.kind = TransportKind::kSocket;
-  options.socket_path = server_options.socket_path;
+  options.socket_path = server_options.endpoint.unix_path;
   options.connect_streams = 4;
   options.connect_backoff_ms = 1;
   options.reconnect_attempts = 500;

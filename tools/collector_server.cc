@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with("--socket=")) {
-      options.socket_path = std::string(arg.substr(9));
+      options.endpoint.unix_path = std::string(arg.substr(9));
     } else if (arg.starts_with("--tcp=")) {
       auto endpoint = capp::ParseTcpEndpoint(arg.substr(6));
       if (!endpoint.ok()) {
@@ -213,8 +213,8 @@ int main(int argc, char** argv) {
                      endpoint.status().ToString().c_str());
         return 2;
       }
-      options.tcp_host = endpoint->tcp_host;
-      options.tcp_port = endpoint->tcp_port;
+      options.endpoint.tcp_host = endpoint->tcp_host;
+      options.endpoint.tcp_port = endpoint->tcp_port;
     } else if (arg.starts_with("--chaos-kill-ms=")) {
       chaos_kill_ms = ParsePositiveOrDie("--chaos-kill-ms", arg.substr(16));
     } else if (arg.starts_with("--wal-dir=")) {
@@ -290,7 +290,8 @@ int main(int argc, char** argv) {
       Usage(argv[0]);
     }
   }
-  if (options.socket_path.empty() == options.tcp_host.empty()) {
+  if (options.endpoint.unix_path.empty() ==
+      options.endpoint.tcp_host.empty()) {
     std::fprintf(stderr,
                  "exactly one of --socket=PATH or --tcp=HOST:PORT is "
                  "required\n");
@@ -494,11 +495,9 @@ int main(int argc, char** argv) {
                : "";
   // The TCP line includes the *bound* port: with --tcp=HOST:0 the kernel
   // picks a free one, and scripts scrape it from this line.
+  const capp::SocketEndpoint& bound = (*server)->endpoint();
   const std::string listen_endpoint =
-      options.tcp_host.empty()
-          ? options.socket_path
-          : "tcp " + options.tcp_host + ":" +
-                std::to_string((*server)->tcp_port());
+      bound.is_tcp() ? "tcp " + bound.ToString() : bound.unix_path;
   std::printf("collector_server: listening on %s (%d consumers, %zu "
               "shards, %s ingest%s); waiting for %llu session(s)\n",
               listen_endpoint.c_str(), options.num_consumers,
